@@ -8,7 +8,6 @@ default class.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import floor
 
@@ -73,6 +72,27 @@ def instance_schema(instance: frozenset[Item]) -> frozenset[str]:
     return attrs
 
 
+def _vertical(data: list[TrainingInstance]) -> tuple[dict[Item, int], dict[str, int]]:
+    """Row sets as int bitmasks (bit i = row i): one per item, one per class."""
+    item_rows: dict[Item, list[int]] = {}
+    class_rows: dict[str, list[int]] = {}
+    for i, inst in enumerate(data):
+        for it in inst.items:
+            item_rows.setdefault(it, []).append(i)
+        class_rows.setdefault(inst.class_label, []).append(i)
+
+    def bitset(rows: list[int]) -> int:
+        buf = bytearray((len(data) + 7) // 8)
+        for i in rows:
+            buf[i >> 3] |= 1 << (i & 7)
+        return int.from_bytes(buf, "little")
+
+    return (
+        {it: bitset(rows) for it, rows in item_rows.items()},
+        {cls: bitset(rows) for cls, rows in class_rows.items()},
+    )
+
+
 def mine_cars(
     data: list[TrainingInstance], config: MiningConfig
 ) -> list[ClassAssociationRule]:
@@ -81,6 +101,11 @@ def mine_cars(
     Level-wise Apriori: a (k+1)-itemset is considered for a class only when
     it extends a k-itemset frequent for that same class, which is sound
     because support is anti-monotone in the antecedent for a fixed class.
+
+    Counting is vertical (Eclat-style): every item and every class holds the
+    set of rows it occurs in as an int bitmask, a candidate's row set is the
+    AND of its base's row set and the added item's, and a count is a
+    popcount. Rules come out ordered by candidate, then class.
     """
     if not data:
         raise EmptyTrainingSet("cannot mine rules from an empty training set")
@@ -92,45 +117,38 @@ def mine_cars(
     max_size = config.max_antecedent_size
     if max_size is None:
         max_size = len(schema)
-
-    def count_level(candidates: list[tuple[Item, ...]]) -> tuple[dict, dict]:
-        totals: dict[tuple[Item, ...], int] = {c: 0 for c in candidates}
-        by_class: dict[tuple[tuple[Item, ...], str], int] = {}
-        for inst in data:
-            for cand in candidates:
-                if all(it in inst.items for it in cand):
-                    totals[cand] += 1
-                    key = (cand, inst.class_label)
-                    by_class[key] = by_class.get(key, 0) + 1
-        return totals, by_class
+    item_masks, class_masks = _vertical(data)
+    classes = sorted(class_masks)
 
     rules: list[ClassAssociationRule] = []
-    singletons = sorted({it for inst in data for it in inst.items})
-    candidates = [(it,) for it in singletons]
+    # candidate itemsets of the current level -> their row sets
+    masks: dict[tuple[Item, ...], int] = {(it,): m for it, m in item_masks.items()}
     # per class: frequent itemsets of the current level
     frequent: dict[str, set[tuple[Item, ...]]] = {}
     level = 1
-    while candidates and level <= max_size:
-        totals, by_class = count_level(candidates)
+    while masks and level <= max_size:
         next_frequent: dict[str, set[tuple[Item, ...]]] = {}
-        for (cand, cls), hits in sorted(
-            by_class.items(), key=lambda kv: (kv[0][0], kv[0][1])
-        ):
-            support = hits / n
-            if support < config.min_support:
-                continue
-            next_frequent.setdefault(cls, set()).add(cand)
-            confidence = hits / totals[cand]
-            if confidence >= config.min_confidence:
-                rules.append(
-                    ClassAssociationRule(frozenset(cand), cls, support, confidence)
-                )
+        for cand in sorted(masks):
+            mask = masks[cand]
+            total = mask.bit_count()
+            for cls in classes:
+                hits = (mask & class_masks[cls]).bit_count()
+                if hits == 0:
+                    continue
+                support = hits / n
+                if support < config.min_support:
+                    continue
+                next_frequent.setdefault(cls, set()).add(cand)
+                confidence = hits / total
+                if confidence >= config.min_confidence:
+                    rules.append(
+                        ClassAssociationRule(frozenset(cand), cls, support, confidence)
+                    )
         frequent = next_frequent
         level += 1
         if level > max_size:
             break
-        seen: set[tuple[Item, ...]] = set()
-        extended: list[tuple[Item, ...]] = []
+        extended: dict[tuple[Item, ...], int] = {}
         for cls in sorted(frequent):
             per_class = frequent[cls]
             # the max item of any frequent k-set already occurs in one of its
@@ -144,16 +162,15 @@ def mine_cars(
                     if item <= base[-1] or item.attribute in used:
                         continue
                     cand = base + (item,)
-                    if cand in seen:
+                    if cand in extended:
                         continue
                     subsets_ok = all(
                         cand[:i] + cand[i + 1 :] in per_class for i in range(level)
                     )
                     if not subsets_ok:
                         continue
-                    seen.add(cand)
-                    extended.append(cand)
-        candidates = sorted(extended)
+                    extended[cand] = masks[base] & item_masks[item]
+        masks = extended
     return rules
 
 
@@ -171,11 +188,6 @@ def sort_rules(rules: list[ClassAssociationRule]) -> list[ClassAssociationRule]:
     )
 
 
-def _majority(labels: list[str]) -> str:
-    counts = Counter(labels)
-    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
-
-
 def build_classifier(
     data: list[TrainingInstance], rules: list[ClassAssociationRule]
 ) -> Classifier:
@@ -183,27 +195,38 @@ def build_classifier(
 
     A rule survives only if it correctly classifies some instance nobody
     above it covered; every instance its antecedent matches then counts as
-    covered, right or wrong.
+    covered, right or wrong. Row sets are int bitmasks as in `mine_cars`: a
+    rule matches the uncovered mask ANDed with its items' masks (an item
+    absent from the data matches no row, an empty antecedent every row).
+    The default class is the majority of the uncovered rows (of all rows when
+    none is left), ties broken by label.
     """
     if not data:
         raise EmptyTrainingSet("cannot build a classifier without training data")
-    covered = [False] * len(data)
+    item_masks, class_masks = _vertical(data)
+    everything = (1 << len(data)) - 1
+    uncovered = everything
     kept: list[ClassAssociationRule] = []
     for rule in rules:
-        matched = [
-            i
-            for i, inst in enumerate(data)
-            if not covered[i] and rule.antecedent <= inst.items
-        ]
-        if any(data[i].class_label == rule.consequent_class for i in matched):
+        matched = uncovered
+        for it in rule.antecedent:
+            matched &= item_masks.get(it, 0)
+        if matched & class_masks.get(rule.consequent_class, 0):
             kept.append(rule)
-            for i in matched:
-                covered[i] = True
-    uncovered = [inst.class_label for i, inst in enumerate(data) if not covered[i]]
-    if not uncovered:
-        uncovered = [inst.class_label for inst in data]
+            uncovered &= ~matched
+    pool = uncovered or everything
+    default = min(
+        (-(mask & pool).bit_count(), cls) for cls, mask in class_masks.items()
+    )[1]
     schema = tuple(sorted(instance_schema(data[0].items)))
-    return Classifier(kept, _majority(uncovered), schema)
+    return Classifier(kept, default, schema)
+
+
+def train_classifier(
+    training: list[TrainingInstance], mining: MiningConfig
+) -> Classifier:
+    """Mine, precedence-sort and coverage-prune: the classifier one request uses."""
+    return build_classifier(training, sort_rules(mine_cars(training, mining)))
 
 
 def predict(classifier: Classifier, instance: frozenset[Item]) -> str:

@@ -10,7 +10,7 @@ import sys
 import time
 from dataclasses import dataclass, replace as dc_replace
 
-from .cba import build_classifier, mine_cars, sort_rules
+from .cba import render_items, train_classifier
 from .composer import (
     CompositeService,
     build_search_graph,
@@ -203,17 +203,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
     training = synthesize_training_set(
         request, envelope, config.scheme, config.bins, registry.schema
     )
-    rules = sort_rules(mine_cars(training, config.mining))
-    classifier = build_classifier(training, rules)
+    classifier = train_classifier(training, config.mining)
     if args.out:
         save_classifier(classifier, args.out)
     else:
         for rule in classifier.rules:
-            items = ",".join(
-                f"{it.attribute}={it.value}" for it in sorted(rule.antecedent)
-            )
             sys.stdout.write(
-                f"{items} => {rule.consequent_class} "
+                f"{render_items(rule.antecedent)} => {rule.consequent_class} "
                 f"[{rule.support!r} {rule.confidence!r}]\n"
             )
         sys.stdout.write(f"DEFAULT {classifier.default_class}\n")

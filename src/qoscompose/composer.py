@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .cba import build_classifier, mine_cars, sort_rules
+from .cba import train_classifier
 from .errors import (
     CycleDetected,
     DisjointMatch,
@@ -35,7 +35,7 @@ from .leveling import (
     score_candidates,
     synthesize_training_set,
 )
-from .ontology import MatchType, Taxonomy, link_quality, match_type, precompute_matches
+from .ontology import MatchType, Taxonomy, link_quality, match_type
 from .qos import QoSVector, compute_extremes, normalize
 
 if TYPE_CHECKING:
@@ -355,20 +355,6 @@ def _validate_registry(
             taxonomy.rep(concept)
 
 
-def _registry_concept_pairs(
-    plan: CompositionPlan, registry: "Registry"
-) -> set[tuple[str, str]]:
-    by_task: dict[str, list["RegistryRecord"]] = {}
-    for rec in registry.records:
-        by_task.setdefault(rec.task_id, []).append(rec)
-    pairs: set[tuple[str, str]] = set()
-    for a, b in plan.edges:
-        outs = {o for rec in by_task.get(a, []) for o in rec.outputs}
-        ins = {i for rec in by_task.get(b, []) for i in rec.inputs}
-        pairs |= {(o, i) for o in outs for i in ins}
-    return pairs
-
-
 def rank_candidates(
     request: UserRequest, registry: "Registry", config: "EngineConfig"
 ) -> dict[str, list[ScoredService]]:
@@ -385,8 +371,7 @@ def rank_candidates(
         training = synthesize_training_set(
             request, envelope, config.scheme, config.bins, schema
         )
-        rules = sort_rules(mine_cars(training, config.mining))
-        classifier = build_classifier(training, rules)
+        classifier = train_classifier(training, config.mining)
     by_task: dict[str, list[QoSVector]] = {}
     for vec, rec in zip(vectors, registry.records):
         by_task.setdefault(rec.task_id, []).append(vec)
@@ -412,8 +397,6 @@ def compose_with_graph(
     with _stage("validation"):
         _validate_registry(plan, registry, taxonomy)
     eligible = rank_candidates(request, registry, config)
-    with _stage("matching"):
-        precompute_matches(taxonomy, _registry_concept_pairs(plan, registry))
     with _stage("selection"):
         graph, primary = build_search_graph(plan, eligible, taxonomy, registry)
     with _stage("alternative"):

@@ -11,8 +11,13 @@ import itertools
 from dataclasses import dataclass
 
 from .cba import Classifier, Item, TrainingInstance, discretize, predict
-from .errors import DegenerateRequest, LevelOutOfRange, SchemaMismatch
+from .errors import DegenerateRequest, LevelOutOfRange, SchemaMismatch, ValueOutOfRange
 from .qos import AttributeExtremes, NormalizedQoSVector, QoSAttribute, scale
+
+# Largest training set synthesize_training_set builds: 8 attributes at 4 bins.
+# It holds bins ** attributes rows and mining cost grows with it, so a larger
+# request is refused before any row is made.
+MAX_TRAINING_ROWS = 65_536
 
 
 @dataclass(frozen=True)
@@ -98,10 +103,20 @@ def synthesize_training_set(
     bins: int,
     schema: list[QoSAttribute],
 ) -> list[TrainingInstance]:
-    """Expert-style training rows: every label combination, classed by its worst attribute."""
+    """Expert-style training rows: every label combination, classed by its worst attribute.
+
+    Raises ValueOutOfRange when the bins ** attributes rows would exceed
+    MAX_TRAINING_ROWS.
+    """
     names = [a.name for a in schema]
     if set(request.ranges) != set(names):
         raise SchemaMismatch("request attributes do not match the declared schema")
+    rows = bins ** len(names)
+    if rows > MAX_TRAINING_ROWS:
+        raise ValueOutOfRange(
+            f"{bins} bins over {len(names)} attributes synthesize {rows} training "
+            f"rows, more than the limit of {MAX_TRAINING_ROWS}"
+        )
     floors = {
         name: _demand_floor_label(request, extremes, schema, bins, name)
         for name in names

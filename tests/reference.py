@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from qoscompose import (
     ClassAssociationRule,
+    Classifier,
     CompositionPlan,
     Item,
     MiningConfig,
@@ -69,6 +71,34 @@ def brute_force_cars(
                             ClassAssociationRule(antecedent, cls, support, confidence)
                         )
     return rules
+
+
+def ref_build_classifier(
+    data: list[TrainingInstance], rules: list[ClassAssociationRule]
+) -> Classifier:
+    """Row-by-row coverage pass: a rule is kept when it correctly classifies an
+    uncovered row, then every uncovered row it matches is covered; the default
+    is the majority label of the rows left (of all rows if none), ties by label.
+    """
+    covered = [False] * len(data)
+    kept: list[ClassAssociationRule] = []
+    for rule in rules:
+        matched = [
+            i
+            for i, inst in enumerate(data)
+            if not covered[i] and rule.antecedent <= inst.items
+        ]
+        if any(data[i].class_label == rule.consequent_class for i in matched):
+            kept.append(rule)
+            for i in matched:
+                covered[i] = True
+    uncovered = [inst.class_label for i, inst in enumerate(data) if not covered[i]]
+    if not uncovered:
+        uncovered = [inst.class_label for inst in data]
+    counts = Counter(uncovered)
+    default = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
+    schema = tuple(sorted(it.attribute for it in data[0].items))
+    return Classifier(kept, default, schema)
 
 
 def random_training_set(

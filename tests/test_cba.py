@@ -1,6 +1,7 @@
 """Rule mining, precedence, coverage, and prediction against hand and brute-force oracles."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +17,7 @@ from qoscompose import (
     sort_rules,
 )
 from qoscompose.errors import EmptyTrainingSet, SchemaMismatch, ValueOutOfRange
-from reference import brute_force_cars, random_training_set
+from reference import brute_force_cars, random_training_set, ref_build_classifier
 
 
 def inst(class_label, **labels):
@@ -77,6 +78,56 @@ def test_mine_cars_matches_brute_force_spot_checks():
     for _ in range(25):
         data, config = random_training_set(rng)
         assert set(mine_cars(data, config)) == brute_force_cars(data, config)
+
+
+ORACLE_OVERRIDES = [
+    {},
+    {"min_support": 0.0},
+    {"min_support": 0.0, "min_confidence": 0.0},
+    {"max_antecedent_size": 1},
+    {"max_antecedent_size": 2},
+    {"min_support": 0.0, "max_antecedent_size": 2},
+]
+
+
+def oracle_sets(seed, overrides, count=40):
+    rng = random.Random(seed)
+    for _ in range(count):
+        data, config = random_training_set(rng)
+        yield rng, data, replace(config, **overrides)
+
+
+@pytest.mark.parametrize("overrides", ORACLE_OVERRIDES)
+def test_mine_cars_equals_brute_force_in_order_and_exact_floats(overrides):
+    for _, data, config in oracle_sets(2718, overrides):
+        mined = mine_cars(data, config)
+        expected = list(brute_force_cars(data, config))
+        assert sort_rules(mined) == sort_rules(expected)
+        # emitted level by level, each level by sorted antecedent, then class
+        assert mined == sorted(
+            expected,
+            key=lambda r: (len(r.antecedent), sorted(r.antecedent), r.consequent_class),
+        )
+
+
+@pytest.mark.parametrize("overrides", ORACLE_OVERRIDES)
+def test_build_classifier_equals_row_by_row_coverage(overrides):
+    for rng, data, config in oracle_sets(1618, overrides):
+        rules = sort_rules(mine_cars(data, config))
+        assert build_classifier(data, rules) == ref_build_classifier(data, rules)
+        # items and classes the data never holds, and an empty antecedent
+        labels = sorted({inst.class_label for inst in data}) + ["unseen"]
+        strays = [
+            ClassAssociationRule(frozenset([Item("a0", "9")]), labels[0], 0.5, 1.0),
+            ClassAssociationRule(
+                frozenset([Item("zz", "0"), Item("a0", "0")]), labels[0], 0.5, 1.0
+            ),
+            ClassAssociationRule(frozenset(), rng.choice(labels), 0.5, 0.5),
+            ClassAssociationRule(frozenset([Item("a0", "0")]), "unseen", 0.5, 1.0),
+        ]
+        mixed = rules + strays
+        rng.shuffle(mixed)
+        assert build_classifier(data, mixed) == ref_build_classifier(data, mixed)
 
 
 def test_anti_monotone_support():

@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -123,6 +124,26 @@ def test_impossible_threshold_exits_40(capsys):
     code = main(fixture_args("compose", threshold="1.0"))
     assert code == 40
     assert capsys.readouterr().err.startswith("error [selection]:")
+
+
+def test_oversized_training_set_exits_23_before_training(capsys):
+    start = time.perf_counter()
+    code = main(fixture_args("compose", bins="64"))
+    elapsed = time.perf_counter() - start
+    assert code == 23
+    err = capsys.readouterr().err
+    assert err.startswith("error [training]:")
+    assert "64 bins over 4 attributes synthesize 16777216 training rows" in err
+    assert elapsed < 1.0, f"refusing 64 bins took {elapsed:.2f}s"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qoscompose.cli"] + fixture_args("compose", bins="64"),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 23
+    assert proc.stderr.startswith("error [training]:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_replace_selected_service(capsys):

@@ -20,7 +20,13 @@ from qoscompose import (
     sort_rules,
     synthesize_training_set,
 )
-from qoscompose.errors import DegenerateRequest, LevelOutOfRange, SchemaMismatch
+from qoscompose import leveling
+from qoscompose.errors import (
+    DegenerateRequest,
+    LevelOutOfRange,
+    SchemaMismatch,
+    ValueOutOfRange,
+)
 
 SCHEMA = [
     QoSAttribute("response_time", Polarity.NEGATIVE, "ms"),
@@ -51,6 +57,16 @@ def test_synthesize_covers_every_label_combination():
     data = synthesized()
     assert len(data) == 16
     assert len({inst.items for inst in data}) == 16
+
+
+def test_training_set_size_guard(monkeypatch):
+    assert leveling.MAX_TRAINING_ROWS == 4**8
+    with pytest.raises(ValueOutOfRange, match="257 bins over 2 attributes synthesize 66049"):
+        synthesized(bins=257)
+    monkeypatch.setattr(leveling, "MAX_TRAINING_ROWS", 16)
+    assert len(synthesized(bins=4)) == 16
+    with pytest.raises(ValueOutOfRange):
+        synthesized(bins=5)
 
 
 def test_labels_inside_requested_range_are_level_one():
