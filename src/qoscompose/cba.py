@@ -8,7 +8,7 @@ default class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import floor
 
 from .errors import EmptyTrainingSet, SchemaMismatch, ValueOutOfRange
@@ -43,6 +43,12 @@ class Classifier:
     # None when the schema is unknown (e.g. a deserialized classifier); then
     # predict skips the strict one-item-per-attribute check.
     attributes: tuple[str, ...] | None = None
+    # ((attribute, label), ...) -> level, filled lazily by
+    # leveling.classify_candidates; the rules must not change after first use,
+    # and a dataclasses.replace copy starts with an empty memo (init=False)
+    _levels: dict[tuple[tuple[str, int], ...], int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)

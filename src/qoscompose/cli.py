@@ -10,9 +10,10 @@ import sys
 import time
 from dataclasses import dataclass, replace as dc_replace
 
-from .cba import render_items, train_classifier
+from .cba import render_items
 from .composer import (
     CompositeService,
+    _request_classifier,
     build_search_graph,
     compose_with_graph,
     composite_report,
@@ -60,9 +61,8 @@ from .errors import (
     UnknownTask,
     ValueOutOfRange,
 )
-from .leveling import default_scheme, synthesize_training_set
+from .leveling import default_scheme
 from .ontology import precompute_matches
-from .qos import QoSVector, compute_extremes
 
 EXIT_CODES: dict[type, int] = {
     ParseError: 10,
@@ -198,12 +198,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     registry = load_registry(args.registry)
     config, request = load_config(args.config)
     config = _apply_overrides(args, config)
-    vectors = [QoSVector(r.service_id, dict(r.values)) for r in registry.records]
-    envelope = compute_extremes(vectors)
-    training = synthesize_training_set(
-        request, envelope, config.scheme, config.bins, registry.schema
-    )
-    classifier = train_classifier(training, config.mining)
+    classifier = _request_classifier(request, registry, config)
     if args.out:
         save_classifier(classifier, args.out)
     else:

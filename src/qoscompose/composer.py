@@ -11,20 +11,19 @@ the same queues.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .cba import train_classifier
+from .cba import Classifier, train_classifier
 from .errors import (
     CycleDetected,
-    DisjointMatch,
     EngineError,
     NoAdmissibleLink,
     NoAlternative,
     NoEligibleCandidate,
     NoReplacementCandidate,
-    NoSharedParameters,
     NotSelectedService,
     UnknownTask,
 )
@@ -35,8 +34,8 @@ from .leveling import (
     score_candidates,
     synthesize_training_set,
 )
-from .ontology import MatchType, Taxonomy, link_quality, match_type
-from .qos import QoSVector, compute_extremes, normalize
+from .ontology import MatchType, Taxonomy, interface_quality, match_type
+from .qos import NormalizedQoSVector, QoSVector, compute_extremes, normalize
 
 if TYPE_CHECKING:
     from .data_io import EngineConfig, Registry, RegistryRecord
@@ -114,6 +113,8 @@ class SearchGraph:
     succs: dict[str, list[str]]
     taxonomy: Taxonomy
     services: dict[str, "RegistryRecord"]
+    # task -> service_id -> its queue entry
+    entries: dict[str, dict[str, QueueEntry]]
 
 
 @dataclass
@@ -133,18 +134,26 @@ def _interface_pairs(
     return [(o, i) for o in outs for i in ins]
 
 
-def _link_or_none(
+def _mean_link(
     taxonomy: Taxonomy,
     services: dict[str, "RegistryRecord"],
-    from_service: str,
-    to_service: str,
+    links: Iterable[tuple[str, str]],
 ) -> float | None:
-    """Link quality between two concrete services, None when inadmissible."""
-    pairs = _interface_pairs(services, from_service, to_service)
-    try:
-        return link_quality(taxonomy, from_service, to_service, pairs)
-    except (DisjointMatch, NoSharedParameters):
-        return None
+    """Mean quality over one side's (from_service, to_service) links.
+
+    Each link's quality comes from the taxonomy's memo over the two services'
+    interfaces. None as soon as one link is inadmissible; `links` must not be
+    empty.
+    """
+    qualities: list[float] = []
+    for from_service, to_service in links:
+        quality = interface_quality(
+            taxonomy, services[from_service].outputs, services[to_service].inputs
+        )
+        if quality is None:
+            return None
+        qualities.append(quality)
+    return sum(qualities) / len(qualities)
 
 
 def _score(order: list[str], final_utilities: dict[str, float]) -> float:
@@ -181,16 +190,12 @@ def build_search_graph(
             if not preds[task]:
                 entries.append(QueueEntry(cand.service_id, cand.utility, cand.utility, 1.0))
                 continue
-            qualities: list[float] = []
-            for pred in preds[task]:
-                quality = _link_or_none(
-                    taxonomy, services, selected[pred], cand.service_id
-                )
-                if quality is None:
-                    break
-                qualities.append(quality)
-            else:
-                q = sum(qualities) / len(qualities)
+            q = _mean_link(
+                taxonomy,
+                services,
+                ((selected[pred], cand.service_id) for pred in preds[task]),
+            )
+            if q is not None:
                 entries.append(
                     QueueEntry(cand.service_id, cand.utility, cand.utility * q, q)
                 )
@@ -202,7 +207,10 @@ def build_search_graph(
         selected[task] = head.service_id
         final_utilities[task] = head.final_utility
         link_qualities[task] = head.link_quality
-    graph = SearchGraph(order, queues, preds, succs, taxonomy, services)
+    index = {
+        task: {e.service_id: e for e in entries} for task, entries in queues.items()
+    }
+    graph = SearchGraph(order, queues, preds, succs, taxonomy, services, index)
     composite = CompositeService(
         selected, final_utilities, link_qualities, _score(order, final_utilities)
     )
@@ -232,24 +240,15 @@ def first_alternative(
         links[task] = second.link_quality
         feasible = True
         for succ in graph.succs[task]:
-            qualities: list[float] = []
-            for pred in graph.preds[succ]:
-                quality = _link_or_none(
-                    graph.taxonomy, graph.services, assignment[pred], assignment[succ]
-                )
-                if quality is None:
-                    feasible = False
-                    break
-                qualities.append(quality)
-            if not feasible:
-                break
-            q = sum(qualities) / len(qualities)
-            utility = next(
-                e.utility
-                for e in graph.queues[succ]
-                if e.service_id == assignment[succ]
+            q = _mean_link(
+                graph.taxonomy,
+                graph.services,
+                ((assignment[pred], assignment[succ]) for pred in graph.preds[succ]),
             )
-            finals[succ] = utility * q
+            if q is None:
+                feasible = False
+                break
+            finals[succ] = graph.entries[succ][assignment[succ]].utility * q
             links[succ] = q
         if not feasible:
             continue
@@ -285,38 +284,31 @@ def replace_unavailable(
             f"{service_id!r} is not the selected service of task {task!r}"
         )
     services = registry.services()
+    selected = composite.assignment
     rescored: list[QueueEntry] = []
     for entry in graph.queues[task]:
-        if entry.service_id == service_id:
+        candidate = entry.service_id
+        if candidate == service_id:
             continue
         sides: list[float] = []
-        admissible = True
         if graph.preds[task]:
-            qualities = []
-            for pred in graph.preds[task]:
-                quality = _link_or_none(
-                    taxonomy, services, composite.assignment[pred], entry.service_id
-                )
-                if quality is None:
-                    admissible = False
-                    break
-                qualities.append(quality)
-            if not admissible:
+            prev_side = _mean_link(
+                taxonomy,
+                services,
+                ((selected[pred], candidate) for pred in graph.preds[task]),
+            )
+            if prev_side is None:
                 continue
-            sides.append(sum(qualities) / len(qualities))
+            sides.append(prev_side)
         if graph.succs[task]:
-            qualities = []
-            for succ in graph.succs[task]:
-                quality = _link_or_none(
-                    taxonomy, services, entry.service_id, composite.assignment[succ]
-                )
-                if quality is None:
-                    admissible = False
-                    break
-                qualities.append(quality)
-            if not admissible:
+            next_side = _mean_link(
+                taxonomy,
+                services,
+                ((candidate, selected[succ]) for succ in graph.succs[task]),
+            )
+            if next_side is None:
                 continue
-            sides.append(sum(qualities) / len(qualities))
+            sides.append(next_side)
         q = sum(sides) / len(sides) if sides else 1.0
         rescored.append(QueueEntry(entry.service_id, entry.utility, entry.utility * q, q))
     if not rescored:
@@ -346,6 +338,21 @@ def _stage(name: str):
 def _validate_registry(
     plan: CompositionPlan, registry: "Registry", taxonomy: Taxonomy
 ) -> None:
+    """Every service targets a plan task and names only declared concepts.
+
+    The registry's distinct tasks and concepts are cached on it, so a valid
+    registry costs two subset tests; an invalid one is walked record by
+    record to raise its first error.
+    """
+    distinct = registry._cache.get("tasks_concepts")
+    if distinct is None:
+        distinct = registry._cache["tasks_concepts"] = (
+            frozenset(rec.task_id for rec in registry.records),
+            frozenset(c for rec in registry.records for c in rec.inputs + rec.outputs),
+        )
+    tasks, concepts = distinct
+    if tasks <= plan.tasks and concepts <= taxonomy.concepts:
+        return
     for rec in registry.records:
         if rec.task_id not in plan.tasks:
             raise UnknownTask(
@@ -355,31 +362,59 @@ def _validate_registry(
             taxonomy.rep(concept)
 
 
+def _request_classifier(
+    request: UserRequest, registry: "Registry", config: "EngineConfig"
+) -> Classifier:
+    """Train the request's classifier; errors carry the "training" stage.
+
+    Extremes are taken across the whole registry, so the synthesized demand
+    bands cover every task; this envelope is cached on the registry.
+    """
+    with _stage("training"):
+        envelope = registry._cache.get("envelope")
+        if envelope is None:
+            envelope = registry._cache["envelope"] = compute_extremes(
+                [QoSVector(rec.service_id, rec.values) for rec in registry.records]
+            )
+        training = synthesize_training_set(
+            request, envelope, config.scheme, config.bins, registry.schema
+        )
+        return train_classifier(training, config.mining)
+
+
+def _scaled_tasks(registry: "Registry") -> dict[str, list[NormalizedQoSVector]]:
+    """Every task's candidates normalized against their own task's extremes.
+
+    Cached on the registry once every task has scaled; a failure caches nothing.
+    """
+    scaled = registry._cache.get("scaled")
+    if scaled is None:
+        by_task: dict[str, list[QoSVector]] = {}
+        for rec in registry.records:
+            by_task.setdefault(rec.task_id, []).append(
+                QoSVector(rec.service_id, rec.values)
+            )
+        scaled = {}
+        for task, cands in by_task.items():
+            extremes = compute_extremes(cands)
+            scaled[task] = [normalize(c, extremes, registry.schema) for c in cands]
+        registry._cache["scaled"] = scaled
+    return scaled
+
+
 def rank_candidates(
     request: UserRequest, registry: "Registry", config: "EngineConfig"
 ) -> dict[str, list[ScoredService]]:
     """Scale, level, and threshold-filter every task's candidates.
 
-    One classifier is trained per request, over extremes taken across the
-    whole registry so the synthesized demand bands cover every task; the
-    candidates themselves are normalized against their own task's extremes.
+    Only training and leveling depend on the request: scaling is computed
+    once per registry (see `_scaled_tasks`).
     """
-    schema = registry.schema
-    vectors = [QoSVector(rec.service_id, dict(rec.values)) for rec in registry.records]
-    with _stage("training"):
-        envelope = compute_extremes(vectors)
-        training = synthesize_training_set(
-            request, envelope, config.scheme, config.bins, schema
-        )
-        classifier = train_classifier(training, config.mining)
-    by_task: dict[str, list[QoSVector]] = {}
-    for vec, rec in zip(vectors, registry.records):
-        by_task.setdefault(rec.task_id, []).append(vec)
+    classifier = _request_classifier(request, registry, config)
+    with _stage("scaling"):
+        scaled = _scaled_tasks(registry)
     eligible: dict[str, list[ScoredService]] = {}
-    for task, cands in by_task.items():
-        with _stage("scaling"):
-            extremes = compute_extremes(cands)
-            normalized = [normalize(c, extremes, schema) for c in cands]
+    for task, normalized in scaled.items():
         with _stage("classification"):
             scored = score_candidates(normalized, classifier, config.scheme, config.bins)
         eligible[task] = filter_eligible(scored, config.threshold)
@@ -426,7 +461,7 @@ def composite_report(graph: SearchGraph, composite: CompositeService) -> dict:
     tasks = []
     for task in graph.order:
         service_id = composite.assignment[task]
-        entry = next(e for e in graph.queues[task] if e.service_id == service_id)
+        entry = graph.entries[task][service_id]
         links = []
         for pred in graph.preds[task]:
             from_service = composite.assignment[pred]

@@ -9,7 +9,7 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cba import Classifier, ClassAssociationRule, Item, MiningConfig, TrainingInstance
 from .composer import CompositionPlan
@@ -39,9 +39,19 @@ class RegistryRecord:
 class Registry:
     schema: list[QoSAttribute]
     records: list[RegistryRecord]
+    # request-independent values derived from the records, filled lazily by
+    # the composer; a registry must not be mutated after its first use, and a
+    # dataclasses.replace copy starts with an empty cache (init=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def services(self) -> dict[str, RegistryRecord]:
-        return {rec.service_id: rec for rec in self.records}
+        """service_id -> record; one shared dict, built on the first call."""
+        services = self._cache.get("services")
+        if services is None:
+            services = self._cache["services"] = {
+                rec.service_id: rec for rec in self.records
+            }
+        return services
 
 
 @dataclass(frozen=True)

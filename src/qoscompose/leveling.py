@@ -137,14 +137,22 @@ def synthesize_training_set(
 def classify_candidates(
     candidates: list[NormalizedQoSVector], classifier: Classifier, bins: int
 ) -> list[tuple[str, int]]:
-    """Discretize each candidate and read its level off the classifier."""
+    """Discretize each candidate and read its level off the classifier.
+
+    Levels are memoized on the classifier by the candidate's (attribute,
+    label) pairs, so `predict` runs once per distinct label combination.
+    """
+    memo = classifier._levels
     out: list[tuple[str, int]] = []
     for cand in candidates:
-        instance = frozenset(
-            Item(name, str(discretize(value, bins)))
-            for name, value in cand.values.items()
+        key = tuple(
+            (name, discretize(value, bins)) for name, value in cand.values.items()
         )
-        out.append((cand.service_id, int(predict(classifier, instance))))
+        level = memo.get(key)
+        if level is None:
+            instance = frozenset(Item(name, str(label)) for name, label in key)
+            level = memo[key] = int(predict(classifier, instance))
+        out.append((cand.service_id, level))
     return out
 
 

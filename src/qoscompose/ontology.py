@@ -68,6 +68,11 @@ class Taxonomy:
     _match_cache: dict[tuple[str, str], MatchType] = field(
         default_factory=dict, repr=False, compare=False
     )
+    # (upstream outputs, downstream inputs) -> link quality, None when
+    # inadmissible; a dataclasses.replace copy starts empty (init=False)
+    _link_cache: dict[tuple[tuple[str, ...], tuple[str, ...]], float | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for pair in self.equivalences | self.disjointness:
@@ -193,6 +198,28 @@ def link_quality(
             )
         total += MATCH_QUALITY[match]
     return total / len(pairs)
+
+
+def interface_quality(
+    taxonomy: Taxonomy, outputs: tuple[str, ...], inputs: tuple[str, ...]
+) -> float | None:
+    """`link_quality` over every output x input pair, None when inadmissible.
+
+    The two interfaces fully determine the value, so it is memoized on the
+    taxonomy by them.
+    """
+    key = (outputs, inputs)
+    try:
+        return taxonomy._link_cache[key]
+    except KeyError:
+        pass
+    pairs = [(o, i) for o in outputs for i in inputs]
+    try:
+        quality: float | None = link_quality(taxonomy, "upstream", "downstream", pairs)
+    except (DisjointMatch, NoSharedParameters):
+        quality = None
+    taxonomy._link_cache[key] = quality
+    return quality
 
 
 def precompute_matches(taxonomy: Taxonomy, pairs: set[tuple[str, str]]) -> None:

@@ -146,6 +146,19 @@ def test_oversized_training_set_exits_23_before_training(capsys):
     assert "Traceback" not in proc.stderr
 
 
+def test_classify_tags_oversized_training_with_its_stage(capsys):
+    argv = [
+        "classify",
+        "--registry", str(FIXTURES / "registry.csv"),
+        "--config", str(FIXTURES / "config.json"),
+        "--bins", "64",
+    ]
+    assert main(argv) == 23
+    err = capsys.readouterr().err
+    assert err.startswith("error [training]:")
+    assert "16777216 training rows" in err
+
+
 def test_replace_selected_service(capsys):
     args = fixture_args("replace") + ["--task", "plan_route", "--service", "pr_city"]
     assert main(args) == 0

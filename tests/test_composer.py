@@ -1,18 +1,33 @@
 """Greedy selection, one-swap alternative, and replacement against the naive reference."""
 
+import pathlib
 import random
+from dataclasses import replace as dc_replace
 
 import pytest
 
 from qoscompose import (
     CompositionPlan,
     NormalizedQoSVector,
+    Polarity,
+    QoSAttribute,
     Registry,
     RegistryRecord,
     ScoredService,
     Taxonomy,
+    UserRequest,
     build_search_graph,
+    compose_with_graph,
+    composite_report,
+    default_config,
+    default_request,
     first_alternative,
+    generate_synthetic,
+    load_config,
+    load_plan,
+    load_registry,
+    load_taxonomy,
+    rank_candidates,
     replace_unavailable,
 )
 from qoscompose.composer import topological_order
@@ -23,9 +38,13 @@ from qoscompose.errors import (
     NoEligibleCandidate,
     NoReplacementCandidate,
     NotSelectedService,
+    OutOfRangeValue,
+    UnknownConcept,
     UnknownTask,
 )
 from reference import (
+    RefInstance,
+    RefTaxonomy,
     engine_inputs,
     engine_outcome,
     random_instance,
@@ -33,6 +52,8 @@ from reference import (
     ref_replace,
     ref_select,
 )
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 # B is a subclass of A; C stands alone
 TAX = Taxonomy(frozenset(["A", "B", "C"]), frozenset([("B", "A")]))
@@ -366,3 +387,161 @@ def test_replacement_matches_reference():
         }
         assert changed == {task}, (inst, task)
         checked += 1
+
+
+# ------------------------------------------- request-independent caches
+
+def fixture_inputs():
+    """Freshly loaded fixtures plus two requests: the shipped one and a stricter one."""
+    taxonomy = load_taxonomy(str(FIXTURES / "taxonomy.txt"))
+    plan = load_plan(str(FIXTURES / "plan.json"), taxonomy)
+    registry = load_registry(str(FIXTURES / "registry.csv"))
+    config, request = load_config(str(FIXTURES / "config.json"))
+    strict = UserRequest(
+        {**request.ranges, "response_time": (50.0, 150.0), "availability": (98.0, 100.0)},
+        request.preferences,
+    )
+    return plan, registry, taxonomy, dc_replace(config, threshold=0.0), [request, strict]
+
+
+def synthetic_inputs(seed):
+    """A freshly generated chain plus its default request and a stricter one."""
+    registry, plan, taxonomy = generate_synthetic(12, 6, 3, seed)
+    loose = default_request(registry.schema)
+    strict = {}
+    for attr in registry.schema:
+        lo, hi = loose.ranges[attr.name]
+        mid = (lo + hi) / 2
+        strict[attr.name] = (lo, mid) if attr.polarity is Polarity.NEGATIVE else (mid, hi)
+    requests = [loose, UserRequest(strict, loose.preferences)]
+    return plan, registry, taxonomy, dc_replace(default_config(), threshold=0.0), requests
+
+
+def composed(request, plan, registry, taxonomy, config):
+    graph, primary, alternative = compose_with_graph(
+        request, plan, registry, taxonomy, config
+    )
+    reports = (
+        composite_report(graph, primary),
+        composite_report(graph, alternative) if alternative is not None else None,
+    )
+    return primary, alternative, reports
+
+
+def assert_matches_oracle(request, plan, registry, taxonomy, config, primary, alternative):
+    eligible = rank_candidates(request, registry, config)
+    inst = RefInstance(
+        tasks=sorted(plan.tasks),
+        edges=sorted(plan.edges),
+        candidates={
+            task: [(s.service_id, s.utility) for s in scored]
+            for task, scored in eligible.items()
+        },
+        interfaces={rec.service_id: (rec.inputs, rec.outputs) for rec in registry.records},
+        taxonomy=RefTaxonomy(
+            set(taxonomy.concepts),
+            set(taxonomy.edges),
+            set(taxonomy.equivalences),
+            set(taxonomy.disjointness),
+        ),
+    )
+    ref = ref_select(inst)
+    assert ref.error is None
+    assert (primary.assignment, primary.final_utilities, primary.score) == (
+        ref.assignment, ref.finals, ref.score,
+    )
+    ref_alt = ref_first_alternative(inst, ref)
+    if alternative is None:
+        assert ref_alt.error == "no-alternative"
+    else:
+        got = (alternative.assignment, alternative.final_utilities, alternative.score)
+        assert got == (ref_alt.assignment, ref_alt.finals, ref_alt.score)
+
+
+@pytest.mark.parametrize(
+    "make_inputs",
+    [fixture_inputs] + [lambda seed=seed: synthetic_inputs(seed) for seed in range(3)],
+    ids=["fixtures", "synthetic-0", "synthetic-1", "synthetic-2"],
+)
+def test_warm_caches_compose_like_fresh_inputs(make_inputs):
+    plan, registry, taxonomy, config, requests = make_inputs()
+    results = []
+    for request in requests + requests:
+        warm = composed(request, plan, registry, taxonomy, config)
+        fresh_plan, fresh_registry, fresh_taxonomy, _, _ = make_inputs()
+        fresh = composed(request, fresh_plan, fresh_registry, fresh_taxonomy, config)
+        assert warm == fresh
+        assert_matches_oracle(
+            request, fresh_plan, fresh_registry, fresh_taxonomy, config, *fresh[:2]
+        )
+        results.append(warm)
+    # the two requests level differently, so a cached request result would show
+    assert results[0] != results[1]
+    assert registry._cache and taxonomy._link_cache
+
+
+def test_failed_scaling_repeats_its_error_and_caches_no_scaling():
+    schema = [QoSAttribute("a", Polarity.POSITIVE)]
+    records = [
+        RegistryRecord("s1", "t1", {"a": 1.0}, (), ("A",)),
+        RegistryRecord("s2", "t1", {"a": 2.0}, (), ("A",)),
+        RegistryRecord("s3", "t2", {"a": 3.0}, ("A",), ()),
+        # a NaN inside the envelope but outside its own task's extremes
+        RegistryRecord("s4", "t2", {"a": float("nan")}, ("A",), ()),
+    ]
+    registry = Registry(schema, records)
+    request = UserRequest({"a": (1.0, 3.0)}, {"a": 1})
+    config = default_config()
+    raised = []
+    for _ in range(3):
+        with pytest.raises(OutOfRangeValue) as info:
+            rank_candidates(request, registry, config)
+        raised.append((info.value.stage, str(info.value)))
+        assert "scaled" not in registry._cache
+    assert raised == [raised[0]] * 3
+    assert raised[0][0] == "scaling"
+
+
+def test_registry_validation_reports_the_first_fault_in_record_order():
+    registry, plan, taxonomy = generate_synthetic(3, 2, 2, 0)
+    request = default_request(registry.schema)
+    config = default_config()
+    compose_with_graph(request, plan, registry, taxonomy, config)
+    # a registry that passed once is still checked against every plan
+    last = max(plan.tasks)
+    short = CompositionPlan(
+        plan.tasks - {last}, frozenset(e for e in plan.edges if last not in e)
+    )
+    with pytest.raises(UnknownTask) as info:
+        compose_with_graph(request, short, registry, taxonomy, config)
+    assert info.value.stage == "validation"
+    assert f"{last}_s01" in str(info.value)
+    # record order decides, and a record's task is checked before its concepts
+    first, second, third, *rest = registry.records
+    bad_concept = dc_replace(second, outputs=("Nope1",))
+    bad_both = dc_replace(third, task_id="tX", inputs=("Nope2",))
+    for records, error, name in [
+        ([first, bad_concept, bad_both, *rest], UnknownConcept, "Nope1"),
+        ([first, bad_both, bad_concept, *rest], UnknownTask, "tX"),
+    ]:
+        faulty = Registry(registry.schema, records)
+        for _ in range(2):
+            with pytest.raises(error, match=name) as info:
+                compose_with_graph(request, plan, faulty, taxonomy, config)
+            assert info.value.stage == "validation"
+
+
+def test_replaced_objects_start_with_empty_caches():
+    plan, registry, taxonomy, config, requests = synthetic_inputs(4)
+    graph, primary, _ = compose_with_graph(requests[0], plan, registry, taxonomy, config)
+    first, *rest = registry.records
+    changed = dc_replace(registry, records=[dc_replace(first, values={
+        name: value * 2 for name, value in first.values.items()
+    })] + rest)
+    assert registry._cache and not changed._cache
+    assert changed.services()[first.service_id] is not first
+    assert taxonomy._link_cache and not dc_replace(taxonomy)._link_cache
+    fresh = Registry(registry.schema, changed.records)
+    assert composed(requests[0], plan, changed, taxonomy, config) == composed(
+        requests[0], plan, fresh, taxonomy, config
+    )

@@ -1,5 +1,8 @@
 """Training-set synthesis bands, level classification, utility, eligibility."""
 
+import dataclasses
+import random
+
 import pytest
 
 from qoscompose import (
@@ -11,14 +14,20 @@ from qoscompose import (
     QoSAttribute,
     ScoredService,
     UserRequest,
+    TrainingInstance,
     build_classifier,
     classify_candidates,
     compute_utility,
     default_scheme,
+    discretize,
     filter_eligible,
+    load_classifier,
     mine_cars,
+    predict,
+    save_classifier,
     sort_rules,
     synthesize_training_set,
+    train_classifier,
 )
 from qoscompose import leveling
 from qoscompose.errors import (
@@ -27,6 +36,7 @@ from qoscompose.errors import (
     SchemaMismatch,
     ValueOutOfRange,
 )
+from reference import random_training_set
 
 SCHEMA = [
     QoSAttribute("response_time", Polarity.NEGATIVE, "ms"),
@@ -154,6 +164,75 @@ def test_classify_is_deterministic_for_identical_candidates():
     clf = trained_classifier()
     twice = classify_candidates([norm("a", 0.4, 0.9), norm("b", 0.4, 0.9)], clf, 4)
     assert twice[0][1] == twice[1][1]
+
+
+def predicted_levels(candidates, classifier, bins):
+    """classify_candidates without its memo: one predict per candidate."""
+    return [
+        (
+            cand.service_id,
+            int(
+                predict(
+                    classifier,
+                    frozenset(
+                        Item(name, str(discretize(value, bins)))
+                        for name, value in cand.values.items()
+                    ),
+                )
+            ),
+        )
+        for cand in candidates
+    ]
+
+
+def random_candidates(rng, attrs, count, prefix):
+    """Normalized vectors over `attrs`, each with its own attribute order."""
+    out = []
+    for i in range(count):
+        names = rng.sample(attrs, len(attrs))
+        values = {n: rng.choice([0.0, 1.0, rng.random()]) for n in names}
+        out.append(NormalizedQoSVector(f"{prefix}{i}", values))
+    return out
+
+
+def test_classify_memo_equals_per_candidate_predict(tmp_path):
+    rng = random.Random(515)
+    loaded_seen = 0
+    for trial in range(40):
+        data, mining = random_training_set(rng)
+        # numeric class labels, as levels are
+        data = [TrainingInstance(d.items, d.class_label[1:]) for d in data]
+        trained = train_classifier(data, mining)
+        path = tmp_path / f"rules{trial}.txt"
+        save_classifier(trained, str(path))
+        loaded = load_classifier(str(path))
+        assert loaded.attributes is None
+        attrs = sorted(it.attribute for it in data[0].items)
+        bins = rng.randint(2, 5)
+        for classifier in (trained, loaded):
+            for batch in range(3):  # the first batch meets a cold memo
+                cands = random_candidates(rng, attrs, 25, f"b{batch}_")
+                assert classify_candidates(cands, classifier, bins) == (
+                    predicted_levels(cands, classifier, bins)
+                ), (trial, batch)
+            assert classifier._levels
+            assert not dataclasses.replace(classifier)._levels
+            # another attribute set misses the warm memo: the schema check
+            # still runs, and a schema-free classifier still predicts
+            extra = random_candidates(rng, attrs + ["zz"], 3, "x")
+            if classifier.attributes is None:
+                loaded_seen += 1
+                assert classify_candidates(extra, classifier, bins) == (
+                    predicted_levels(extra, classifier, bins)
+                )
+                continue
+            with pytest.raises(SchemaMismatch):
+                classify_candidates(extra, classifier, bins)
+            if len(attrs) > 1:
+                fewer = random_candidates(rng, attrs[1:], 1, "y")
+                with pytest.raises(SchemaMismatch):
+                    classify_candidates(fewer, classifier, bins)
+    assert loaded_seen == 40
 
 
 def test_default_scheme_coefficients():

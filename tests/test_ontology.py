@@ -12,7 +12,8 @@ from qoscompose.errors import (
     NoSharedParameters,
     UnknownConcept,
 )
-from reference import RefTaxonomy, ref_match
+from qoscompose.ontology import interface_quality
+from reference import RefTaxonomy, engine_inputs, random_instance, ref_match
 
 
 def tax(concepts, edges=(), equiv=(), disjoint=()):
@@ -156,3 +157,46 @@ def test_match_type_agrees_with_raw_axiom_walks():
                 assert label[match_type(engine, a, b)] == ref_match(raw, a, b), (
                     a, b, edges, disjoint
                 )
+
+
+def uncached_quality(taxonomy, outputs, inputs):
+    try:
+        return link_quality(
+            taxonomy, "s1", "s2", [(o, i) for o in outputs for i in inputs]
+        )
+    except (DisjointMatch, NoSharedParameters):
+        return None
+
+
+def test_memoized_interface_quality_equals_link_quality():
+    rng = random.Random(919)
+    kinds = {"quality": 0, "disjoint": 0, "no-pairs": 0}
+    for _ in range(40):
+        _, _, memoized, _ = engine_inputs(random_instance(rng))
+        # an equal taxonomy whose link memo stays empty
+        plain = tax(
+            memoized.concepts,
+            memoized.edges,
+            memoized.equivalences,
+            memoized.disjointness,
+        )
+        concepts = sorted(memoized.concepts)
+        # interfaces of 0 to 3 concepts, so some links share no parameter
+        interfaces = [
+            tuple(rng.sample(concepts, rng.randint(0, 3))) for _ in range(12)
+        ]
+        for _ in range(2):  # cold memo, then warm
+            for outputs in interfaces:
+                for inputs in interfaces:
+                    got = interface_quality(memoized, outputs, inputs)
+                    assert got == uncached_quality(plain, outputs, inputs), (
+                        outputs, inputs
+                    )
+                    if got is not None:
+                        kinds["quality"] += 1
+                    elif outputs and inputs:
+                        kinds["disjoint"] += 1
+                    else:
+                        kinds["no-pairs"] += 1
+        assert not plain._link_cache
+    assert min(kinds.values()) > 0, kinds
