@@ -23,6 +23,7 @@ from .composer import (
 )
 from .data_io import (
     EngineConfig,
+    config_field,
     default_config,
     default_request,
     generate_synthetic,
@@ -114,13 +115,17 @@ class BenchResult:
 
 
 def _apply_overrides(args: argparse.Namespace, base: EngineConfig) -> EngineConfig:
+    """Config with the command-line overrides; a bad value raises ParseError."""
     cfg = base
     if getattr(args, "threshold", None) is not None:
-        cfg = dc_replace(cfg, threshold=args.threshold)
+        with config_field("--threshold"):
+            cfg = dc_replace(cfg, threshold=args.threshold)
     if getattr(args, "bins", None) is not None:
-        cfg = dc_replace(cfg, bins=args.bins)
+        with config_field("--bins"):
+            cfg = dc_replace(cfg, bins=args.bins)
     if getattr(args, "levels", None) is not None:
-        cfg = dc_replace(cfg, scheme=default_scheme(args.levels))
+        with config_field("--levels"):
+            cfg = dc_replace(cfg, scheme=default_scheme(args.levels))
     if getattr(args, "seed", None) is not None:
         cfg = dc_replace(cfg, seed=args.seed)
     return cfg

@@ -14,6 +14,7 @@ import heapq
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .cba import Classifier, train_classifier
@@ -28,10 +29,13 @@ from .errors import (
     UnknownTask,
 )
 from .leveling import (
+    Basis,
+    LevelKey,
     ScoredService,
     UserRequest,
     filter_eligible,
-    score_candidates,
+    level_basis,
+    score_basis,
     synthesize_training_set,
 )
 from .ontology import MatchType, Taxonomy, interface_quality, match_type
@@ -96,7 +100,7 @@ def topological_order(
     return order
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QueueEntry:
     service_id: str
     utility: float
@@ -156,6 +160,16 @@ def _mean_link(
     return sum(qualities) / len(qualities)
 
 
+def _rank_queue(entries: list[QueueEntry]) -> None:
+    """Sort by final utility descending, then service id ascending, in place.
+
+    Two stable passes on plain attributes; a reversed sort keeps the order of
+    equal keys, so ties stay in service id order.
+    """
+    entries.sort(key=attrgetter("service_id"))
+    entries.sort(key=attrgetter("final_utility"), reverse=True)
+
+
 def _score(order: list[str], final_utilities: dict[str, float]) -> float:
     score = 1.0
     for task in order:
@@ -186,22 +200,30 @@ def build_search_graph(
         if not candidates:
             raise NoEligibleCandidate(task)
         entries: list[QueueEntry] = []
-        for cand in candidates:
-            if not preds[task]:
+        if not preds[task]:
+            for cand in candidates:
                 entries.append(QueueEntry(cand.service_id, cand.utility, cand.utility, 1.0))
-                continue
-            q = _mean_link(
-                taxonomy,
-                services,
-                ((selected[pred], cand.service_id) for pred in preds[task]),
-            )
-            if q is not None:
-                entries.append(
-                    QueueEntry(cand.service_id, cand.utility, cand.utility * q, q)
-                )
+        else:
+            # the predecessors' selections are fixed for this task, so a
+            # candidate's link quality depends on its inputs alone
+            link_memo: dict[tuple[str, ...], float | None] = {}
+            for cand in candidates:
+                inputs = services[cand.service_id].inputs
+                if inputs in link_memo:
+                    q = link_memo[inputs]
+                else:
+                    q = link_memo[inputs] = _mean_link(
+                        taxonomy,
+                        services,
+                        ((selected[pred], cand.service_id) for pred in preds[task]),
+                    )
+                if q is not None:
+                    entries.append(
+                        QueueEntry(cand.service_id, cand.utility, cand.utility * q, q)
+                    )
         if not entries:
             raise NoAdmissibleLink(task)
-        entries.sort(key=lambda e: (-e.final_utility, e.service_id))
+        _rank_queue(entries)
         queues[task] = entries
         head = entries[0]
         selected[task] = head.service_id
@@ -313,7 +335,7 @@ def replace_unavailable(
         rescored.append(QueueEntry(entry.service_id, entry.utility, entry.utility * q, q))
     if not rescored:
         raise NoReplacementCandidate(task)
-    rescored.sort(key=lambda e: (-e.final_utility, e.service_id))
+    _rank_queue(rescored)
     head = rescored[0]
     assignment = dict(composite.assignment)
     finals = dict(composite.final_utilities)
@@ -402,23 +424,41 @@ def _scaled_tasks(registry: "Registry") -> dict[str, list[NormalizedQoSVector]]:
     return scaled
 
 
+def _level_bases(registry: "Registry", bins: int) -> dict[str, Basis]:
+    """Every task's request-independent leveling inputs at `bins` (see `level_basis`).
+
+    Cached on the registry per `bins`; equal level keys are interned across
+    the whole registry.
+    """
+    bases = registry._cache.get(("basis", bins))
+    if bases is None:
+        interned: dict[LevelKey, LevelKey] = {}
+        bases = registry._cache[("basis", bins)] = {
+            task: level_basis(normalized, bins, interned)
+            for task, normalized in _scaled_tasks(registry).items()
+        }
+    return bases
+
+
 def rank_candidates(
     request: UserRequest, registry: "Registry", config: "EngineConfig"
 ) -> dict[str, list[ScoredService]]:
     """Scale, level, and threshold-filter every task's candidates.
 
-    Only training and leveling depend on the request: scaling is computed
-    once per registry (see `_scaled_tasks`).
+    Only training and the per-candidate level lookup depend on the request:
+    scaling, discretization and each candidate's mean are computed once per
+    registry (see `_scaled_tasks` and `_level_bases`).
     """
     classifier = _request_classifier(request, registry, config)
     with _stage("scaling"):
-        scaled = _scaled_tasks(registry)
-    eligible: dict[str, list[ScoredService]] = {}
-    for task, normalized in scaled.items():
-        with _stage("classification"):
-            scored = score_candidates(normalized, classifier, config.scheme, config.bins)
-        eligible[task] = filter_eligible(scored, config.threshold)
-    return eligible
+        _scaled_tasks(registry)
+    with _stage("classification"):
+        return {
+            task: filter_eligible(
+                score_basis(basis, classifier, config.scheme), config.threshold
+            )
+            for task, basis in _level_bases(registry, config.bins).items()
+        }
 
 
 def compose_with_graph(

@@ -9,7 +9,8 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 
 from .cba import Classifier, ClassAssociationRule, Item, MiningConfig, TrainingInstance
 from .composer import CompositionPlan
@@ -284,7 +285,17 @@ def save_taxonomy(taxonomy: Taxonomy, path: str) -> None:
 
 # ------------------------------------------------------------------- config JSON
 
+@contextmanager
+def config_field(name: str):
+    """Report a bad config value (ValueError, TypeError) as a ParseError naming `name`."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"bad value for {name}: {exc}") from None
+
+
 def load_config(path: str) -> tuple[EngineConfig, UserRequest]:
+    """Read a config file; a missing or bad value raises ParseError."""
     doc = _json_load(path)
     request_doc = doc.get("request")
     if not isinstance(request_doc, dict):
@@ -297,44 +308,52 @@ def load_config(path: str) -> tuple[EngineConfig, UserRequest]:
     for name, pair in ranges_doc.items():
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(f"request range for {name!r} must be [lo, hi]")
-        ranges[name] = (float(pair[0]), float(pair[1]))
+        with config_field(f"request.ranges.{name}"):
+            ranges[name] = (float(pair[0]), float(pair[1]))
     if prefs_doc is None:
         prefs = {name: i + 1 for i, name in enumerate(ranges)}
     elif isinstance(prefs_doc, dict):
-        prefs = {name: int(rank) for name, rank in prefs_doc.items()}
+        with config_field("request.preferences"):
+            prefs = {name: int(rank) for name, rank in prefs_doc.items()}
     else:
         raise ParseError("request.preferences must map attributes to ranks")
-    request = UserRequest(ranges, prefs)
+    with config_field("request"):
+        request = UserRequest(ranges, prefs)
     levels_doc = doc.get("levels")
     if levels_doc is None:
         scheme = default_scheme()
     else:
         try:
-            scheme = LevelScheme(
-                int(levels_doc["n_levels"]),
-                tuple(float(c) for c in levels_doc["coefficients"]),
-            )
-        except (KeyError, TypeError) as exc:
+            with config_field("levels"):
+                scheme = LevelScheme(
+                    int(levels_doc["n_levels"]),
+                    tuple(float(c) for c in levels_doc["coefficients"]),
+                )
+        except KeyError as exc:
             raise ParseError(f"malformed levels section: {exc}")
     mining_doc = doc.get("mining", {})
     if not isinstance(mining_doc, dict):
         raise ParseError("config mining section must be an object")
-    mining = MiningConfig(
-        min_support=float(mining_doc.get("min_support", 0.01)),
-        min_confidence=float(mining_doc.get("min_confidence", 0.5)),
-        max_antecedent_size=(
-            int(mining_doc["max_antecedent_size"])
-            if mining_doc.get("max_antecedent_size") is not None
-            else None
-        ),
-    )
-    config = EngineConfig(
-        scheme,
-        mining,
-        bins=int(doc.get("bins", 4)),
-        threshold=float(doc.get("threshold", 0.25)),
-        seed=int(doc.get("seed", 0)),
-    )
+    with config_field("mining"):
+        mining = MiningConfig(
+            min_support=float(mining_doc.get("min_support", 0.01)),
+            min_confidence=float(mining_doc.get("min_confidence", 0.5)),
+            max_antecedent_size=(
+                int(mining_doc["max_antecedent_size"])
+                if mining_doc.get("max_antecedent_size") is not None
+                else None
+            ),
+        )
+    # one field at a time from valid defaults, so an error names its field
+    config = EngineConfig(scheme, mining)
+    with config_field("bins"):
+        config = replace(config, bins=int(doc.get("bins", config.bins)))
+    with config_field("threshold"):
+        config = replace(
+            config, threshold=float(doc.get("threshold", config.threshold))
+        )
+    with config_field("seed"):
+        config = replace(config, seed=int(doc.get("seed", config.seed)))
     return config, request
 
 

@@ -105,8 +105,9 @@ def synthesize_training_set(
 ) -> list[TrainingInstance]:
     """Expert-style training rows: every label combination, classed by its worst attribute.
 
-    Raises ValueOutOfRange when the bins ** attributes rows would exceed
-    MAX_TRAINING_ROWS.
+    Each (attribute, label) pair gets one `Item` and one shortfall level,
+    shared by every row that holds it. Raises ValueOutOfRange when the
+    bins ** attributes rows would exceed MAX_TRAINING_ROWS.
     """
     names = [a.name for a in schema]
     if set(request.ranges) != set(names):
@@ -117,21 +118,55 @@ def synthesize_training_set(
             f"{bins} bins over {len(names)} attributes synthesize {rows} training "
             f"rows, more than the limit of {MAX_TRAINING_ROWS}"
         )
-    floors = {
-        name: _demand_floor_label(request, extremes, schema, bins, name)
-        for name in names
-    }
+    # per attribute, label -> (its item, its shortfall level)
+    columns = []
+    for name in names:
+        floor_label = _demand_floor_label(request, extremes, schema, bins, name)
+        columns.append([
+            (Item(name, str(label)),
+             _shortfall_level(floor_label - label, bins, scheme.n_levels))
+            for label in range(bins)
+        ])
+    classes = [str(level) for level in range(scheme.n_levels + 1)]
     data: list[TrainingInstance] = []
-    for combo in itertools.product(range(bins), repeat=len(names)):
-        worst = max(
-            _shortfall_level(floors[name] - label, bins, scheme.n_levels)
-            for name, label in zip(names, combo)
-        )
-        items = frozenset(
-            Item(name, str(label)) for name, label in zip(names, combo)
-        )
-        data.append(TrainingInstance(items, str(worst)))
+    for combo in itertools.product(*columns):
+        items, levels = zip(*combo)
+        data.append(TrainingInstance(frozenset(items), classes[max(levels)]))
     return data
+
+
+# A candidate's discretized labels, ((attribute, label), ...) in its own
+# attribute order: the key of the classifier's level memo.
+LevelKey = tuple[tuple[str, int], ...]
+
+
+def _level_key(candidate: NormalizedQoSVector, bins: int) -> LevelKey:
+    return tuple(
+        (name, discretize(value, bins)) for name, value in candidate.values.items()
+    )
+
+
+def _mean(candidate: NormalizedQoSVector) -> float:
+    values = list(candidate.values.values())
+    return sum(values) / len(values)
+
+
+def _level(classifier: Classifier, key: LevelKey) -> int:
+    """The classifier's level for one key; `predict` runs only on a memo miss."""
+    level = classifier._levels.get(key)
+    if level is None:
+        instance = frozenset(Item(name, str(label)) for name, label in key)
+        level = classifier._levels[key] = int(predict(classifier, instance))
+    return level
+
+
+def _utility(level: int, mean: float, scheme: LevelScheme, service_id: str) -> float:
+    """Level coefficient times the mean normalized value."""
+    if not 1 <= level <= scheme.n_levels:
+        raise LevelOutOfRange(
+            f"level {level} outside 1..{scheme.n_levels} for {service_id!r}"
+        )
+    return scheme.coefficients[level - 1] * mean
 
 
 def classify_candidates(
@@ -142,30 +177,17 @@ def classify_candidates(
     Levels are memoized on the classifier by the candidate's (attribute,
     label) pairs, so `predict` runs once per distinct label combination.
     """
-    memo = classifier._levels
-    out: list[tuple[str, int]] = []
-    for cand in candidates:
-        key = tuple(
-            (name, discretize(value, bins)) for name, value in cand.values.items()
-        )
-        level = memo.get(key)
-        if level is None:
-            instance = frozenset(Item(name, str(label)) for name, label in key)
-            level = memo[key] = int(predict(classifier, instance))
-        out.append((cand.service_id, level))
-    return out
+    return [
+        (cand.service_id, _level(classifier, _level_key(cand, bins)))
+        for cand in candidates
+    ]
 
 
 def compute_utility(
     normalized: NormalizedQoSVector, level: int, scheme: LevelScheme
 ) -> float:
     """Level coefficient times the plain average of the normalized values."""
-    if not 1 <= level <= scheme.n_levels:
-        raise LevelOutOfRange(
-            f"level {level} outside 1..{scheme.n_levels} for {normalized.service_id!r}"
-        )
-    values = list(normalized.values.values())
-    return scheme.coefficients[level - 1] * (sum(values) / len(values))
+    return _utility(level, _mean(normalized), scheme, normalized.service_id)
 
 
 def score_candidates(
@@ -182,6 +204,41 @@ def score_candidates(
         )
         for c in candidates
     ]
+
+
+# One candidate's request-independent leveling inputs: the vector, its level
+# key and its mean normalized value.
+Basis = list[tuple[NormalizedQoSVector, LevelKey, float]]
+
+
+def level_basis(
+    candidates: list[NormalizedQoSVector],
+    bins: int,
+    interned: dict[LevelKey, LevelKey],
+) -> Basis:
+    """The request-independent half of `score_candidates`.
+
+    Equal keys are interned through `interned`, so candidates with the same
+    labels share one key object.
+    """
+    basis: Basis = []
+    for cand in candidates:
+        key = _level_key(cand, bins)
+        basis.append((cand, interned.setdefault(key, key), _mean(cand)))
+    return basis
+
+
+def score_basis(
+    basis: Basis, classifier: Classifier, scheme: LevelScheme
+) -> list[ScoredService]:
+    """The request-dependent half of `score_candidates`: levels and utilities."""
+    scored: list[ScoredService] = []
+    for cand, key, mean in basis:
+        level = _level(classifier, key)
+        scored.append(ScoredService(
+            cand.service_id, cand, level, _utility(level, mean, scheme, cand.service_id)
+        ))
+    return scored
 
 
 def filter_eligible(

@@ -122,6 +122,42 @@ def random_training_set(
     return rows, config
 
 
+# ------------------------------------------------- training-set synthesis
+
+def ref_synthesize_training_set(request, extremes, scheme, bins, schema):
+    """Row-by-row synthesis: every label combination, classed by its worst attribute.
+
+    Assumes a request the engine accepts (schema match, non-degenerate
+    ranges, within the row limit).
+    """
+    names = [a.name for a in schema]
+    floors = {}
+    for attr in schema:
+        lo, hi = extremes[attr.name]
+        spread = hi - lo
+        ends = []
+        for raw in request.ranges[attr.name]:
+            if spread == 0:
+                ends.append(1.0)
+            elif attr.polarity.value == "-":
+                ends.append((hi - raw) / spread)
+            else:
+                ends.append((raw - lo) / spread)
+        floor_norm = min(max(min(ends), 0.0), 1.0)
+        floors[attr.name] = min(int(floor_norm * bins), bins - 1)
+    data = []
+    for combo in itertools.product(range(bins), repeat=len(names)):
+        worst = 1
+        for name, label in zip(names, combo):
+            gap = floors[name] - label
+            if gap > 0:
+                band = -(-gap * (scheme.n_levels - 1) // bins)
+                worst = max(worst, min(scheme.n_levels - 1, band) + 1)
+        items = frozenset(Item(name, str(label)) for name, label in zip(names, combo))
+        data.append(TrainingInstance(items, str(worst)))
+    return data
+
+
 # ----------------------------------------------------- raw-axiom taxonomy walks
 
 @dataclass

@@ -12,6 +12,8 @@ from qoscompose import load_classifier
 from qoscompose.cli import _parse_grid, main, run_bench
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+# `qoscompose compose` stdout on the fixtures, kept from an earlier release
+GOLDEN_COMPOSE = pathlib.Path(__file__).resolve().parent / "data" / "fixture_compose.json"
 
 
 def fixture_args(command, **extra):
@@ -53,6 +55,11 @@ def test_compose_on_shipped_fixtures(capsys):
     by_task = {t["task"]: t for t in alternative["tasks"]}
     assert by_task["process_payment"]["link_quality"] == 1.0
     assert by_task["plan_route"]["links"][0]["pairs"][0]["match"] == "Exact"
+
+
+def test_compose_matches_the_golden_fixture_report(capsys):
+    assert main(fixture_args("compose")) == 0
+    assert capsys.readouterr().out.encode() == GOLDEN_COMPOSE.read_bytes()
 
 
 def test_compose_is_deterministic(capsys):
@@ -118,6 +125,51 @@ def test_unreachable_demand_exits_26(tmp_path, capsys):
     code = main(fixture_args("compose", config=path))
     assert code == 26
     assert capsys.readouterr().err.startswith("error [training]:")
+
+
+@pytest.mark.parametrize(
+    "keys, value, field",
+    [
+        (["bins"], 1, "bins"),
+        (["bins"], "x", "bins"),
+        (["threshold"], 2, "threshold"),
+        (["request", "ranges", "availability"], [99.0, 90.0], "request"),
+        (["request", "ranges", "availability"], ["high", 100.0],
+         "request.ranges.availability"),
+        (["levels"], {"n_levels": 3, "coefficients": [1.0, 0.25, 0.75]}, "levels"),
+    ],
+    ids=["bins-1", "bins-x", "threshold-2", "lo-above-hi", "non-numeric-range",
+         "coefficients-not-descending"],
+)
+def test_bad_config_value_exits_10_naming_its_field(tmp_path, capsys, keys, value, field):
+    config = json.loads((FIXTURES / "config.json").read_text())
+    section = config
+    for key in keys[:-1]:
+        section = section[key]
+    section[keys[-1]] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(fixture_args("compose", config=path)) == 10
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [load]: bad value for {field}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("bins", 1), ("threshold", 2), ("levels", 1)],
+    ids=["bins-1", "threshold-2", "levels-1"],
+)
+def test_bad_override_exits_10_naming_its_flag(capsys, flag, value):
+    assert main(fixture_args("compose", **{flag: value})) == 10
+    assert capsys.readouterr().err.startswith(f"error [load]: bad value for --{flag}: ")
+    classify = [
+        "classify",
+        "--registry", str(FIXTURES / "registry.csv"),
+        "--config", str(FIXTURES / "config.json"),
+        f"--{flag}", str(value),
+    ]
+    assert main(classify) == 10
+    assert capsys.readouterr().err.startswith(f"error [load]: bad value for --{flag}: ")
 
 
 def test_impossible_threshold_exits_40(capsys):

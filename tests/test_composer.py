@@ -30,12 +30,17 @@ from qoscompose import (
     rank_candidates,
     replace_unavailable,
 )
-from qoscompose.composer import topological_order
+from qoscompose import composer
+from qoscompose.cba import ClassAssociationRule, Classifier, Item, discretize
+from qoscompose.composer import _request_classifier, topological_order
+from qoscompose.leveling import filter_eligible, level_basis, score_candidates
+from qoscompose.qos import QoSVector, compute_extremes, normalize
 from qoscompose.errors import (
     CycleDetected,
     NoAdmissibleLink,
     NoAlternative,
     NoEligibleCandidate,
+    LevelOutOfRange,
     NoReplacementCandidate,
     NotSelectedService,
     OutOfRangeValue,
@@ -428,8 +433,11 @@ def composed(request, plan, registry, taxonomy, config):
     return primary, alternative, reports
 
 
-def assert_matches_oracle(request, plan, registry, taxonomy, config, primary, alternative):
-    eligible = rank_candidates(request, registry, config)
+def assert_matches_oracle(
+    request, plan, registry, taxonomy, config, primary, alternative, eligible=None
+):
+    if eligible is None:
+        eligible = rank_candidates(request, registry, config)
     inst = RefInstance(
         tasks=sorted(plan.tasks),
         edges=sorted(plan.edges),
@@ -534,6 +542,7 @@ def test_registry_validation_reports_the_first_fault_in_record_order():
 def test_replaced_objects_start_with_empty_caches():
     plan, registry, taxonomy, config, requests = synthetic_inputs(4)
     graph, primary, _ = compose_with_graph(requests[0], plan, registry, taxonomy, config)
+    assert ("basis", config.bins) in registry._cache
     first, *rest = registry.records
     changed = dc_replace(registry, records=[dc_replace(first, values={
         name: value * 2 for name, value in first.values.items()
@@ -545,3 +554,143 @@ def test_replaced_objects_start_with_empty_caches():
     assert composed(requests[0], plan, changed, taxonomy, config) == composed(
         requests[0], plan, fresh, taxonomy, config
     )
+
+
+# ----------------------------- per-bins leveling basis and per-task link memo
+
+def dag_inputs(seed, fan_in):
+    """A generated 10-task chain; fan-in 2 adds the skip edges t_i -> t_i+2."""
+    registry, plan, taxonomy = generate_synthetic(10, 8, 3, seed)
+    order = topological_order(plan.tasks, plan.edges)
+    edges = set(plan.edges)
+    if fan_in == 2:
+        edges |= set(zip(order, order[2:]))
+    return CompositionPlan(plan.tasks, frozenset(edges)), registry, taxonomy
+
+
+def random_request(rng, registry):
+    """Ranges inside the registry's value envelope, so no request is degenerate."""
+    ranges = {}
+    for attr in registry.schema:
+        values = [rec.values[attr.name] for rec in registry.records]
+        lo, hi = sorted(rng.uniform(min(values), max(values)) for _ in range(2))
+        ranges[attr.name] = (lo, hi)
+    return UserRequest(ranges, {a.name: i + 1 for i, a in enumerate(registry.schema)})
+
+
+def fresh_eligible(request, registry, config):
+    """Per-request leveling from scratch: per-task scaling, score_candidates, filter."""
+    fresh = Registry(registry.schema, list(registry.records))
+    classifier = _request_classifier(request, fresh, config)
+    by_task = {}
+    for rec in fresh.records:
+        by_task.setdefault(rec.task_id, []).append(QoSVector(rec.service_id, rec.values))
+    eligible = {}
+    for task, cands in by_task.items():
+        extremes = compute_extremes(cands)
+        normalized = [normalize(c, extremes, fresh.schema) for c in cands]
+        scored = score_candidates(normalized, classifier, config.scheme, config.bins)
+        eligible[task] = filter_eligible(scored, config.threshold)
+    return fresh, eligible
+
+
+@pytest.mark.parametrize("fan_in", [1, 2])
+def test_reused_registry_levels_and_selects_like_fresh_objects(fan_in):
+    rng = random.Random(77 + fan_in)
+    plan, registry, taxonomy = dag_inputs(fan_in + 10, fan_in)
+    config = dc_replace(default_config(), threshold=0.0)
+    checked = 0
+    for _ in range(20):
+        request = random_request(rng, registry)
+        for bins in (3, 4, 5, 3):
+            cfg = dc_replace(config, bins=bins)
+            warm = rank_candidates(request, registry, cfg)
+            fresh_registry, eligible = fresh_eligible(request, registry, cfg)
+            assert warm == eligible
+            _, _, fresh_taxonomy = generate_synthetic(10, 8, 3, fan_in + 10)
+            try:
+                want = build_search_graph(plan, eligible, fresh_taxonomy, fresh_registry)
+            except NoAdmissibleLink:
+                with pytest.raises(NoAdmissibleLink):
+                    compose_with_graph(request, plan, registry, taxonomy, cfg)
+                continue
+            graph, primary, alternative = compose_with_graph(
+                request, plan, registry, taxonomy, cfg
+            )
+            assert graph.queues == want[0].queues
+            assert primary == want[1]
+            assert_matches_oracle(
+                request, plan, fresh_registry, fresh_taxonomy, cfg,
+                primary, alternative, eligible,
+            )
+            checked += 1
+    assert checked >= 60
+    assert {key for key in registry._cache if key[0] == "basis"} == {
+        ("basis", 3), ("basis", 4), ("basis", 5)
+    }
+
+
+def test_level_basis_interns_keys_and_keeps_their_attributes():
+    rng = random.Random(31)
+    attribute_sets = [["a", "b"], ["b", "a"], ["a", "c"], ["a", "b", "c"], ["c"]]
+    candidates = []
+    for i in range(200):
+        names = rng.choice(attribute_sets)
+        values = {n: rng.choice([0.0, 0.5, 1.0, rng.random()]) for n in names}
+        candidates.append(NormalizedQoSVector(f"s{i}", values))
+    for bins in (2, 3, 5):
+        interned = {}
+        basis = level_basis(candidates, bins, interned)
+        by_key = {}
+        for cand, (vector, key, mean) in zip(candidates, basis):
+            assert vector is cand
+            assert key == tuple(
+                (n, min(int(v * bins), bins - 1)) for n, v in cand.values.items()
+            )
+            values = list(cand.values.values())
+            assert mean == sum(values) / len(values)
+            assert by_key.setdefault(key, key) is key
+        assert len(interned) == len(by_key)
+
+
+def test_registry_basis_shares_one_key_object_per_label_combination():
+    plan, registry, taxonomy, config, requests = synthetic_inputs(5)
+    compose_with_graph(requests[0], plan, registry, taxonomy, config)
+    basis = registry._cache[("basis", config.bins)]
+    keys = [key for entries in basis.values() for _, key, _ in entries]
+    distinct = {}
+    for key in keys:
+        assert distinct.setdefault(key, key) is key
+    assert len(distinct) < len(keys)
+
+
+def out_of_range_classifier(attribute):
+    """Level 9 (outside every scheme) for label 1 of `attribute`, else level 1."""
+    rule = ClassAssociationRule(frozenset([Item(attribute, "1")]), "9", 0.5, 1.0)
+    return Classifier([rule], "1")
+
+
+def test_level_out_of_range_names_the_first_service(monkeypatch):
+    plan, registry, taxonomy, config, requests = synthetic_inputs(6)
+    attribute = registry.schema[0].name
+    scaled = composer._scaled_tasks(Registry(registry.schema, registry.records))
+    first = next(
+        vector.service_id
+        for vectors in scaled.values()
+        for vector in vectors
+        if discretize(vector.values[attribute], config.bins) == 1
+    )
+    # leveling each task from scratch, in registry order, names `first`
+    with pytest.raises(LevelOutOfRange, match=repr(first)) as want:
+        for normalized in scaled.values():
+            score_candidates(
+                normalized, out_of_range_classifier(attribute), config.scheme, config.bins
+            )
+    monkeypatch.setattr(
+        composer, "train_classifier", lambda *_: out_of_range_classifier(attribute)
+    )
+    for _ in range(2):  # cold and warm basis
+        with pytest.raises(LevelOutOfRange) as got:
+            rank_candidates(requests[0], registry, config)
+        assert str(got.value) == str(want.value)
+        assert got.value.stage == "classification"

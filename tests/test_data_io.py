@@ -207,6 +207,22 @@ def test_config_parse_errors(tmp_path):
         '{"request": {"ranges": {"x": [0, 1]}, "preferences": [1]}}',
         '{"request": {"ranges": {"x": [0, 1]}}, "levels": {"n_levels": 3}}',
         '{"request": {"ranges": {"x": [0, 1]}}, "mining": []}',
+        # values the engine's own types reject
+        '{"request": {"ranges": {"x": [0, 1]}}, "bins": 1}',
+        '{"request": {"ranges": {"x": [0, 1]}}, "bins": "x"}',
+        '{"request": {"ranges": {"x": [0, 1]}}, "bins": null}',
+        '{"request": {"ranges": {"x": [0, 1]}}, "threshold": 2}',
+        '{"request": {"ranges": {"x": [0, 1]}}, "seed": "s"}',
+        '{"request": {"ranges": {"x": [1, 0]}}}',
+        '{"request": {"ranges": {"x": ["a", 1]}}}',
+        '{"request": {"ranges": {"x": [[0], 1]}}}',
+        '{"request": {"ranges": {"x": [0, 1]}, "preferences": {"x": "first"}}}',
+        '{"request": {"ranges": {"x": [0, 1]}, "preferences": {"y": 1}}}',
+        '{"request": {"ranges": {"x": [0, 1]}}, '
+        '"levels": {"n_levels": 3, "coefficients": [1.0, 0.5, 0.75]}}',
+        '{"request": {"ranges": {"x": [0, 1]}}, '
+        '"levels": {"n_levels": "three", "coefficients": [1.0, 0.5, 0.25]}}',
+        '{"request": {"ranges": {"x": [0, 1]}}, "mining": {"min_support": "a"}}',
     ]
     for text in cases:
         path.write_text(text)

@@ -36,7 +36,7 @@ from qoscompose.errors import (
     SchemaMismatch,
     ValueOutOfRange,
 )
-from reference import random_training_set
+from reference import random_training_set, ref_synthesize_training_set
 
 SCHEMA = [
     QoSAttribute("response_time", Polarity.NEGATIVE, "ms"),
@@ -77,6 +77,37 @@ def test_training_set_size_guard(monkeypatch):
     assert len(synthesized(bins=4)) == 16
     with pytest.raises(ValueOutOfRange):
         synthesized(bins=5)
+
+
+def random_request(rng, schema, extremes):
+    """Ranges inside each attribute's extremes, so no request is degenerate."""
+    ranges = {}
+    for attr in schema:
+        lo, hi = extremes[attr.name]
+        a, b = sorted(rng.uniform(lo, hi) for _ in range(2))
+        ranges[attr.name] = (a, b)
+    return UserRequest(ranges, {a.name: i + 1 for i, a in enumerate(schema)})
+
+
+def test_synthesize_equals_row_by_row_reference():
+    rng = random.Random(2024)
+    for trial in range(150):
+        schema = [
+            QoSAttribute(f"q{i}", rng.choice(list(Polarity)))
+            for i in rng.sample(range(8), rng.randint(1, 4))
+        ]
+        extremes = {}
+        for attr in schema:
+            lo = rng.uniform(-50.0, 50.0)
+            extremes[attr.name] = (lo, lo + rng.choice([0.0, 1.0, rng.uniform(0, 500)]))
+        request = random_request(rng, schema, extremes)
+        bins = rng.randint(2, 6)
+        scheme = default_scheme(rng.choice([3, 4]))
+        got = synthesize_training_set(request, extremes, scheme, bins, schema)
+        want = ref_synthesize_training_set(request, extremes, scheme, bins, schema)
+        assert got == want, trial
+        # one Item object per (attribute, label), shared by every row
+        assert len({id(it) for row in got for it in row.items}) == len(schema) * bins
 
 
 def test_labels_inside_requested_range_are_level_one():
