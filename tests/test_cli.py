@@ -12,8 +12,12 @@ from qoscompose import load_classifier
 from qoscompose.cli import _parse_grid, main, run_bench
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-# `qoscompose compose` stdout on the fixtures, kept from an earlier release
-GOLDEN_COMPOSE = pathlib.Path(__file__).resolve().parent / "data" / "fixture_compose.json"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+# `qoscompose compose`, `classify` and `replace --task plan_route --service
+# pr_city` stdout on the fixtures, kept from an earlier release
+GOLDEN_COMPOSE = DATA / "fixture_compose.json"
+GOLDEN_CLASSIFY = DATA / "fixture_classify.txt"
+GOLDEN_REPLACE = DATA / "fixture_replace.json"
 
 
 def fixture_args(command, **extra):
@@ -60,6 +64,22 @@ def test_compose_on_shipped_fixtures(capsys):
 def test_compose_matches_the_golden_fixture_report(capsys):
     assert main(fixture_args("compose")) == 0
     assert capsys.readouterr().out.encode() == GOLDEN_COMPOSE.read_bytes()
+
+
+def test_classify_matches_the_golden_fixture_rules(capsys):
+    argv = [
+        "classify",
+        "--registry", str(FIXTURES / "registry.csv"),
+        "--config", str(FIXTURES / "config.json"),
+    ]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == GOLDEN_CLASSIFY.read_bytes()
+
+
+def test_replace_matches_the_golden_fixture_report(capsys):
+    args = fixture_args("replace") + ["--task", "plan_route", "--service", "pr_city"]
+    assert main(args) == 0
+    assert capsys.readouterr().out.encode() == GOLDEN_REPLACE.read_bytes()
 
 
 def test_compose_is_deterministic(capsys):
