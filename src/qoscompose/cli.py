@@ -10,7 +10,6 @@ import sys
 import time
 from dataclasses import dataclass, replace as dc_replace
 
-from .cba import render_items
 from .composer import (
     CompositeService,
     _request_classifier,
@@ -31,64 +30,16 @@ from .data_io import (
     load_plan,
     load_registry,
     load_taxonomy,
-    save_classifier,
+    render_classifier,
     save_config,
     save_plan,
     save_registry,
     save_taxonomy,
 )
 from .errors import (
-    CycleDetected,
-    DegenerateRequest,
-    DisjointMatch,
-    EmptyCandidateSet,
-    EmptyRegistry,
-    EmptyTrainingSet,
-    EngineError,
-    InconsistentTaxonomy,
-    LevelOutOfRange,
-    NoAdmissibleLink,
-    NoAlternative,
-    NoEligibleCandidate,
-    NonFiniteValue,
-    NoReplacementCandidate,
-    NoSharedParameters,
-    NotSelectedService,
-    OutOfRangeValue,
-    ParseError,
-    SchemaMismatch,
-    UnknownAttribute,
-    UnknownConcept,
-    UnknownTask,
-    ValueOutOfRange,
+    EngineError, NoAlternative, NotSelectedService, ParseError, UnknownAttribute
 )
 from .leveling import default_scheme
-from .ontology import precompute_matches
-
-EXIT_CODES: dict[type, int] = {
-    ParseError: 10,
-    EmptyRegistry: 11,
-    NonFiniteValue: 12,
-    UnknownAttribute: 13,
-    UnknownTask: 14,
-    UnknownConcept: 15,
-    CycleDetected: 16,
-    InconsistentTaxonomy: 17,
-    SchemaMismatch: 20,
-    OutOfRangeValue: 21,
-    EmptyCandidateSet: 22,
-    ValueOutOfRange: 23,
-    EmptyTrainingSet: 24,
-    LevelOutOfRange: 25,
-    DegenerateRequest: 26,
-    DisjointMatch: 30,
-    NoSharedParameters: 31,
-    NoEligibleCandidate: 40,
-    NoAdmissibleLink: 41,
-    NoAlternative: 42,
-    NotSelectedService: 43,
-    NoReplacementCandidate: 44,
-}
 
 
 @dataclass
@@ -126,8 +77,6 @@ def _apply_overrides(args: argparse.Namespace, base: EngineConfig) -> EngineConf
     if getattr(args, "levels", None) is not None:
         with config_field("--levels"):
             cfg = dc_replace(cfg, scheme=default_scheme(args.levels))
-    if getattr(args, "seed", None) is not None:
-        cfg = dc_replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -182,9 +131,7 @@ def cmd_replace(args: argparse.Namespace) -> int:
         finals = {t["task"]: float(t["final_utility"]) for t in section["tasks"]}
         links = {t["task"]: float(t["link_quality"]) for t in section["tasks"]}
         for task, service_id in assignment.items():
-            if task not in graph.queues or service_id not in {
-                e.service_id for e in graph.queues[task]
-            }:
+            if service_id not in graph.entries.get(task, {}):
                 raise NotSelectedService(
                     f"saved composite assigns {service_id!r} to {task!r}, which the "
                     f"current inputs cannot produce"
@@ -203,16 +150,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     registry = load_registry(args.registry)
     config, request = load_config(args.config)
     config = _apply_overrides(args, config)
-    classifier = _request_classifier(request, registry, config)
-    if args.out:
-        save_classifier(classifier, args.out)
-    else:
-        for rule in classifier.rules:
-            sys.stdout.write(
-                f"{render_items(rule.antecedent)} => {rule.consequent_class} "
-                f"[{rule.support!r} {rule.confidence!r}]\n"
-            )
-        sys.stdout.write(f"DEFAULT {classifier.default_class}\n")
+    _emit(render_classifier(_request_classifier(request, registry, config)), args.out)
     return 0
 
 
@@ -225,8 +163,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     save_registry(registry, os.path.join(out_dir, "registry.csv"))
     save_plan(plan, os.path.join(out_dir, "plan.json"))
     save_taxonomy(taxonomy, os.path.join(out_dir, "taxonomy.txt"))
-    config = dc_replace(default_config(), seed=args.seed)
-    save_config(config, default_request(registry.schema), os.path.join(out_dir, "config.json"))
+    save_config(
+        default_config(), default_request(registry.schema), os.path.join(out_dir, "config.json")
+    )
     sys.stdout.write(
         f"wrote registry.csv ({len(registry.records)} services), plan.json "
         f"({len(plan.tasks)} tasks), taxonomy.txt, config.json to {out_dir}\n"
@@ -261,6 +200,7 @@ def run_bench(
 
     The classification pipeline runs once per grid point outside the timed
     region; pass include_classification to record its one-off cost as well.
+    The first repetition fills the taxonomy's match and link memos.
     """
     results: list[BenchResult] = []
     for tasks in task_sizes:
@@ -270,13 +210,10 @@ def run_bench(
                 tasks, cands, attributes, point_seed
             )
             request = default_request(registry.schema)
-            config = dc_replace(default_config(), threshold=threshold, seed=point_seed)
+            config = dc_replace(default_config(), threshold=threshold)
             t0 = time.perf_counter()
             eligible = rank_candidates(request, registry, config)
             classification_ms = (time.perf_counter() - t0) * 1000.0
-            outs = {o for rec in registry.records for o in rec.outputs}
-            ins = {i for rec in registry.records for i in rec.inputs}
-            precompute_matches(taxonomy, {(o, i) for o in outs for i in ins})
             ranking: list[float] = []
             selection: list[float] = []
             alternative: list[float] = []
@@ -358,7 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
         add_override_flags(p)
 
     def add_override_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument(
             "--threshold", type=float, default=None, help="override eligibility threshold"
         )
@@ -429,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     except EngineError as err:
         stage = err.stage or "load"
         sys.stderr.write(f"error [{stage}]: {err}\n")
-        return EXIT_CODES.get(type(err), 1)
+        return err.exit_code
     except OSError as err:
         sys.stderr.write(f"error: {err}\n")
         return 3

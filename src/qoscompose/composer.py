@@ -129,15 +129,6 @@ class CompositeService:
     score: float
 
 
-def _interface_pairs(
-    services: dict[str, "RegistryRecord"], from_service: str, to_service: str
-) -> list[tuple[str, str]]:
-    """Every declared output of the upstream service against every input downstream."""
-    outs = services[from_service].outputs
-    ins = services[to_service].inputs
-    return [(o, i) for o in outs for i in ins]
-
-
 def _mean_link(
     taxonomy: Taxonomy,
     services: dict[str, "RegistryRecord"],
@@ -505,7 +496,6 @@ def composite_report(graph: SearchGraph, composite: CompositeService) -> dict:
         links = []
         for pred in graph.preds[task]:
             from_service = composite.assignment[pred]
-            pairs = _interface_pairs(graph.services, from_service, service_id)
             links.append(
                 {
                     "from_task": pred,
@@ -516,7 +506,8 @@ def composite_report(graph: SearchGraph, composite: CompositeService) -> dict:
                             "in": inp,
                             "match": MATCH_LABELS[match_type(graph.taxonomy, out, inp)],
                         }
-                        for out, inp in pairs
+                        for out in graph.services[from_service].outputs
+                        for inp in graph.services[service_id].inputs
                     ],
                 }
             )

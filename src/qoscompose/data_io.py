@@ -12,7 +12,9 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
-from .cba import Classifier, ClassAssociationRule, Item, MiningConfig, TrainingInstance
+from .cba import (
+    Classifier, ClassAssociationRule, Item, MiningConfig, TrainingInstance, render_items
+)
 from .composer import CompositionPlan
 from .errors import (
     EmptyRegistry,
@@ -23,7 +25,7 @@ from .errors import (
     UnknownConcept,
 )
 from .leveling import LevelScheme, UserRequest, default_scheme
-from .ontology import Taxonomy
+from .ontology import MatchType, Taxonomy, match_type
 from .qos import Polarity, QoSAttribute
 
 
@@ -61,7 +63,6 @@ class EngineConfig:
     mining: MiningConfig
     bins: int = 4
     threshold: float = 0.25
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.bins < 2:
@@ -294,8 +295,18 @@ def config_field(name: str):
         raise ParseError(f"bad value for {name}: {exc}") from None
 
 
+def _whole(value) -> int:
+    """`int(value)`, refusing a float with a fractional part instead of truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 def load_config(path: str) -> tuple[EngineConfig, UserRequest]:
-    """Read a config file; a missing or bad value raises ParseError."""
+    """Read a config file; a missing or bad value raises ParseError.
+
+    A top-level `seed` key, written by earlier releases, is ignored.
+    """
     doc = _json_load(path)
     request_doc = doc.get("request")
     if not isinstance(request_doc, dict):
@@ -326,7 +337,7 @@ def load_config(path: str) -> tuple[EngineConfig, UserRequest]:
         try:
             with config_field("levels"):
                 scheme = LevelScheme(
-                    int(levels_doc["n_levels"]),
+                    _whole(levels_doc["n_levels"]),
                     tuple(float(c) for c in levels_doc["coefficients"]),
                 )
         except KeyError as exc:
@@ -339,7 +350,7 @@ def load_config(path: str) -> tuple[EngineConfig, UserRequest]:
             min_support=float(mining_doc.get("min_support", 0.01)),
             min_confidence=float(mining_doc.get("min_confidence", 0.5)),
             max_antecedent_size=(
-                int(mining_doc["max_antecedent_size"])
+                _whole(mining_doc["max_antecedent_size"])
                 if mining_doc.get("max_antecedent_size") is not None
                 else None
             ),
@@ -347,13 +358,11 @@ def load_config(path: str) -> tuple[EngineConfig, UserRequest]:
     # one field at a time from valid defaults, so an error names its field
     config = EngineConfig(scheme, mining)
     with config_field("bins"):
-        config = replace(config, bins=int(doc.get("bins", config.bins)))
+        config = replace(config, bins=_whole(doc.get("bins", config.bins)))
     with config_field("threshold"):
         config = replace(
             config, threshold=float(doc.get("threshold", config.threshold))
         )
-    with config_field("seed"):
-        config = replace(config, seed=int(doc.get("seed", config.seed)))
     return config, request
 
 
@@ -374,7 +383,6 @@ def save_config(config: EngineConfig, request: UserRequest, path: str) -> None:
         },
         "bins": config.bins,
         "threshold": config.threshold,
-        "seed": config.seed,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -383,15 +391,19 @@ def save_config(config: EngineConfig, request: UserRequest, path: str) -> None:
 
 # --------------------------------------------- classifier / training-set formats
 
+def render_classifier(classifier: Classifier) -> str:
+    """The classifier file's text: one rule a line, then the DEFAULT line."""
+    lines = [
+        f"{render_items(rule.antecedent)} => {rule.consequent_class} "
+        f"[{rule.support!r} {rule.confidence!r}]\n"
+        for rule in classifier.rules
+    ]
+    return "".join(lines) + f"DEFAULT {classifier.default_class}\n"
+
+
 def save_classifier(classifier: Classifier, path: str) -> None:
     with open(path, "w") as fh:
-        for rule in classifier.rules:
-            items = ",".join(f"{it.attribute}={it.value}" for it in sorted(rule.antecedent))
-            fh.write(
-                f"{items} => {rule.consequent_class} "
-                f"[{rule.support!r} {rule.confidence!r}]\n"
-            )
-        fh.write(f"DEFAULT {classifier.default_class}\n")
+        fh.write(render_classifier(classifier))
 
 
 def load_classifier(path: str) -> Classifier:
@@ -516,12 +528,12 @@ def generate_synthetic(
         placed.append(concept)
     off_backbone = concepts[len(backbone) :]
     disjointness: set[tuple[str, str]] = set()
-    ancestry = _tree_ancestors(concepts, edges)
+    tree = Taxonomy(frozenset(concepts), frozenset(edges))
     for _ in range(n_concepts // 8):
         if len(off_backbone) < 2:
             break
         a, b = rng.sample(off_backbone, 2)
-        if a in ancestry[b] or b in ancestry[a]:
+        if match_type(tree, a, b) in (MatchType.PLUGIN, MatchType.SUBSUME):
             continue
         disjointness.add((min(a, b), max(a, b)))
     taxonomy = Taxonomy(
@@ -552,21 +564,6 @@ def generate_synthetic(
         link_pairs[(a, b)] = tuple((o, i) for o in outs for i in ins)
     plan = CompositionPlan(frozenset(task_ids), plan_edges, link_pairs)
     return registry, plan, taxonomy
-
-
-def _tree_ancestors(
-    concepts: list[str], edges: set[tuple[str, str]]
-) -> dict[str, set[str]]:
-    parents = {child: parent for child, parent in edges}
-    out: dict[str, set[str]] = {}
-    for concept in concepts:
-        seen = {concept}
-        cur = concept
-        while cur in parents:
-            cur = parents[cur]
-            seen.add(cur)
-        out[concept] = seen
-    return out
 
 
 def default_request(schema: list[QoSAttribute]) -> UserRequest:

@@ -196,14 +196,13 @@ def score_candidates(
     scheme: LevelScheme,
     bins: int,
 ) -> list[ScoredService]:
-    levels = dict(classify_candidates(candidates, classifier, bins))
-    return [
-        ScoredService(
-            c.service_id, c, levels[c.service_id],
-            compute_utility(c, levels[c.service_id], scheme),
-        )
-        for c in candidates
-    ]
+    """`score_basis` over a fresh `level_basis`.
+
+    Every level is read first (the second read is a memo hit), so a
+    classifier error comes before any utility's or mean's.
+    """
+    classify_candidates(candidates, classifier, bins)
+    return score_basis(level_basis(candidates, bins, {}), classifier, scheme)
 
 
 # One candidate's request-independent leveling inputs: the vector, its level

@@ -38,16 +38,6 @@ MATCH_QUALITY: dict[MatchType, float] = {
 }
 
 
-@dataclass(frozen=True)
-class SemanticLink:
-    from_service: str
-    to_service: str
-    out_concept: str
-    in_concept: str
-    match: MatchType
-    quality: float
-
-
 @dataclass
 class Taxonomy:
     concepts: frozenset[str]
@@ -55,21 +45,23 @@ class Taxonomy:
     edges: frozenset[tuple[str, str]] = frozenset()
     equivalences: frozenset[tuple[str, str]] = frozenset()
     disjointness: frozenset[tuple[str, str]] = frozenset()
-    _rep: dict[str, str] = field(default_factory=dict, repr=False, compare=False)
+    # derived from the axioms in __post_init__, plus the match and link memos;
+    # init=False, so a dataclasses.replace copy builds its own instead of
+    # rewriting the original's
+    _rep: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
     _ancestors: dict[str, frozenset[str]] = field(
-        default_factory=dict, repr=False, compare=False
+        default_factory=dict, init=False, repr=False, compare=False
     )
     _descendants: dict[str, frozenset[str]] = field(
-        default_factory=dict, repr=False, compare=False
+        default_factory=dict, init=False, repr=False, compare=False
     )
     _disjoint_reps: set[frozenset[str]] = field(
-        default_factory=set, repr=False, compare=False
+        default_factory=set, init=False, repr=False, compare=False
     )
     _match_cache: dict[tuple[str, str], MatchType] = field(
-        default_factory=dict, repr=False, compare=False
+        default_factory=dict, init=False, repr=False, compare=False
     )
-    # (upstream outputs, downstream inputs) -> link quality, None when
-    # inadmissible; a dataclasses.replace copy starts empty (init=False)
+    # (upstream outputs, downstream inputs) -> link quality, None when inadmissible
     _link_cache: dict[tuple[tuple[str, ...], tuple[str, ...]], float | None] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -220,9 +212,3 @@ def interface_quality(
         quality = None
     taxonomy._link_cache[key] = quality
     return quality
-
-
-def precompute_matches(taxonomy: Taxonomy, pairs: set[tuple[str, str]]) -> None:
-    """Warm the match cache for every pair the registry can produce."""
-    for out_concept, in_concept in sorted(pairs):
-        match_type(taxonomy, out_concept, in_concept)

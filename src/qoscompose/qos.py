@@ -24,7 +24,6 @@ class Polarity(enum.Enum):
 class QoSAttribute:
     name: str
     polarity: Polarity
-    unit: str = ""
 
 
 @dataclass

@@ -8,8 +8,9 @@ import time
 
 import pytest
 
-from qoscompose import load_classifier
+from qoscompose import errors, load_classifier
 from qoscompose.cli import _parse_grid, main, run_bench
+from qoscompose.errors import EngineError
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -192,6 +193,76 @@ def test_bad_override_exits_10_naming_its_flag(capsys, flag, value):
     assert capsys.readouterr().err.startswith(f"error [load]: bad value for --{flag}: ")
 
 
+@pytest.mark.parametrize(
+    "keys, value, field",
+    [
+        (["bins"], 2.7, "bins"),
+        (["levels", "n_levels"], 3.5, "levels"),
+        (["mining", "max_antecedent_size"], 1.5, "mining"),
+    ],
+    ids=["bins", "n_levels", "max_antecedent_size"],
+)
+def test_fractional_whole_number_exits_10(tmp_path, capsys, keys, value, field):
+    config = json.loads((FIXTURES / "config.json").read_text())
+    section = config
+    for key in keys[:-1]:
+        section = section[key]
+    section[keys[-1]] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = ["classify", "--registry", str(FIXTURES / "registry.csv"), "--config", str(path)]
+    assert main(argv) == 10
+    assert capsys.readouterr().err.startswith(f"error [load]: bad value for {field}: ")
+
+
+# every error family's process exit code, as the CLI has always returned them
+EXIT_CODES = {
+    errors.ParseError: 10,
+    errors.EmptyRegistry: 11,
+    errors.NonFiniteValue: 12,
+    errors.UnknownAttribute: 13,
+    errors.UnknownTask: 14,
+    errors.UnknownConcept: 15,
+    errors.CycleDetected: 16,
+    errors.InconsistentTaxonomy: 17,
+    errors.SchemaMismatch: 20,
+    errors.OutOfRangeValue: 21,
+    errors.EmptyCandidateSet: 22,
+    errors.ValueOutOfRange: 23,
+    errors.EmptyTrainingSet: 24,
+    errors.LevelOutOfRange: 25,
+    errors.DegenerateRequest: 26,
+    errors.DisjointMatch: 30,
+    errors.NoSharedParameters: 31,
+    errors.NoEligibleCandidate: 40,
+    errors.NoAdmissibleLink: 41,
+    errors.NoAlternative: 42,
+    errors.NotSelectedService: 43,
+    errors.NoReplacementCandidate: 44,
+}
+
+
+def test_every_error_class_carries_its_exit_code():
+    declared = {
+        obj for obj in vars(errors).values()
+        if isinstance(obj, type) and issubclass(obj, EngineError) and obj is not EngineError
+    }
+    assert declared == set(EXIT_CODES)
+    assert {cls: cls.exit_code for cls in declared} == EXIT_CODES
+    assert EngineError.exit_code == 1
+
+
+@pytest.mark.parametrize("cls", [EngineError, errors.CycleDetected, errors.NoAlternative])
+def test_main_returns_the_raised_error_s_exit_code(monkeypatch, capsys, cls):
+    def fail(_path):
+        raise cls("boom")
+
+    monkeypatch.setattr("qoscompose.cli.load_registry", fail)
+    argv = ["classify", "--registry", "r.csv", "--config", str(FIXTURES / "config.json")]
+    assert main(argv) == cls.exit_code
+    assert capsys.readouterr().err == "error [load]: boom\n"
+
+
 def test_impossible_threshold_exits_40(capsys):
     code = main(fixture_args("compose", threshold="1.0"))
     assert code == 40
@@ -258,6 +329,25 @@ def test_replace_with_saved_composite(tmp_path, capsys):
         "plan_route": "pr_scenic",
         "process_payment": "pay_card",
     }
+
+
+@pytest.mark.parametrize(
+    "task, service", [("book_vehicle", "bv_cheap"), ("no_such_task", "bv_fast")],
+    ids=["service-outside-the-queue", "unknown-task"],
+)
+def test_replace_refuses_a_saved_composite_the_inputs_cannot_produce(
+    tmp_path, capsys, task, service
+):
+    saved = tmp_path / "composite.json"
+    assert main(fixture_args("compose", out=saved)) == 0
+    doc = json.loads(saved.read_text())
+    doc["primary"]["tasks"][0].update(task=task, service=service)
+    saved.write_text(json.dumps(doc))
+    args = fixture_args("replace") + [
+        "--task", "plan_route", "--service", "pr_city", "--composite", str(saved),
+    ]
+    assert main(args) == 43
+    assert f"saved composite assigns {service!r} to {task!r}" in capsys.readouterr().err
 
 
 def test_replace_error_codes(capsys):

@@ -44,7 +44,7 @@ from qoscompose.errors import (
     UnknownConcept,
 )
 
-# the CSV header stores name and polarity only, so units stay default
+# the CSV header stores each attribute's name and polarity
 SCHEMA = [
     QoSAttribute("latency", Polarity.NEGATIVE),
     QoSAttribute("uptime", Polarity.POSITIVE),
@@ -176,7 +176,6 @@ def test_config_round_trip(tmp_path):
         MiningConfig(min_support=0.05, min_confidence=0.66, max_antecedent_size=2),
         bins=6,
         threshold=0.3,
-        seed=99,
     )
     request = UserRequest(
         {"latency": (0.0, 250.0), "uptime": (95.0, 100.0)},
@@ -212,7 +211,6 @@ def test_config_parse_errors(tmp_path):
         '{"request": {"ranges": {"x": [0, 1]}}, "bins": "x"}',
         '{"request": {"ranges": {"x": [0, 1]}}, "bins": null}',
         '{"request": {"ranges": {"x": [0, 1]}}, "threshold": 2}',
-        '{"request": {"ranges": {"x": [0, 1]}}, "seed": "s"}',
         '{"request": {"ranges": {"x": [1, 0]}}}',
         '{"request": {"ranges": {"x": ["a", 1]}}}',
         '{"request": {"ranges": {"x": [[0], 1]}}}',
@@ -223,11 +221,40 @@ def test_config_parse_errors(tmp_path):
         '{"request": {"ranges": {"x": [0, 1]}}, '
         '"levels": {"n_levels": "three", "coefficients": [1.0, 0.5, 0.25]}}',
         '{"request": {"ranges": {"x": [0, 1]}}, "mining": {"min_support": "a"}}',
+        # whole-number fields refuse a fractional value instead of truncating it
+        '{"request": {"ranges": {"x": [0, 1]}}, "bins": 2.7}',
+        '{"request": {"ranges": {"x": [0, 1]}}, '
+        '"levels": {"n_levels": 3.5, "coefficients": [1.0, 0.5, 0.25]}}',
+        '{"request": {"ranges": {"x": [0, 1]}}, "mining": {"max_antecedent_size": 1.5}}',
+        '{"request": {"ranges": {"x": [0, 1]}}, "bins": Infinity}',
     ]
     for text in cases:
         path.write_text(text)
         with pytest.raises(ParseError):
             load_config(str(path))
+
+
+def test_config_ignores_a_seed_key(tmp_path):
+    path = tmp_path / "config.json"
+    base = '{"request": {"ranges": {"x": [0, 1]}}, "bins": 5'
+    path.write_text(base + "}")
+    expected = load_config(str(path))
+    for seed in ('7', '"s"', 'null'):
+        path.write_text(base + f', "seed": {seed}}}')
+        assert load_config(str(path)) == expected
+
+
+@pytest.mark.parametrize("value", ["4", "4.0"])
+def test_config_whole_number_fields_accept_integral_floats(tmp_path, value):
+    path = tmp_path / "config.json"
+    path.write_text(
+        '{"request": {"ranges": {"x": [0, 1]}}, '
+        f'"bins": {value}, "mining": {{"max_antecedent_size": {value}}}, '
+        f'"levels": {{"n_levels": {value}, "coefficients": [1.0, 0.75, 0.5, 0.25]}}}}'
+    )
+    config, _ = load_config(str(path))
+    got = (config.bins, config.scheme.n_levels, config.mining.max_antecedent_size)
+    assert got == (4, 4, 4) and all(type(n) is int for n in got)
 
 
 def test_classifier_round_trip(tmp_path):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from qoscompose import (
+    Classifier,
     Item,
     LevelScheme,
     MiningConfig,
@@ -25,6 +26,7 @@ from qoscompose import (
     mine_cars,
     predict,
     save_classifier,
+    score_candidates,
     sort_rules,
     synthesize_training_set,
     train_classifier,
@@ -39,8 +41,8 @@ from qoscompose.errors import (
 from reference import random_training_set, ref_synthesize_training_set
 
 SCHEMA = [
-    QoSAttribute("response_time", Polarity.NEGATIVE, "ms"),
-    QoSAttribute("availability", Polarity.POSITIVE, "%"),
+    QoSAttribute("response_time", Polarity.NEGATIVE),
+    QoSAttribute("availability", Polarity.POSITIVE),
 ]
 EXTREMES = {"response_time": (0.0, 1000.0), "availability": (0.0, 100.0)}
 # normalized demand floors under 4 bins: response_time label 3, availability label 2
@@ -264,6 +266,39 @@ def test_classify_memo_equals_per_candidate_predict(tmp_path):
                 with pytest.raises(SchemaMismatch):
                     classify_candidates(fewer, classifier, bins)
     assert loaded_seen == 40
+
+
+def test_score_candidates_equals_classify_then_compute_utility():
+    rng = random.Random(808)
+    for trial in range(30):
+        data, mining = random_training_set(rng)
+        # levels 1..3, as classes c0..c2 shifted up by one
+        data = [TrainingInstance(d.items, str(int(d.class_label[1:]) + 1)) for d in data]
+        classifier = train_classifier(data, mining)
+        attrs = sorted(it.attribute for it in data[0].items)
+        scheme = default_scheme(3)
+        bins = rng.randint(2, 5)
+        cands = random_candidates(rng, attrs, 30, "c")
+        expected = [
+            ScoredService(sid, cand, level, compute_utility(cand, level, scheme))
+            for cand, (sid, level) in zip(cands, predicted_levels(cands, classifier, bins))
+        ]
+        assert score_candidates(cands, classifier, scheme, bins) == expected, trial
+
+
+def test_score_candidates_reads_every_level_before_any_utility():
+    scheme = LevelScheme(2, (1.0, 0.5))
+    # predicts level 3, outside the 2-level scheme
+    classifier = Classifier([], "3", attributes=("a",))
+    N = NormalizedQoSVector
+    with pytest.raises(LevelOutOfRange):
+        score_candidates([N("s1", {"a": 0.1})], classifier, scheme, 4)
+    # s2's schema error outranks s1's out-of-range level
+    with pytest.raises(SchemaMismatch):
+        score_candidates([N("s1", {"a": 0.1}), N("s2", {"b": 0.1})], classifier, scheme, 4)
+    # an empty vector fails the schema check before its mean is taken
+    with pytest.raises(SchemaMismatch):
+        score_candidates([N("s1", {})], classifier, scheme, 4)
 
 
 def test_default_scheme_coefficients():

@@ -1,5 +1,6 @@
 """Match typing over the taxonomy lattice plus randomized raw-axiom cross-checks."""
 
+import dataclasses
 import random
 
 import pytest
@@ -200,3 +201,25 @@ def test_memoized_interface_quality_equals_link_quality():
                         kinds["no-pairs"] += 1
         assert not plain._link_cache
     assert min(kinds.values()) > 0, kinds
+
+
+def test_replace_copy_builds_its_own_index_and_leaves_the_original():
+    concepts = ["A", "B", "C", "D"]
+    edges = [("B", "A"), ("C", "A"), ("D", "B"), ("D", "C")]
+
+    def answers(taxonomy):
+        return {(x, y): match_type(taxonomy, x, y) for x in concepts for y in concepts}
+
+    changes = [
+        {"disjointness": frozenset({("B", "C")})},
+        {"edges": frozenset({("B", "A"), ("C", "A")})},  # D leaves the hierarchy
+        {"equivalences": frozenset({("B", "D")}), "edges": frozenset({("B", "A")})},
+    ]
+    for change in changes:
+        original = tax(concepts, edges)
+        copy = dataclasses.replace(original, **change)
+        fresh = Taxonomy(**{"concepts": frozenset(concepts), "edges": frozenset(edges), **change})
+        assert answers(copy) == answers(fresh), change
+        assert answers(original) == answers(tax(concepts, edges)), change
+    assert match_type(original, "B", "C") is MatchType.INTERSECTION
+    assert match_type(original, "D", "A") is MatchType.PLUGIN

@@ -14,8 +14,8 @@ from qoscompose import (
 from qoscompose.errors import EmptyCandidateSet, OutOfRangeValue, SchemaMismatch
 
 SCHEMA = [
-    QoSAttribute("response_time", Polarity.NEGATIVE, "ms"),
-    QoSAttribute("availability", Polarity.POSITIVE, "%"),
+    QoSAttribute("response_time", Polarity.NEGATIVE),
+    QoSAttribute("availability", Polarity.POSITIVE),
 ]
 
 
