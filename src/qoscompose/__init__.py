@@ -3,7 +3,8 @@
 Candidates are min-max scaled, leveled by an associative classifier trained
 against the user's requested ranges, scored into utilities, and selected
 greedily along the plan's semantic links with a one-swap alternative and an
-availability-replacement rule.
+availability-replacement rule. The root exports the library entry points and
+the types that build their inputs; other names are imported from their module.
 """
 
 from .cba import (
@@ -13,17 +14,13 @@ from .cba import (
     MiningConfig,
     TrainingInstance,
     build_classifier,
-    discretize,
     mine_cars,
-    predict,
     sort_rules,
     train_classifier,
 )
 from .composer import (
     CompositeService,
     CompositionPlan,
-    QueueEntry,
-    SearchGraph,
     build_search_graph,
     compose,
     compose_with_graph,
@@ -36,56 +33,33 @@ from .data_io import (
     EngineConfig,
     Registry,
     RegistryRecord,
-    default_config,
-    default_request,
-    generate_synthetic,
-    load_classifier,
     load_config,
     load_plan,
     load_registry,
     load_taxonomy,
-    load_training_set,
-    save_classifier,
-    save_config,
-    save_plan,
-    save_registry,
-    save_taxonomy,
-    save_training_set,
 )
 from .errors import EngineError
 from .leveling import (
     LevelScheme,
     ScoredService,
     UserRequest,
-    classify_candidates,
-    compute_utility,
-    default_scheme,
     filter_eligible,
     score_candidates,
     synthesize_training_set,
 )
-from .ontology import (
-    MatchType,
-    Taxonomy,
-    link_quality,
-    match_type,
-    matching_quality,
-)
+from .ontology import MatchType, Taxonomy
 from .qos import (
-    AttributeExtremes,
     NormalizedQoSVector,
     Polarity,
     QoSAttribute,
     QoSVector,
     compute_extremes,
     normalize,
-    scale,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttributeExtremes",
     "ClassAssociationRule",
     "Classifier",
     "CompositeService",
@@ -100,50 +74,28 @@ __all__ = [
     "Polarity",
     "QoSAttribute",
     "QoSVector",
-    "QueueEntry",
     "Registry",
     "RegistryRecord",
     "ScoredService",
-    "SearchGraph",
     "Taxonomy",
     "TrainingInstance",
     "UserRequest",
     "build_classifier",
     "build_search_graph",
-    "classify_candidates",
     "compose",
     "compose_with_graph",
     "composite_report",
     "compute_extremes",
-    "compute_utility",
-    "default_config",
-    "default_request",
-    "default_scheme",
-    "discretize",
     "filter_eligible",
     "first_alternative",
-    "generate_synthetic",
-    "link_quality",
-    "load_classifier",
     "load_config",
     "load_plan",
     "load_registry",
     "load_taxonomy",
-    "load_training_set",
-    "match_type",
-    "matching_quality",
     "mine_cars",
     "normalize",
-    "predict",
     "rank_candidates",
     "replace_unavailable",
-    "save_classifier",
-    "save_config",
-    "save_plan",
-    "save_registry",
-    "save_taxonomy",
-    "save_training_set",
-    "scale",
     "score_candidates",
     "sort_rules",
     "synthesize_training_set",

@@ -43,9 +43,9 @@ class Classifier:
     # None when the schema is unknown (e.g. a deserialized classifier); then
     # predict skips the strict one-item-per-attribute check.
     attributes: tuple[str, ...] | None = None
-    # ((attribute, label), ...) -> level, filled lazily by
-    # leveling.classify_candidates; the rules must not change after first use,
-    # and a dataclasses.replace copy starts with an empty memo (init=False)
+    # ((attribute, label), ...) -> level, filled lazily by leveling._level;
+    # the rules must not change after first use, and a dataclasses.replace
+    # copy starts with an empty memo (init=False)
     _levels: dict[tuple[tuple[str, int], ...], int] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -57,6 +57,14 @@ class MiningConfig:
     min_confidence: float = 0.5
     # None = no truncation (any antecedent up to the full attribute count)
     max_antecedent_size: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("min_support", "min_confidence"):
+            # NaN fails both comparisons, so it is refused too
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be a finite value in [0, 1]")
+        if self.max_antecedent_size is not None and self.max_antecedent_size < 1:
+            raise ValueError("max_antecedent_size must be None or at least 1")
 
 
 def discretize(value: float, bins: int) -> int:

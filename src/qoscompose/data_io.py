@@ -12,13 +12,10 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
-from .cba import (
-    Classifier, ClassAssociationRule, Item, MiningConfig, TrainingInstance, render_items
-)
+from .cba import Classifier, ClassAssociationRule, Item, MiningConfig, render_items
 from .composer import CompositionPlan
 from .errors import (
     EmptyRegistry,
-    EmptyTrainingSet,
     NonFiniteValue,
     ParseError,
     UnknownAttribute,
@@ -295,11 +292,18 @@ def config_field(name: str):
         raise ParseError(f"bad value for {name}: {exc}") from None
 
 
+def _number(value, convert=float):
+    """`convert(value)`, refusing a JSON boolean, which Python counts as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return convert(value)
+
+
 def _whole(value) -> int:
     """`int(value)`, refusing a float with a fractional part instead of truncating it."""
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not a whole number")
-    return int(value)
+    return _number(value, int)
 
 
 def load_config(path: str) -> tuple[EngineConfig, UserRequest]:
@@ -320,12 +324,12 @@ def load_config(path: str) -> tuple[EngineConfig, UserRequest]:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(f"request range for {name!r} must be [lo, hi]")
         with config_field(f"request.ranges.{name}"):
-            ranges[name] = (float(pair[0]), float(pair[1]))
+            ranges[name] = (_number(pair[0]), _number(pair[1]))
     if prefs_doc is None:
         prefs = {name: i + 1 for i, name in enumerate(ranges)}
     elif isinstance(prefs_doc, dict):
         with config_field("request.preferences"):
-            prefs = {name: int(rank) for name, rank in prefs_doc.items()}
+            prefs = {name: _number(rank, int) for name, rank in prefs_doc.items()}
     else:
         raise ParseError("request.preferences must map attributes to ranks")
     with config_field("request"):
@@ -338,7 +342,7 @@ def load_config(path: str) -> tuple[EngineConfig, UserRequest]:
             with config_field("levels"):
                 scheme = LevelScheme(
                     _whole(levels_doc["n_levels"]),
-                    tuple(float(c) for c in levels_doc["coefficients"]),
+                    tuple(_number(c) for c in levels_doc["coefficients"]),
                 )
         except KeyError as exc:
             raise ParseError(f"malformed levels section: {exc}")
@@ -347,8 +351,8 @@ def load_config(path: str) -> tuple[EngineConfig, UserRequest]:
         raise ParseError("config mining section must be an object")
     with config_field("mining"):
         mining = MiningConfig(
-            min_support=float(mining_doc.get("min_support", 0.01)),
-            min_confidence=float(mining_doc.get("min_confidence", 0.5)),
+            min_support=_number(mining_doc.get("min_support", 0.01)),
+            min_confidence=_number(mining_doc.get("min_confidence", 0.5)),
             max_antecedent_size=(
                 _whole(mining_doc["max_antecedent_size"])
                 if mining_doc.get("max_antecedent_size") is not None
@@ -361,7 +365,7 @@ def load_config(path: str) -> tuple[EngineConfig, UserRequest]:
         config = replace(config, bins=_whole(doc.get("bins", config.bins)))
     with config_field("threshold"):
         config = replace(
-            config, threshold=float(doc.get("threshold", config.threshold))
+            config, threshold=_number(doc.get("threshold", config.threshold))
         )
     return config, request
 
@@ -389,7 +393,7 @@ def save_config(config: EngineConfig, request: UserRequest, path: str) -> None:
         fh.write("\n")
 
 
-# --------------------------------------------- classifier / training-set formats
+# ------------------------------------------------------------ classifier format
 
 def render_classifier(classifier: Classifier) -> str:
     """The classifier file's text: one rule a line, then the DEFAULT line."""
@@ -440,40 +444,6 @@ def load_classifier(path: str) -> Classifier:
     if default is None:
         raise ParseError("classifier file lacks a DEFAULT line")
     return Classifier(rules, default, attributes=None)
-
-
-def save_training_set(data: list[TrainingInstance], path: str) -> None:
-    if not data:
-        raise EmptyTrainingSet("refusing to write an empty training set")
-    names = sorted({it.attribute for it in data[0].items})
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names + ["class"])
-        for inst in data:
-            by_attr = {it.attribute: it.value for it in inst.items}
-            writer.writerow([by_attr[n] for n in names] + [inst.class_label])
-
-
-def load_training_set(path: str) -> list[TrainingInstance]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("training set file is empty", line=1)
-        if len(header) < 2 or header[-1] != "class":
-            raise ParseError("training header must end with a class column", line=1)
-        names = header[:-1]
-        data: list[TrainingInstance] = []
-        for row in reader:
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} columns, found {len(row)}",
-                    line=reader.line_num,
-                )
-            items = frozenset(Item(n, v) for n, v in zip(names, row[:-1]))
-            data.append(TrainingInstance(items, row[-1]))
-    return data
 
 
 # --------------------------------------------------------------- synthetic data

@@ -147,8 +147,12 @@ def _level_key(candidate: NormalizedQoSVector, bins: int) -> LevelKey:
 
 
 def _mean(candidate: NormalizedQoSVector) -> float:
-    values = list(candidate.values.values())
-    return sum(values) / len(values)
+    # added left to right: from Python 3.12 on, sum() compensates rounding
+    # error, and utilities would differ in the last bit between versions
+    total = 0.0
+    for value in candidate.values.values():
+        total += value
+    return total / len(candidate.values)
 
 
 def _level(classifier: Classifier, key: LevelKey) -> int:
@@ -160,49 +164,26 @@ def _level(classifier: Classifier, key: LevelKey) -> int:
     return level
 
 
-def _utility(level: int, mean: float, scheme: LevelScheme, service_id: str) -> float:
-    """Level coefficient times the mean normalized value."""
-    if not 1 <= level <= scheme.n_levels:
-        raise LevelOutOfRange(
-            f"level {level} outside 1..{scheme.n_levels} for {service_id!r}"
-        )
-    return scheme.coefficients[level - 1] * mean
-
-
-def classify_candidates(
-    candidates: list[NormalizedQoSVector], classifier: Classifier, bins: int
-) -> list[tuple[str, int]]:
-    """Discretize each candidate and read its level off the classifier.
-
-    Levels are memoized on the classifier by the candidate's (attribute,
-    label) pairs, so `predict` runs once per distinct label combination.
-    """
-    return [
-        (cand.service_id, _level(classifier, _level_key(cand, bins)))
-        for cand in candidates
-    ]
-
-
-def compute_utility(
-    normalized: NormalizedQoSVector, level: int, scheme: LevelScheme
-) -> float:
-    """Level coefficient times the plain average of the normalized values."""
-    return _utility(level, _mean(normalized), scheme, normalized.service_id)
-
-
 def score_candidates(
     candidates: list[NormalizedQoSVector],
     classifier: Classifier,
     scheme: LevelScheme,
     bins: int,
 ) -> list[ScoredService]:
-    """`score_basis` over a fresh `level_basis`.
+    """`score_basis` over each candidate's level key and mean.
 
-    Every level is read first (the second read is a memo hit), so a
-    classifier error comes before any utility's or mean's.
+    Each value is discretized once, and every level is read before any mean
+    is taken, so a classifier error comes before any utility's or mean's.
     """
-    classify_candidates(candidates, classifier, bins)
-    return score_basis(level_basis(candidates, bins, {}), classifier, scheme)
+    keys: list[LevelKey] = []
+    for cand in candidates:
+        keys.append(_level_key(cand, bins))
+        _level(classifier, keys[-1])
+    return score_basis(
+        [(cand, key, _mean(cand)) for cand, key in zip(candidates, keys)],
+        classifier,
+        scheme,
+    )
 
 
 # One candidate's request-independent leveling inputs: the vector, its level
@@ -230,13 +211,19 @@ def level_basis(
 def score_basis(
     basis: Basis, classifier: Classifier, scheme: LevelScheme
 ) -> list[ScoredService]:
-    """The request-dependent half of `score_candidates`: levels and utilities."""
+    """The request-dependent half of `score_candidates`: levels and utilities.
+
+    A utility is the level's coefficient times the mean normalized value.
+    """
     scored: list[ScoredService] = []
     for cand, key, mean in basis:
         level = _level(classifier, key)
-        scored.append(ScoredService(
-            cand.service_id, cand, level, _utility(level, mean, scheme, cand.service_id)
-        ))
+        if not 1 <= level <= scheme.n_levels:
+            raise LevelOutOfRange(
+                f"level {level} outside 1..{scheme.n_levels} for {cand.service_id!r}"
+            )
+        coefficient = scheme.coefficients[level - 1]
+        scored.append(ScoredService(cand.service_id, cand, level, coefficient * mean))
     return scored
 
 

@@ -15,6 +15,7 @@ from collections import Counter
 from scipy.stats import spearmanr
 
 from qoscompose import (
+    Classifier,
     MatchType,
     NormalizedQoSVector,
     Polarity,
@@ -22,17 +23,17 @@ from qoscompose import (
     QoSVector,
     build_classifier,
     compute_extremes,
-    compute_utility,
-    default_scheme,
     first_alternative,
-    matching_quality,
     mine_cars,
     normalize,
     replace_unavailable,
+    score_candidates,
     sort_rules,
 )
 from qoscompose.cli import run_bench
 from qoscompose.errors import NoAlternative, NoReplacementCandidate
+from qoscompose.leveling import default_scheme
+from qoscompose.ontology import matching_quality
 from reference import (
     brute_force_cars,
     engine_inputs,
@@ -162,13 +163,18 @@ def test_criterion_4_coverage_replay():
 def test_criterion_5_utility_and_level_constants():
     assert default_scheme().coefficients == (1, 3 / 4, 1 / 4)
     assert default_scheme().coefficients == (1.0, 0.75, 0.25)
-    level1 = compute_utility(
-        NormalizedQoSVector("a", {"x": 0.8, "y": 0.6}), 1, default_scheme()
-    )
+
+    def utility(service_id, values, level):
+        # a rule-free classifier puts every candidate at its default level
+        classifier = Classifier([], str(level), attributes=tuple(values))
+        candidate = NormalizedQoSVector(service_id, values)
+        [scored] = score_candidates([candidate], classifier, default_scheme(), 4)
+        assert scored.level == level
+        return scored.utility
+
+    level1 = utility("a", {"x": 0.8, "y": 0.6}, 1)
     assert level1 == (0.8 + 0.6) / 2 == 0.7
-    level2 = compute_utility(
-        NormalizedQoSVector("b", {"x": 1.0, "y": 1.0, "z": 1.0}), 2, default_scheme()
-    )
+    level2 = utility("b", {"x": 1.0, "y": 1.0, "z": 1.0}, 2)
     assert level2 == 0.75
     report(5, "default coefficients (1, 3/4, 1/4) and utility spot values exact")
 

@@ -11,11 +11,10 @@ from qoscompose import (
     MiningConfig,
     TrainingInstance,
     build_classifier,
-    discretize,
     mine_cars,
-    predict,
     sort_rules,
 )
+from qoscompose.cba import discretize, predict
 from qoscompose.errors import EmptyTrainingSet, SchemaMismatch, ValueOutOfRange
 from reference import brute_force_cars, random_training_set, ref_build_classifier
 

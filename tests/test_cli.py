@@ -8,8 +8,9 @@ import time
 
 import pytest
 
-from qoscompose import errors, load_classifier
+from qoscompose import errors
 from qoscompose.cli import _parse_grid, main, run_bench
+from qoscompose.data_io import load_classifier
 from qoscompose.errors import EngineError
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -158,9 +159,12 @@ def test_unreachable_demand_exits_26(tmp_path, capsys):
         (["request", "ranges", "availability"], ["high", 100.0],
          "request.ranges.availability"),
         (["levels"], {"n_levels": 3, "coefficients": [1.0, 0.25, 0.75]}, "levels"),
+        # JSON true is not read as 1: antecedents of one item, threshold 1.0
+        (["mining", "max_antecedent_size"], True, "mining"),
+        (["threshold"], True, "threshold"),
     ],
     ids=["bins-1", "bins-x", "threshold-2", "lo-above-hi", "non-numeric-range",
-         "coefficients-not-descending"],
+         "coefficients-not-descending", "max_antecedent_size-true", "threshold-true"],
 )
 def test_bad_config_value_exits_10_naming_its_field(tmp_path, capsys, keys, value, field):
     config = json.loads((FIXTURES / "config.json").read_text())

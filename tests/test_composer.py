@@ -19,10 +19,7 @@ from qoscompose import (
     build_search_graph,
     compose_with_graph,
     composite_report,
-    default_config,
-    default_request,
     first_alternative,
-    generate_synthetic,
     load_config,
     load_plan,
     load_registry,
@@ -33,6 +30,7 @@ from qoscompose import (
 from qoscompose import composer
 from qoscompose.cba import ClassAssociationRule, Classifier, Item, discretize
 from qoscompose.composer import _request_classifier, topological_order
+from qoscompose.data_io import default_config, default_request, generate_synthetic
 from qoscompose.leveling import filter_eligible, level_basis, score_candidates
 from qoscompose.qos import QoSVector, compute_extremes, normalize
 from qoscompose.errors import (

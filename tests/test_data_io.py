@@ -16,28 +16,26 @@ from qoscompose import (
     RegistryRecord,
     Taxonomy,
     UserRequest,
-    default_config,
-    default_request,
-    default_scheme,
-    generate_synthetic,
-    load_classifier,
     load_config,
     load_plan,
     load_registry,
     load_taxonomy,
-    load_training_set,
+)
+from qoscompose.data_io import (
+    default_config,
+    default_request,
+    generate_synthetic,
+    load_classifier,
     save_classifier,
     save_config,
     save_plan,
     save_registry,
     save_taxonomy,
-    save_training_set,
 )
-from qoscompose.cba import TrainingInstance
+from qoscompose.leveling import default_scheme
 from qoscompose.errors import (
     CycleDetected,
     EmptyRegistry,
-    EmptyTrainingSet,
     NonFiniteValue,
     ParseError,
     UnknownAttribute,
@@ -227,6 +225,28 @@ def test_config_parse_errors(tmp_path):
         '"levels": {"n_levels": 3.5, "coefficients": [1.0, 0.5, 0.25]}}',
         '{"request": {"ranges": {"x": [0, 1]}}, "mining": {"max_antecedent_size": 1.5}}',
         '{"request": {"ranges": {"x": [0, 1]}}, "bins": Infinity}',
+        # a JSON boolean is not a number, wherever a number is read
+        '{"request": {"ranges": {"x": [0, 1]}}, "bins": true}',
+        '{"request": {"ranges": {"x": [0, 1]}}, "threshold": true}',
+        '{"request": {"ranges": {"x": [0, 1]}}, "threshold": false}',
+        '{"request": {"ranges": {"x": [0, 1]}}, '
+        '"levels": {"n_levels": true, "coefficients": [1.0, 0.5]}}',
+        '{"request": {"ranges": {"x": [0, 1]}}, '
+        '"levels": {"n_levels": 2, "coefficients": [true, 0.5]}}',
+        '{"request": {"ranges": {"x": [0, 1]}}, "mining": {"min_support": false}}',
+        '{"request": {"ranges": {"x": [0, 1]}}, "mining": {"min_confidence": true}}',
+        '{"request": {"ranges": {"x": [0, 1]}}, "mining": {"max_antecedent_size": true}}',
+        '{"request": {"ranges": {"x": [false, 1]}}}',
+        '{"request": {"ranges": {"x": [0, true]}}}',
+        '{"request": {"ranges": {"x": [0, 1]}, "preferences": {"x": true}}}',
+        # mining thresholds lie in [0, 1], antecedents hold at least one item
+        '{"request": {"ranges": {"x": [0, 1]}}, "mining": {"min_support": 2.0}}',
+        '{"request": {"ranges": {"x": [0, 1]}}, "mining": {"min_support": -0.1}}',
+        '{"request": {"ranges": {"x": [0, 1]}}, "mining": {"min_support": NaN}}',
+        '{"request": {"ranges": {"x": [0, 1]}}, "mining": {"min_confidence": 7}}',
+        '{"request": {"ranges": {"x": [0, 1]}}, "mining": {"min_confidence": Infinity}}',
+        '{"request": {"ranges": {"x": [0, 1]}}, "mining": {"max_antecedent_size": 0}}',
+        '{"request": {"ranges": {"x": [0, 1]}}, "mining": {"max_antecedent_size": -2}}',
     ]
     for text in cases:
         path.write_text(text)
@@ -287,21 +307,6 @@ def test_classifier_parse_errors(tmp_path):
         path.write_text(text)
         with pytest.raises(ParseError):
             load_classifier(str(path))
-
-
-def test_training_set_round_trip(tmp_path):
-    data = [
-        TrainingInstance(frozenset([Item("a", "0"), Item("b", "2")]), "1"),
-        TrainingInstance(frozenset([Item("a", "3"), Item("b", "1")]), "2"),
-    ]
-    path = tmp_path / "train.csv"
-    save_training_set(data, str(path))
-    assert load_training_set(str(path)) == data
-    with pytest.raises(EmptyTrainingSet):
-        save_training_set([], str(path))
-    path.write_text("a,b\n0,1\n")
-    with pytest.raises(ParseError):
-        load_training_set(str(path))
 
 
 def test_generator_is_deterministic(tmp_path):

@@ -1,6 +1,8 @@
 """Training-set synthesis bands, level classification, utility, eligibility."""
 
 import dataclasses
+import functools
+import operator
 import random
 
 import pytest
@@ -17,21 +19,17 @@ from qoscompose import (
     UserRequest,
     TrainingInstance,
     build_classifier,
-    classify_candidates,
-    compute_utility,
-    default_scheme,
-    discretize,
     filter_eligible,
-    load_classifier,
     mine_cars,
-    predict,
-    save_classifier,
     score_candidates,
     sort_rules,
     synthesize_training_set,
     train_classifier,
 )
 from qoscompose import leveling
+from qoscompose.cba import discretize, predict
+from qoscompose.data_io import load_classifier, save_classifier
+from qoscompose.leveling import default_scheme
 from qoscompose.errors import (
     DegenerateRequest,
     LevelOutOfRange,
@@ -178,9 +176,23 @@ def norm(sid, rt, av):
     return NormalizedQoSVector(sid, {"response_time": rt, "availability": av})
 
 
+def levels(candidates, classifier, bins):
+    """(service id, level) of each candidate as `score_candidates` reads it."""
+    scored = score_candidates(candidates, classifier, default_scheme(3), bins)
+    return [(s.service_id, s.level) for s in scored]
+
+
+def utility(candidate, level, scheme):
+    """`score_candidates`' utility under a rule-free classifier that says `level`."""
+    classifier = Classifier([], str(level), attributes=tuple(candidate.values))
+    [scored] = score_candidates([candidate], classifier, scheme, 4)
+    assert scored.level == level
+    return scored.utility
+
+
 def test_classify_reproduces_level_one_training_row():
     clf = trained_classifier()
-    assert classify_candidates([norm("s", 0.8, 0.6)], clf, 4) == [("s", 1)]
+    assert levels([norm("s", 0.8, 0.6)], clf, 4) == [("s", 1)]
 
 
 def test_classify_unmatched_candidate_gets_default_level():
@@ -188,19 +200,19 @@ def test_classify_unmatched_candidate_gets_default_level():
     # uncovered and the default falls back to their tied majority
     clf = trained_classifier(min_support=0.2)
     matched_by_no_rule = norm("s", 0.8, 0.1)
-    assert classify_candidates([matched_by_no_rule], clf, 4) == [
+    assert levels([matched_by_no_rule], clf, 4) == [
         ("s", int(clf.default_class))
     ]
 
 
 def test_classify_is_deterministic_for_identical_candidates():
     clf = trained_classifier()
-    twice = classify_candidates([norm("a", 0.4, 0.9), norm("b", 0.4, 0.9)], clf, 4)
+    twice = levels([norm("a", 0.4, 0.9), norm("b", 0.4, 0.9)], clf, 4)
     assert twice[0][1] == twice[1][1]
 
 
 def predicted_levels(candidates, classifier, bins):
-    """classify_candidates without its memo: one predict per candidate."""
+    """Levels without the classifier's memo: one predict per candidate."""
     return [
         (
             cand.service_id,
@@ -233,8 +245,8 @@ def test_classify_memo_equals_per_candidate_predict(tmp_path):
     loaded_seen = 0
     for trial in range(40):
         data, mining = random_training_set(rng)
-        # numeric class labels, as levels are
-        data = [TrainingInstance(d.items, d.class_label[1:]) for d in data]
+        # levels 1..3, as classes c0..c2 shifted up by one
+        data = [TrainingInstance(d.items, str(int(d.class_label[1:]) + 1)) for d in data]
         trained = train_classifier(data, mining)
         path = tmp_path / f"rules{trial}.txt"
         save_classifier(trained, str(path))
@@ -245,7 +257,7 @@ def test_classify_memo_equals_per_candidate_predict(tmp_path):
         for classifier in (trained, loaded):
             for batch in range(3):  # the first batch meets a cold memo
                 cands = random_candidates(rng, attrs, 25, f"b{batch}_")
-                assert classify_candidates(cands, classifier, bins) == (
+                assert levels(cands, classifier, bins) == (
                     predicted_levels(cands, classifier, bins)
                 ), (trial, batch)
             assert classifier._levels
@@ -255,20 +267,20 @@ def test_classify_memo_equals_per_candidate_predict(tmp_path):
             extra = random_candidates(rng, attrs + ["zz"], 3, "x")
             if classifier.attributes is None:
                 loaded_seen += 1
-                assert classify_candidates(extra, classifier, bins) == (
+                assert levels(extra, classifier, bins) == (
                     predicted_levels(extra, classifier, bins)
                 )
                 continue
             with pytest.raises(SchemaMismatch):
-                classify_candidates(extra, classifier, bins)
+                levels(extra, classifier, bins)
             if len(attrs) > 1:
                 fewer = random_candidates(rng, attrs[1:], 1, "y")
                 with pytest.raises(SchemaMismatch):
-                    classify_candidates(fewer, classifier, bins)
+                    levels(fewer, classifier, bins)
     assert loaded_seen == 40
 
 
-def test_score_candidates_equals_classify_then_compute_utility():
+def test_score_candidates_equals_predict_then_coefficient_times_mean():
     rng = random.Random(808)
     for trial in range(30):
         data, mining = random_training_set(rng)
@@ -280,7 +292,9 @@ def test_score_candidates_equals_classify_then_compute_utility():
         bins = rng.randint(2, 5)
         cands = random_candidates(rng, attrs, 30, "c")
         expected = [
-            ScoredService(sid, cand, level, compute_utility(cand, level, scheme))
+            ScoredService(sid, cand, level, scheme.coefficients[level - 1] * (
+                functools.reduce(operator.add, cand.values.values(), 0.0) / len(cand.values)
+            ))
             for cand, (sid, level) in zip(cands, predicted_levels(cands, classifier, bins))
         ]
         assert score_candidates(cands, classifier, scheme, bins) == expected, trial
@@ -301,6 +315,21 @@ def test_score_candidates_reads_every_level_before_any_utility():
         score_candidates([N("s1", {})], classifier, scheme, 4)
 
 
+def test_score_candidates_discretizes_each_value_once(monkeypatch):
+    calls = []
+
+    def counting_discretize(value, bins):
+        calls.append(value)
+        return discretize(value, bins)
+
+    monkeypatch.setattr(leveling, "discretize", counting_discretize)
+    attrs = ["a", "b", "c"]
+    cands = random_candidates(random.Random(77), attrs, 20, "c")
+    classifier = Classifier([], "1", attributes=tuple(attrs))
+    assert len(score_candidates(cands, classifier, default_scheme(3), 4)) == 20
+    assert len(calls) == 20 * 3
+
+
 def test_default_scheme_coefficients():
     assert default_scheme(3).coefficients == (1.0, 0.75, 0.25)
     assert default_scheme(4).coefficients == (1.0, 0.75, 0.5, 0.25)
@@ -315,27 +344,30 @@ def test_level_scheme_validation():
         LevelScheme(1, (1.0,))
 
 
-def test_compute_utility_spot_values():
+def test_score_candidates_utility_spot_values():
     scheme = default_scheme(3)
-    assert compute_utility(norm("s", 0.8, 0.6), 1, scheme) == (0.8 + 0.6) / 2
-    assert compute_utility(norm("s", 0.0, 0.0), 3, scheme) == 0.0
-    assert compute_utility(norm("s", 1.0, 1.0), 2, scheme) == 0.75
+    assert utility(norm("s", 0.8, 0.6), 1, scheme) == (0.8 + 0.6) / 2
+    assert utility(norm("s", 0.0, 0.0), 3, scheme) == 0.0
+    assert utility(norm("s", 1.0, 1.0), 2, scheme) == 0.75
+    # added left to right on every Python version (3.12's sum() reads 0.6 / 3)
+    tenths = NormalizedQoSVector("s", {"a": 0.1, "b": 0.2, "c": 0.3})
+    assert utility(tenths, 1, scheme) == (0.1 + 0.2 + 0.3) / 3 != 0.6 / 3
 
 
-def test_compute_utility_rejects_level_out_of_range():
+def test_score_candidates_rejects_level_out_of_range():
     with pytest.raises(LevelOutOfRange):
-        compute_utility(norm("s", 0.5, 0.5), 4, default_scheme(3))
+        utility(norm("s", 0.5, 0.5), 4, default_scheme(3))
     with pytest.raises(LevelOutOfRange):
-        compute_utility(norm("s", 0.5, 0.5), 0, default_scheme(3))
+        utility(norm("s", 0.5, 0.5), 0, default_scheme(3))
 
 
 def test_utility_monotone_in_level_and_values():
     scheme = default_scheme(3)
     good = norm("s", 0.9, 0.7)
     worse = norm("s", 0.6, 0.7)
-    assert compute_utility(good, 1, scheme) >= compute_utility(good, 2, scheme)
-    assert compute_utility(good, 2, scheme) >= compute_utility(good, 3, scheme)
-    assert compute_utility(good, 2, scheme) >= compute_utility(worse, 2, scheme)
+    assert utility(good, 1, scheme) >= utility(good, 2, scheme)
+    assert utility(good, 2, scheme) >= utility(good, 3, scheme)
+    assert utility(good, 2, scheme) >= utility(worse, 2, scheme)
 
 
 def scored(sid, utility):

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from qoscompose import MatchType, Taxonomy, link_quality, match_type, matching_quality
+from qoscompose import MatchType, Taxonomy
+from qoscompose.ontology import link_quality, match_type, matching_quality
 from qoscompose.errors import (
     CycleDetected,
     DisjointMatch,

@@ -9,8 +9,8 @@ from qoscompose import (
     QoSVector,
     compute_extremes,
     normalize,
-    scale,
 )
+from qoscompose.qos import scale
 from qoscompose.errors import EmptyCandidateSet, OutOfRangeValue, SchemaMismatch
 
 SCHEMA = [
