@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import floor
 
-from .errors import EmptyTrainingSet, SchemaMismatch, ValueOutOfRange
+from .errors import EmptyTrainingSet, InvalidValue, SchemaMismatch, ValueOutOfRange
 
 
 @dataclass(frozen=True, order=True)
@@ -62,9 +62,9 @@ class MiningConfig:
         for name in ("min_support", "min_confidence"):
             # NaN fails both comparisons, so it is refused too
             if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be a finite value in [0, 1]")
+                raise InvalidValue(f"{name} must be a finite value in [0, 1]")
         if self.max_antecedent_size is not None and self.max_antecedent_size < 1:
-            raise ValueError("max_antecedent_size must be None or at least 1")
+            raise InvalidValue("max_antecedent_size must be None or at least 1")
 
 
 def discretize(value: float, bins: int) -> int:

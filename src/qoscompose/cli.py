@@ -11,7 +11,6 @@ import time
 from dataclasses import dataclass, replace as dc_replace
 
 from .composer import (
-    CompositeService,
     _request_classifier,
     build_search_graph,
     compose_with_graph,
@@ -26,6 +25,7 @@ from .data_io import (
     default_config,
     default_request,
     generate_synthetic,
+    load_composite,
     load_config,
     load_plan,
     load_registry,
@@ -36,9 +36,7 @@ from .data_io import (
     save_registry,
     save_taxonomy,
 )
-from .errors import (
-    EngineError, NoAlternative, NotSelectedService, ParseError, UnknownAttribute
-)
+from .errors import EngineError, NoAlternative, NotSelectedService
 from .leveling import default_scheme
 
 
@@ -86,11 +84,6 @@ def _load_inputs(args: argparse.Namespace):
     registry = load_registry(args.registry)
     config, request = load_config(args.config)
     config = _apply_overrides(args, config)
-    extra = set(request.ranges) - {a.name for a in registry.schema}
-    if extra:
-        raise UnknownAttribute(
-            f"request names attributes absent from the registry: {sorted(extra)}"
-        )
     return taxonomy, plan, registry, config, request
 
 
@@ -119,26 +112,19 @@ def cmd_compose(args: argparse.Namespace) -> int:
 
 def cmd_replace(args: argparse.Namespace) -> int:
     taxonomy, plan, registry, config, request = _load_inputs(args)
-    graph, primary, _ = compose_with_graph(request, plan, registry, taxonomy, config)
-    composite = primary
-    if args.composite:
-        with open(args.composite) as fh:
-            doc = json.load(fh)
-        section = doc.get("primary") if "primary" in doc else doc
-        if not isinstance(section, dict) or "tasks" not in section:
-            raise ParseError(f"{args.composite} does not hold a composite report")
-        assignment = {t["task"]: t["service"] for t in section["tasks"]}
-        finals = {t["task"]: float(t["final_utility"]) for t in section["tasks"]}
-        links = {t["task"]: float(t["link_quality"]) for t in section["tasks"]}
-        for task, service_id in assignment.items():
+    saved = load_composite(args.composite) if args.composite else None
+    graph, composite, _ = compose_with_graph(request, plan, registry, taxonomy, config)
+    if saved is not None:
+        for task, service_id in saved.assignment.items():
             if service_id not in graph.entries.get(task, {}):
                 raise NotSelectedService(
                     f"saved composite assigns {service_id!r} to {task!r}, which the "
                     f"current inputs cannot produce"
                 )
-        composite = CompositeService(
-            assignment, finals, links, float(section["score"])
-        )
+        missing = [task for task in graph.order if task not in saved.assignment]
+        if missing:
+            raise NotSelectedService(f"saved composite assigns no service to {missing}")
+        composite = saved
     replaced = replace_unavailable(
         graph, composite, (args.task, args.service), taxonomy, registry
     )
@@ -246,6 +232,8 @@ def run_bench(
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
         task_sizes, candidate_sizes = _parse_grid(args.grid)
+        if args.reps < 1:
+            raise ValueError(f"--reps must be at least 1, got {args.reps}")
     except ValueError as err:
         sys.stderr.write(f"error: {err}\n")
         return 2

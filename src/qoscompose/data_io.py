@@ -13,9 +13,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from .cba import Classifier, ClassAssociationRule, Item, MiningConfig, render_items
-from .composer import CompositionPlan
+from .composer import CompositeService, CompositionPlan
 from .errors import (
     EmptyRegistry,
+    InvalidValue,
     NonFiniteValue,
     ParseError,
     UnknownAttribute,
@@ -63,9 +64,9 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         if self.bins < 2:
-            raise ValueError("discretization needs at least 2 bins")
+            raise InvalidValue("discretization needs at least 2 bins")
         if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError("eligibility threshold must lie in [0, 1]")
+            raise InvalidValue("eligibility threshold must lie in [0, 1]")
 
 
 def default_config() -> EngineConfig:
@@ -177,7 +178,7 @@ def _json_load(path: str) -> dict:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ParseError(str(exc), line=exc.lineno)
+            raise ParseError(f"{path} is not valid JSON: {exc}", line=exc.lineno)
     if not isinstance(doc, dict):
         raise ParseError(f"{path} must hold a JSON object")
     return doc
@@ -209,9 +210,10 @@ def load_plan(path: str, taxonomy: Taxonomy | None = None) -> CompositionPlan:
         if not sep or not left or not right:
             raise ParseError(f"link_pairs key {key!r} must look like from->to")
         if not isinstance(pairs, list) or not all(
-            isinstance(p, list) and len(p) == 2 for p in pairs
+            isinstance(p, list) and len(p) == 2 and all(isinstance(c, str) for c in p)
+            for p in pairs
         ):
-            raise ParseError(f"link_pairs for {key!r} must be [out, in] pairs")
+            raise ParseError(f"link_pairs for {key!r} must be [out, in] concept pairs")
         if taxonomy is not None:
             for out_concept, in_concept in pairs:
                 for concept in (out_concept, in_concept):
@@ -235,6 +237,29 @@ def save_plan(plan: CompositionPlan, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+# -------------------------------------------------------- composite report JSON
+
+def load_composite(path: str) -> CompositeService:
+    """A composite from a saved `compose` report (its primary) or `replace` report.
+
+    A file that holds no such report raises ParseError naming it.
+    """
+    doc = _json_load(path)
+    section = doc.get("primary", doc)
+    try:
+        tasks = section["tasks"]
+        return CompositeService(
+            {_text(t["task"]): _text(t["service"]) for t in tasks},
+            {t["task"]: _number(t["final_utility"]) for t in tasks},
+            {t["task"]: _number(t["link_quality"]) for t in tasks},
+            _number(section["score"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(
+            f"{path} does not hold a composite report: {type(exc).__name__} {exc}"
+        ) from None
 
 
 # -------------------------------------------------------------- taxonomy records
@@ -297,6 +322,12 @@ def _number(value, convert=float):
     if isinstance(value, bool):
         raise TypeError(f"{value!r} is not a number")
     return convert(value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
 
 
 def _whole(value) -> int:
@@ -476,7 +507,7 @@ def generate_synthetic(
     utilities and match depth, not accidental disjointness.
     """
     if tasks < 1 or candidates_per_task < 1 or attributes < 1:
-        raise ValueError("generator sizes must all be >= 1")
+        raise InvalidValue("generator sizes must all be >= 1")
     rng = random.Random(seed)
     schema = [
         QoSAttribute(name, Polarity(pol))

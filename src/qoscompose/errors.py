@@ -69,16 +69,6 @@ class InconsistentTaxonomy(EngineError):
     exit_code = 17
 
 
-class DisjointMatch(EngineError):
-    """An output/input concept pair is incompatible; the link is inadmissible."""
-    exit_code = 30
-
-
-class NoSharedParameters(EngineError):
-    """Two services expose no parameter pairs to connect."""
-    exit_code = 31
-
-
 # -- Composition ----------------------------------------------------------------
 
 class CycleDetected(EngineError):
@@ -154,3 +144,8 @@ class UnknownAttribute(EngineError):
 class NonFiniteValue(EngineError):
     """A QoS value is NaN or infinite."""
     exit_code = 12
+
+
+class InvalidValue(EngineError, ValueError):
+    """A value handed to a constructor or the generator lies outside its domain."""
+    exit_code = 18

@@ -11,7 +11,10 @@ import itertools
 from dataclasses import dataclass
 
 from .cba import Classifier, Item, TrainingInstance, discretize, predict
-from .errors import DegenerateRequest, LevelOutOfRange, SchemaMismatch, ValueOutOfRange
+from .errors import (
+    DegenerateRequest, InvalidValue, LevelOutOfRange, SchemaMismatch, UnknownAttribute,
+    ValueOutOfRange,
+)
 from .qos import AttributeExtremes, NormalizedQoSVector, QoSAttribute, scale
 
 # Largest training set synthesize_training_set builds: 8 attributes at 4 bins.
@@ -29,10 +32,11 @@ class UserRequest:
 
     def __post_init__(self) -> None:
         for name, (lo, hi) in self.ranges.items():
-            if lo > hi:
-                raise ValueError(f"request range for {name!r} has lo > hi")
+            # NaN fails the comparison, so a NaN end is refused too
+            if not lo <= hi:
+                raise InvalidValue(f"request range for {name!r} needs lo <= hi")
         if set(self.preferences) != set(self.ranges):
-            raise ValueError("preference ranks do not cover the requested attributes")
+            raise InvalidValue("preference ranks do not cover the requested attributes")
 
 
 @dataclass(frozen=True)
@@ -42,12 +46,12 @@ class LevelScheme:
 
     def __post_init__(self) -> None:
         if self.n_levels < 2 or len(self.coefficients) != self.n_levels:
-            raise ValueError("scheme needs one coefficient per level, n_levels >= 2")
+            raise InvalidValue("scheme needs one coefficient per level, n_levels >= 2")
         if self.coefficients[0] != 1.0:
-            raise ValueError("the first (best) level must carry coefficient 1")
+            raise InvalidValue("the first (best) level must carry coefficient 1")
         for prev, cur in itertools.pairwise(self.coefficients):
             if not 0.0 < cur < prev:
-                raise ValueError("coefficients must descend strictly within (0, 1]")
+                raise InvalidValue("coefficients must descend strictly within (0, 1]")
 
 
 def default_scheme(n_levels: int = 3) -> LevelScheme:
@@ -106,10 +110,17 @@ def synthesize_training_set(
     """Expert-style training rows: every label combination, classed by its worst attribute.
 
     Each (attribute, label) pair gets one `Item` and one shortfall level,
-    shared by every row that holds it. Raises ValueOutOfRange when the
-    bins ** attributes rows would exceed MAX_TRAINING_ROWS.
+    shared by every row that holds it. Raises UnknownAttribute when the
+    request names an attribute outside the schema, SchemaMismatch when it
+    lacks one, and ValueOutOfRange when the bins ** attributes rows would
+    exceed MAX_TRAINING_ROWS.
     """
     names = [a.name for a in schema]
+    extra = set(request.ranges) - set(names)
+    if extra:
+        raise UnknownAttribute(
+            f"request names attributes absent from the schema: {sorted(extra)}"
+        )
     if set(request.ranges) != set(names):
         raise SchemaMismatch("request attributes do not match the declared schema")
     rows = bins ** len(names)

@@ -11,13 +11,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from graphlib import CycleError, TopologicalSorter
 
-from .errors import (
-    CycleDetected,
-    DisjointMatch,
-    InconsistentTaxonomy,
-    NoSharedParameters,
-    UnknownConcept,
-)
+from .errors import CycleDetected, InconsistentTaxonomy, UnknownConcept
 
 
 class MatchType(IntEnum):
@@ -163,52 +157,30 @@ def match_type(taxonomy: Taxonomy, out_concept: str, in_concept: str) -> MatchTy
     return result
 
 
-def matching_quality(match: MatchType) -> float:
-    if match is MatchType.DISJOINT:
-        raise DisjointMatch("a disjoint match carries no quality")
-    return MATCH_QUALITY[match]
-
-
-def link_quality(
-    taxonomy: Taxonomy,
-    from_service: str,
-    to_service: str,
-    pairs: list[tuple[str, str]],
-) -> float:
-    """Mean matching quality over all connected parameter pairs of one link."""
-    if not pairs:
-        raise NoSharedParameters(
-            f"no parameter pairs connect {from_service!r} to {to_service!r}"
-        )
-    total = 0.0
-    for out_concept, in_concept in pairs:
-        match = match_type(taxonomy, out_concept, in_concept)
-        if match is MatchType.DISJOINT:
-            raise DisjointMatch(
-                f"{out_concept!r} -> {in_concept!r} is disjoint on the link "
-                f"{from_service!r} -> {to_service!r}"
-            )
-        total += MATCH_QUALITY[match]
-    return total / len(pairs)
-
-
 def interface_quality(
     taxonomy: Taxonomy, outputs: tuple[str, ...], inputs: tuple[str, ...]
 ) -> float | None:
-    """`link_quality` over every output x input pair, None when inadmissible.
+    """Mean `MATCH_QUALITY` over every output x input pair of one link.
 
-    The two interfaces fully determine the value, so it is memoized on the
-    taxonomy by them.
+    None when the link is inadmissible: it has no pair, or a pair is
+    disjoint. The two interfaces fully determine the value, so it is
+    memoized on the taxonomy by them.
     """
     key = (outputs, inputs)
     try:
         return taxonomy._link_cache[key]
     except KeyError:
         pass
-    pairs = [(o, i) for o in outputs for i in inputs]
-    try:
-        quality: float | None = link_quality(taxonomy, "upstream", "downstream", pairs)
-    except (DisjointMatch, NoSharedParameters):
-        quality = None
+    quality: float | None = None
+    if outputs and inputs:
+        # outputs outer, inputs inner, added left to right; lazily, so the
+        # walk stops at the first disjoint pair
+        total = 0.0
+        for match in (match_type(taxonomy, o, i) for o in outputs for i in inputs):
+            if match is MatchType.DISJOINT:
+                break
+            total += MATCH_QUALITY[match]
+        else:
+            quality = total / (len(outputs) * len(inputs))
     taxonomy._link_cache[key] = quality
     return quality

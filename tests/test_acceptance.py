@@ -33,7 +33,7 @@ from qoscompose import (
 from qoscompose.cli import run_bench
 from qoscompose.errors import NoAlternative, NoReplacementCandidate
 from qoscompose.leveling import default_scheme
-from qoscompose.ontology import matching_quality
+from qoscompose.ontology import MATCH_QUALITY
 from reference import (
     brute_force_cars,
     engine_inputs,
@@ -57,10 +57,10 @@ def report(number: int, title: str) -> None:
 def test_criterion_1_matching_quality_constants():
     start = time.perf_counter()
     values = (
-        matching_quality(MatchType.EXACT),
-        matching_quality(MatchType.PLUGIN),
-        matching_quality(MatchType.SUBSUME),
-        matching_quality(MatchType.INTERSECTION),
+        MATCH_QUALITY[MatchType.EXACT],
+        MATCH_QUALITY[MatchType.PLUGIN],
+        MATCH_QUALITY[MatchType.SUBSUME],
+        MATCH_QUALITY[MatchType.INTERSECTION],
     )
     elapsed = time.perf_counter() - start
     assert values == (1.0, 0.75, 0.5, 0.25)

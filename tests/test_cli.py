@@ -219,7 +219,95 @@ def test_fractional_whole_number_exits_10(tmp_path, capsys, keys, value, field):
     assert capsys.readouterr().err.startswith(f"error [load]: bad value for {field}: ")
 
 
-# every error family's process exit code, as the CLI has always returned them
+
+def _edited_config(tmp_path, edit):
+    config = json.loads((FIXTURES / "config.json").read_text())
+    edit(config)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+def _nan_availability(config):
+    config["request"]["ranges"]["availability"] = [float("nan"), 100]
+
+
+def _bogus_attribute(config):
+    config["request"]["ranges"]["bogus"] = [0, 1]
+    config["request"]["preferences"]["bogus"] = 5
+
+
+def _saved_composite(tmp_path, edit):
+    """`replace --composite` on the golden compose report after `edit(text)`."""
+    path = tmp_path / "composite.json"
+    path.write_text(edit(GOLDEN_COMPOSE.read_text()))
+    return fixture_args("replace") + [
+        "--task", "plan_route", "--service", "pr_city", "--composite", str(path),
+    ]
+
+
+def _first_task(edit):
+    def apply(text):
+        doc = json.loads(text)
+        edit(doc["primary"]["tasks"][0])
+        return json.dumps(doc)
+    return apply
+
+
+def _only_plan_route(text):
+    doc = json.loads(text)
+    doc["primary"]["tasks"] = [
+        t for t in doc["primary"]["tasks"] if t["task"] == "plan_route"
+    ]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [
+        (lambda tmp: fixture_args("compose", config=_edited_config(tmp, _nan_availability)),
+         10, "error [load]: bad value for request: "),
+        (lambda tmp: fixture_args("compose", config=_edited_config(tmp, _bogus_attribute)),
+         13, "error [training]: "),
+        (lambda tmp: [
+            "classify",
+            "--registry", str(FIXTURES / "registry.csv"),
+            "--config", str(_edited_config(tmp, _bogus_attribute)),
+         ], 13, "error [training]: "),
+        (lambda tmp: ["generate", "--tasks", "0", "--out", str(tmp)], 18, "error [load]: "),
+        (lambda tmp: ["bench", "--grid", "2", "--attributes", "0"], 18, "error [load]: "),
+        (lambda tmp: ["bench", "--grid", "2", "--threshold", "2"], 18, "error [load]: "),
+        (lambda tmp: ["bench", "--grid", "2", "--reps", "0"], 2, "error: --reps "),
+        (lambda tmp: _saved_composite(tmp, lambda text: "not json"),
+         10, "error [load]: line 1: {tmp}/composite.json is not valid JSON: "),
+        (lambda tmp: _saved_composite(tmp, _first_task(lambda t: t.pop("service"))),
+         10, "error [load]: {tmp}/composite.json does not hold a composite report: KeyError"),
+        (lambda tmp: _saved_composite(tmp, _first_task(lambda t: t.update(final_utility="x"))),
+         10, "error [load]: {tmp}/composite.json does not hold a composite report: ValueError"),
+        (lambda tmp: _saved_composite(tmp, _only_plan_route),
+         43, "error [load]: saved composite assigns no service to "),
+    ],
+    ids=[
+        "nan-range", "bogus-attribute-compose", "bogus-attribute-classify",
+        "generate-tasks-0", "bench-attributes-0", "bench-threshold-2", "bench-reps-0",
+        "composite-not-json", "composite-task-without-service",
+        "composite-non-numeric-final-utility", "composite-missing-tasks",
+    ],
+)
+def test_bad_input_ends_in_an_error_line_not_a_traceback(tmp_path, argv, code, prefix):
+    """`prefix` starts stderr once `{tmp}` in it is replaced by the test's directory."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "qoscompose.cli"] + argv(tmp_path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(prefix.format(tmp=tmp_path)), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# every error family's process exit code
 EXIT_CODES = {
     errors.ParseError: 10,
     errors.EmptyRegistry: 11,
@@ -229,6 +317,7 @@ EXIT_CODES = {
     errors.UnknownConcept: 15,
     errors.CycleDetected: 16,
     errors.InconsistentTaxonomy: 17,
+    errors.InvalidValue: 18,
     errors.SchemaMismatch: 20,
     errors.OutOfRangeValue: 21,
     errors.EmptyCandidateSet: 22,
@@ -236,8 +325,6 @@ EXIT_CODES = {
     errors.EmptyTrainingSet: 24,
     errors.LevelOutOfRange: 25,
     errors.DegenerateRequest: 26,
-    errors.DisjointMatch: 30,
-    errors.NoSharedParameters: 31,
     errors.NoEligibleCandidate: 40,
     errors.NoAdmissibleLink: 41,
     errors.NoAlternative: 42,

@@ -128,6 +128,8 @@ def test_plan_parse_errors(tmp_path):
         '{"tasks": ["t1"], "edges": [["t1"]]}',
         '{"tasks": ["t1"], "edges": [], "link_pairs": {"t1": []}}',
         '{"tasks": ["t1"], "edges": [], "link_pairs": {"t1->t2": [["a"]]}}',
+        '{"tasks": ["a", "b"], "edges": [["a", "b"]], '
+        '"link_pairs": {"a->b": [[["x"], "y"]]}}',
         '["not", "an", "object"]',
     ]
     for text in cases:
@@ -210,6 +212,9 @@ def test_config_parse_errors(tmp_path):
         '{"request": {"ranges": {"x": [0, 1]}}, "bins": null}',
         '{"request": {"ranges": {"x": [0, 1]}}, "threshold": 2}',
         '{"request": {"ranges": {"x": [1, 0]}}}',
+        # NaN fails lo <= hi whichever end it is
+        '{"request": {"ranges": {"x": [NaN, 1]}}}',
+        '{"request": {"ranges": {"x": [0, NaN]}}}',
         '{"request": {"ranges": {"x": ["a", 1]}}}',
         '{"request": {"ranges": {"x": [[0], 1]}}}',
         '{"request": {"ranges": {"x": [0, 1]}, "preferences": {"x": "first"}}}',

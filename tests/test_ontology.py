@@ -6,16 +6,9 @@ import random
 import pytest
 
 from qoscompose import MatchType, Taxonomy
-from qoscompose.ontology import link_quality, match_type, matching_quality
-from qoscompose.errors import (
-    CycleDetected,
-    DisjointMatch,
-    InconsistentTaxonomy,
-    NoSharedParameters,
-    UnknownConcept,
-)
-from qoscompose.ontology import interface_quality
-from reference import RefTaxonomy, engine_inputs, random_instance, ref_match
+from qoscompose.ontology import interface_quality, match_type
+from qoscompose.errors import CycleDetected, InconsistentTaxonomy, UnknownConcept
+from reference import REF_QUALITY, RefTaxonomy, engine_inputs, random_instance, ref_match
 
 
 def tax(concepts, edges=(), equiv=(), disjoint=()):
@@ -93,29 +86,36 @@ def test_equivalence_self_loop_edge_tolerated():
 
 
 def test_matching_quality_constants():
-    assert matching_quality(MatchType.EXACT) == 1.0
-    assert matching_quality(MatchType.PLUGIN) == 0.75
-    assert matching_quality(MatchType.SUBSUME) == 0.5
-    assert matching_quality(MatchType.INTERSECTION) == 0.25
-    with pytest.raises(DisjointMatch):
-        matching_quality(MatchType.DISJOINT)
+    # a one-pair link's quality is its match kind's constant
+    assert interface_quality(VEHICLES, ("Car",), ("Car",)) == 1.0
+    assert interface_quality(VEHICLES, ("Car",), ("Vehicle",)) == 0.75
+    assert interface_quality(VEHICLES, ("Vehicle",), ("Car",)) == 0.5
+    assert interface_quality(VEHICLES, ("Car",), ("Boat",)) == 0.25
+    assert interface_quality(tax(["A", "B"]), ("A",), ("B",)) is None
 
 
 def test_link_quality_averages_pairs():
-    pairs_one = [("Car", "Car")]
-    assert link_quality(VEHICLES, "s1", "s2", pairs_one) == 1.0
-    mixed = [("Car", "Car"), ("Vehicle", "Car")]
-    assert link_quality(VEHICLES, "s1", "s2", mixed) == (1.0 + 0.5) / 2
-    three = [("Car", "Vehicle"), ("Car", "Vehicle"), ("Car", "Boat")]
-    assert link_quality(VEHICLES, "s1", "s2", three) == (0.75 + 0.75 + 0.25) / 3
+    # outputs x inputs: (Car, Car)
+    assert interface_quality(VEHICLES, ("Car",), ("Car",)) == 1.0
+    # (Car, Car), (Vehicle, Car)
+    assert interface_quality(VEHICLES, ("Car", "Vehicle"), ("Car",)) == (1.0 + 0.5) / 2
+    # (Car, Vehicle), (Car, Vehicle), (Car, Boat)
+    three = interface_quality(VEHICLES, ("Car",), ("Vehicle", "Vehicle", "Boat"))
+    assert three == (0.75 + 0.75 + 0.25) / 3
 
 
 def test_link_quality_rejects_disjoint_and_empty():
     isolated = tax(["A", "B"])
-    with pytest.raises(DisjointMatch):
-        link_quality(isolated, "s1", "s2", [("A", "B")])
-    with pytest.raises(NoSharedParameters):
-        link_quality(isolated, "s1", "s2", [])
+    assert interface_quality(isolated, ("A",), ("B",)) is None
+    # a disjoint pair makes the whole link inadmissible, wherever it stands
+    assert interface_quality(isolated, ("A", "B"), ("A",)) is None
+    assert interface_quality(isolated, ("A", "A"), ("A", "B")) is None
+    for outputs, inputs in [((), ()), (("A",), ()), ((), ("B",))]:
+        assert interface_quality(isolated, outputs, inputs) is None
+    # an unknown concept raises and leaves the memo empty
+    with pytest.raises(UnknownConcept):
+        interface_quality(isolated, ("A",), ("Z",))
+    assert (("A",), ("Z",)) not in isolated._link_cache
 
 
 def test_match_type_agrees_with_raw_axiom_walks():
@@ -162,45 +162,42 @@ def test_match_type_agrees_with_raw_axiom_walks():
 
 
 def uncached_quality(taxonomy, outputs, inputs):
-    try:
-        return link_quality(
-            taxonomy, "s1", "s2", [(o, i) for o in outputs for i in inputs]
-        )
-    except (DisjointMatch, NoSharedParameters):
+    """Mean REF_QUALITY over the raw-axiom matches of every output x input pair."""
+    kinds = [ref_match(taxonomy, o, i) for o in outputs for i in inputs]
+    if not kinds or "disjoint" in kinds:
         return None
+    total = 0.0
+    for kind in kinds:
+        total += REF_QUALITY[kind]
+    return total / len(kinds)
 
 
 def test_memoized_interface_quality_equals_link_quality():
     rng = random.Random(919)
     kinds = {"quality": 0, "disjoint": 0, "no-pairs": 0}
     for _ in range(40):
-        _, _, memoized, _ = engine_inputs(random_instance(rng))
-        # an equal taxonomy whose link memo stays empty
-        plain = tax(
-            memoized.concepts,
-            memoized.edges,
-            memoized.equivalences,
-            memoized.disjointness,
-        )
+        instance = random_instance(rng)
+        _, _, memoized, _ = engine_inputs(instance)
         concepts = sorted(memoized.concepts)
         # interfaces of 0 to 3 concepts, so some links share no parameter
         interfaces = [
             tuple(rng.sample(concepts, rng.randint(0, 3))) for _ in range(12)
         ]
+        expected = {
+            (outputs, inputs): uncached_quality(instance.taxonomy, outputs, inputs)
+            for outputs in interfaces
+            for inputs in interfaces
+        }
         for _ in range(2):  # cold memo, then warm
-            for outputs in interfaces:
-                for inputs in interfaces:
-                    got = interface_quality(memoized, outputs, inputs)
-                    assert got == uncached_quality(plain, outputs, inputs), (
-                        outputs, inputs
-                    )
-                    if got is not None:
-                        kinds["quality"] += 1
-                    elif outputs and inputs:
-                        kinds["disjoint"] += 1
-                    else:
-                        kinds["no-pairs"] += 1
-        assert not plain._link_cache
+            for (outputs, inputs), want in expected.items():
+                got = interface_quality(memoized, outputs, inputs)
+                assert got == want, (outputs, inputs)
+                if got is not None:
+                    kinds["quality"] += 1
+                elif outputs and inputs:
+                    kinds["disjoint"] += 1
+                else:
+                    kinds["no-pairs"] += 1
     assert min(kinds.values()) > 0, kinds
 
 
