@@ -8,7 +8,7 @@ default class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import floor
 
 from .errors import EmptyTrainingSet, InvalidValue, SchemaMismatch, ValueOutOfRange
@@ -40,15 +40,12 @@ class ClassAssociationRule:
 class Classifier:
     rules: list[ClassAssociationRule]
     default_class: str
-    # None when the schema is unknown (e.g. a deserialized classifier); then
-    # predict skips the strict one-item-per-attribute check.
-    attributes: tuple[str, ...] | None = None
-    # ((attribute, label), ...) -> level, filled lazily by leveling._level;
-    # the rules must not change after first use, and a dataclasses.replace
-    # copy starts with an empty memo (init=False)
-    _levels: dict[tuple[tuple[str, int], ...], int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    attributes: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        # ((attribute, label), ...) -> level, filled lazily by leveling._level; the
+        # rules must not change after first use, and a replace copy starts empty
+        self._levels: dict[tuple[tuple[str, int], ...], int] = {}
 
 
 @dataclass(frozen=True)
@@ -246,7 +243,7 @@ def train_classifier(
 def predict(classifier: Classifier, instance: frozenset[Item]) -> str:
     """Class of the first matching rule, or the default class."""
     attrs = instance_schema(instance)
-    if classifier.attributes is not None and attrs != frozenset(classifier.attributes):
+    if attrs != frozenset(classifier.attributes):
         raise SchemaMismatch(
             f"instance attributes {sorted(attrs)} do not match the classifier "
             f"schema {list(classifier.attributes)}"

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 from .composer import (
     _request_classifier,
+    _stage,
     build_search_graph,
     compose_with_graph,
     composite_report,
@@ -89,7 +90,7 @@ def _load_inputs(args: argparse.Namespace):
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
+        with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -125,9 +126,10 @@ def cmd_replace(args: argparse.Namespace) -> int:
         if missing:
             raise NotSelectedService(f"saved composite assigns no service to {missing}")
         composite = saved
-    replaced = replace_unavailable(
-        graph, composite, (args.task, args.service), taxonomy, registry
-    )
+    with _stage("replacement"):
+        replaced = replace_unavailable(
+            graph, composite, (args.task, args.service), taxonomy, registry
+        )
     _emit(json.dumps(composite_report(graph, replaced), indent=2) + "\n", args.out)
     return 0
 

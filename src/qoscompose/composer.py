@@ -29,17 +29,13 @@ from .errors import (
     UnknownTask,
 )
 from .leveling import (
-    Basis,
-    LevelKey,
     ScoredService,
     UserRequest,
     filter_eligible,
-    level_basis,
     score_basis,
     synthesize_training_set,
 )
 from .ontology import MatchType, Taxonomy, interface_quality, match_type
-from .qos import NormalizedQoSVector, QoSVector, compute_extremes, normalize
 
 if TYPE_CHECKING:
     from .data_io import EngineConfig, Registry, RegistryRecord
@@ -181,7 +177,7 @@ def build_search_graph(
     for a, b in sorted(plan.edges):
         preds[b].append(a)
         succs[a].append(b)
-    services = registry.services()
+    services = registry.services
     queues: dict[str, list[QueueEntry]] = {}
     selected: dict[str, str] = {}
     final_utilities: dict[str, float] = {}
@@ -296,7 +292,7 @@ def replace_unavailable(
         raise NotSelectedService(
             f"{service_id!r} is not the selected service of task {task!r}"
         )
-    services = registry.services()
+    services = registry.services
     selected = composite.assignment
     rescored: list[QueueEntry] = []
     for entry in graph.queues[task]:
@@ -353,18 +349,10 @@ def _validate_registry(
 ) -> None:
     """Every service targets a plan task and names only declared concepts.
 
-    The registry's distinct tasks and concepts are cached on it, so a valid
-    registry costs two subset tests; an invalid one is walked record by
-    record to raise its first error.
+    A valid registry costs two subset tests; an invalid one is walked record
+    by record to raise its first error.
     """
-    distinct = registry._cache.get("tasks_concepts")
-    if distinct is None:
-        distinct = registry._cache["tasks_concepts"] = (
-            frozenset(rec.task_id for rec in registry.records),
-            frozenset(c for rec in registry.records for c in rec.inputs + rec.outputs),
-        )
-    tasks, concepts = distinct
-    if tasks <= plan.tasks and concepts <= taxonomy.concepts:
+    if registry.task_ids <= plan.tasks and registry.concepts <= taxonomy.concepts:
         return
     for rec in registry.records:
         if rec.task_id not in plan.tasks:
@@ -378,57 +366,12 @@ def _validate_registry(
 def _request_classifier(
     request: UserRequest, registry: "Registry", config: "EngineConfig"
 ) -> Classifier:
-    """Train the request's classifier; errors carry the "training" stage.
-
-    Extremes are taken across the whole registry, so the synthesized demand
-    bands cover every task; this envelope is cached on the registry.
-    """
+    """Train the request's classifier; errors carry the "training" stage."""
     with _stage("training"):
-        envelope = registry._cache.get("envelope")
-        if envelope is None:
-            envelope = registry._cache["envelope"] = compute_extremes(
-                [QoSVector(rec.service_id, rec.values) for rec in registry.records]
-            )
         training = synthesize_training_set(
-            request, envelope, config.scheme, config.bins, registry.schema
+            request, registry.envelope, config.scheme, config.bins, registry.schema
         )
         return train_classifier(training, config.mining)
-
-
-def _scaled_tasks(registry: "Registry") -> dict[str, list[NormalizedQoSVector]]:
-    """Every task's candidates normalized against their own task's extremes.
-
-    Cached on the registry once every task has scaled; a failure caches nothing.
-    """
-    scaled = registry._cache.get("scaled")
-    if scaled is None:
-        by_task: dict[str, list[QoSVector]] = {}
-        for rec in registry.records:
-            by_task.setdefault(rec.task_id, []).append(
-                QoSVector(rec.service_id, rec.values)
-            )
-        scaled = {}
-        for task, cands in by_task.items():
-            extremes = compute_extremes(cands)
-            scaled[task] = [normalize(c, extremes, registry.schema) for c in cands]
-        registry._cache["scaled"] = scaled
-    return scaled
-
-
-def _level_bases(registry: "Registry", bins: int) -> dict[str, Basis]:
-    """Every task's request-independent leveling inputs at `bins` (see `level_basis`).
-
-    Cached on the registry per `bins`; equal level keys are interned across
-    the whole registry.
-    """
-    bases = registry._cache.get(("basis", bins))
-    if bases is None:
-        interned: dict[LevelKey, LevelKey] = {}
-        bases = registry._cache[("basis", bins)] = {
-            task: level_basis(normalized, bins, interned)
-            for task, normalized in _scaled_tasks(registry).items()
-        }
-    return bases
 
 
 def rank_candidates(
@@ -437,18 +380,18 @@ def rank_candidates(
     """Scale, level, and threshold-filter every task's candidates.
 
     Only training and the per-candidate level lookup depend on the request:
-    scaling, discretization and each candidate's mean are computed once per
-    registry (see `_scaled_tasks` and `_level_bases`).
+    scaling, discretization and each candidate's mean are kept on the
+    registry (see `Registry.scaled` and `Registry.level_bases`).
     """
     classifier = _request_classifier(request, registry, config)
     with _stage("scaling"):
-        _scaled_tasks(registry)
+        registry.scaled  # computed here, so a scaling error carries this stage
     with _stage("classification"):
         return {
             task: filter_eligible(
                 score_basis(basis, classifier, config.scheme), config.threshold
             )
-            for task, basis in _level_bases(registry, config.bins).items()
+            for task, basis in registry.level_bases(config.bins).items()
         }
 
 

@@ -10,9 +10,10 @@ import json
 import math
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
-from .cba import Classifier, ClassAssociationRule, Item, MiningConfig, render_items
+from .cba import Classifier, MiningConfig, render_items
 from .composer import CompositeService, CompositionPlan
 from .errors import (
     EmptyRegistry,
@@ -22,9 +23,14 @@ from .errors import (
     UnknownAttribute,
     UnknownConcept,
 )
-from .leveling import LevelScheme, UserRequest, default_scheme
+from .leveling import (
+    Basis, LevelKey, LevelScheme, UserRequest, default_scheme, level_basis,
+)
 from .ontology import MatchType, Taxonomy, match_type
-from .qos import Polarity, QoSAttribute
+from .qos import (
+    AttributeExtremes, NormalizedQoSVector, Polarity, QoSAttribute, QoSVector,
+    compute_extremes, normalize,
+)
 
 
 @dataclass(frozen=True)
@@ -38,21 +44,59 @@ class RegistryRecord:
 
 @dataclass(frozen=True)
 class Registry:
+    """Services plus request-independent values derived from them on first use.
+
+    A registry must not be mutated after its first use. A failed computation
+    keeps nothing, and a dataclasses.replace copy computes its own values.
+    """
+
     schema: list[QoSAttribute]
     records: list[RegistryRecord]
-    # request-independent values derived from the records, filled lazily by
-    # the composer; a registry must not be mutated after its first use, and a
-    # dataclasses.replace copy starts with an empty cache (init=False)
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    @cached_property
     def services(self) -> dict[str, RegistryRecord]:
-        """service_id -> record; one shared dict, built on the first call."""
-        services = self._cache.get("services")
-        if services is None:
-            services = self._cache["services"] = {
-                rec.service_id: rec for rec in self.records
+        """service_id -> record."""
+        return {rec.service_id: rec for rec in self.records}
+
+    @cached_property
+    def task_ids(self) -> frozenset[str]:
+        return frozenset(rec.task_id for rec in self.records)
+
+    @cached_property
+    def concepts(self) -> frozenset[str]:
+        return frozenset(c for rec in self.records for c in rec.inputs + rec.outputs)
+
+    @cached_property
+    def envelope(self) -> AttributeExtremes:
+        """Extremes across the whole registry, so demand bands cover every task."""
+        return compute_extremes([QoSVector(r.service_id, r.values) for r in self.records])
+
+    @cached_property
+    def scaled(self) -> dict[str, list[NormalizedQoSVector]]:
+        """Every task's candidates normalized against their own task's extremes."""
+        by_task: dict[str, list[QoSVector]] = {}
+        for r in self.records:
+            by_task.setdefault(r.task_id, []).append(QoSVector(r.service_id, r.values))
+        scaled = {}
+        for task, cands in by_task.items():
+            extremes = compute_extremes(cands)
+            scaled[task] = [normalize(c, extremes, self.schema) for c in cands]
+        return scaled
+
+    @cached_property
+    def _bases(self) -> dict[int, dict[str, Basis]]:
+        return {}
+
+    def level_bases(self, bins: int) -> dict[str, Basis]:
+        """Each task's `level_basis` at `bins`, equal keys interned registry-wide."""
+        bases = self._bases.get(bins)
+        if bases is None:
+            interned: dict[LevelKey, LevelKey] = {}
+            bases = self._bases[bins] = {
+                task: level_basis(normalized, bins, interned)
+                for task, normalized in self.scaled.items()
             }
-        return services
+        return bases
 
 
 @dataclass(frozen=True)
@@ -91,6 +135,8 @@ def _parse_header(columns: list[str]) -> list[QoSAttribute]:
             raise UnknownAttribute(
                 f"attribute column {column!r} must look like name:+ or name:-"
             )
+        if any(attr.name == name for attr in schema):
+            raise ParseError(f"attribute column {column!r} repeats {name!r}", line=1)
         schema.append(QoSAttribute(name, Polarity(polarity)))
     if not schema:
         raise ParseError("registry declares no QoS attributes", line=1)
@@ -106,8 +152,18 @@ def _parse_concepts(text: str, line: int) -> tuple[str, ...]:
     return parts
 
 
+@contextmanager
+def _open_text(path: str, newline: str | None = None):
+    """`path` opened as UTF-8 text; undecodable bytes raise ParseError naming it."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_registry(path: str) -> Registry:
-    with open(path, newline="") as fh:
+    with _open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -156,7 +212,7 @@ def load_registry(path: str) -> Registry:
 
 
 def save_registry(registry: Registry, path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["service_id", "task_id"]
@@ -174,7 +230,7 @@ def save_registry(registry: Registry, path: str) -> None:
 # -------------------------------------------------------------------- plan JSON
 
 def _json_load(path: str) -> dict:
-    with open(path) as fh:
+    with _open_text(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -234,7 +290,7 @@ def save_plan(plan: CompositionPlan, path: str) -> None:
             for a, b in sorted(plan.link_pairs)
         },
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
@@ -269,7 +325,7 @@ def load_taxonomy(path: str) -> Taxonomy:
     edges: set[tuple[str, str]] = set()
     equivalences: set[tuple[str, str]] = set()
     disjointness: set[tuple[str, str]] = set()
-    with open(path) as fh:
+    with _open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -295,7 +351,7 @@ def load_taxonomy(path: str) -> Taxonomy:
 
 
 def save_taxonomy(taxonomy: Taxonomy, path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for concept in sorted(taxonomy.concepts):
             fh.write(f"concept {concept}\n")
         for child, parent in sorted(taxonomy.edges):
@@ -419,7 +475,7 @@ def save_config(config: EngineConfig, request: UserRequest, path: str) -> None:
         "bins": config.bins,
         "threshold": config.threshold,
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
@@ -434,47 +490,6 @@ def render_classifier(classifier: Classifier) -> str:
         for rule in classifier.rules
     ]
     return "".join(lines) + f"DEFAULT {classifier.default_class}\n"
-
-
-def save_classifier(classifier: Classifier, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(render_classifier(classifier))
-
-
-def load_classifier(path: str) -> Classifier:
-    rules: list[ClassAssociationRule] = []
-    default: str | None = None
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if default is not None:
-                raise ParseError("rule after the DEFAULT line", line=line_no)
-            if line.startswith("DEFAULT "):
-                default = line.split(maxsplit=1)[1]
-                continue
-            head, sep, tail = line.partition(" => ")
-            if not sep or not tail.endswith("]") or " [" not in tail:
-                raise ParseError(f"malformed rule {line!r}", line=line_no)
-            cls, _, stats = tail[:-1].partition(" [")
-            parts = stats.split()
-            if len(parts) != 2:
-                raise ParseError(f"malformed rule stats {stats!r}", line=line_no)
-            items = []
-            for token in head.split(","):
-                attr, sep2, value = token.partition("=")
-                if not sep2 or not attr:
-                    raise ParseError(f"malformed item {token!r}", line=line_no)
-                items.append(Item(attr, value))
-            try:
-                supp, conf = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise ParseError(f"malformed rule stats {stats!r}", line=line_no)
-            rules.append(ClassAssociationRule(frozenset(items), cls, supp, conf))
-    if default is None:
-        raise ParseError("classifier file lacks a DEFAULT line")
-    return Classifier(rules, default, attributes=None)
 
 
 # --------------------------------------------------------------- synthetic data
@@ -554,16 +569,7 @@ def generate_synthetic(
             records.append(RegistryRecord(service_id, task_id, values, inputs, outputs))
     registry = Registry(schema, records)
 
-    plan_edges = frozenset(zip(task_ids, task_ids[1:]))
-    by_task: dict[str, list[RegistryRecord]] = {}
-    for rec in records:
-        by_task.setdefault(rec.task_id, []).append(rec)
-    link_pairs: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
-    for a, b in sorted(plan_edges):
-        outs = sorted({o for rec in by_task[a] for o in rec.outputs})
-        ins = sorted({i for rec in by_task[b] for i in rec.inputs})
-        link_pairs[(a, b)] = tuple((o, i) for o in outs for i in ins)
-    plan = CompositionPlan(frozenset(task_ids), plan_edges, link_pairs)
+    plan = CompositionPlan(frozenset(task_ids), frozenset(zip(task_ids, task_ids[1:])))
     return registry, plan, taxonomy
 
 

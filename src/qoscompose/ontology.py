@@ -7,7 +7,7 @@ match query is plain set reachability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from graphlib import CycleError, TopologicalSorter
 
@@ -39,26 +39,6 @@ class Taxonomy:
     edges: frozenset[tuple[str, str]] = frozenset()
     equivalences: frozenset[tuple[str, str]] = frozenset()
     disjointness: frozenset[tuple[str, str]] = frozenset()
-    # derived from the axioms in __post_init__, plus the match and link memos;
-    # init=False, so a dataclasses.replace copy builds its own instead of
-    # rewriting the original's
-    _rep: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _ancestors: dict[str, frozenset[str]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _descendants: dict[str, frozenset[str]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _disjoint_reps: set[frozenset[str]] = field(
-        default_factory=set, init=False, repr=False, compare=False
-    )
-    _match_cache: dict[tuple[str, str], MatchType] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    # (upstream outputs, downstream inputs) -> link quality, None when inadmissible
-    _link_cache: dict[tuple[tuple[str, ...], tuple[str, ...]], float | None] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         for pair in self.equivalences | self.disjointness:
@@ -67,9 +47,14 @@ class Taxonomy:
         for child, parent in self.edges:
             self._require(child)
             self._require(parent)
-        self._collapse_equivalences()
-        self._close_subsumption()
-        self._index_disjointness()
+        # derived from the axioms, plus the match and link memos: not fields, so
+        # equality and repr ignore them and a dataclasses.replace copy builds its own
+        self._rep = self._collapse_equivalences()
+        self._ancestors, self._descendants = self._close_subsumption()
+        self._disjoint_reps = self._index_disjointness()
+        self._match_cache: dict[tuple[str, str], MatchType] = {}
+        # (upstream outputs, downstream inputs) -> link quality, None when inadmissible
+        self._link_cache: dict[tuple[tuple[str, ...], ...], float | None] = {}
 
     def _require(self, concept: str) -> None:
         if concept not in self.concepts:
@@ -80,7 +65,7 @@ class Taxonomy:
         self._require(concept)
         return self._rep[concept]
 
-    def _collapse_equivalences(self) -> None:
+    def _collapse_equivalences(self) -> dict[str, str]:
         parent = {c: c for c in self.concepts}
 
         def find(c: str) -> str:
@@ -95,9 +80,9 @@ class Taxonomy:
                 # keep the lexicographically smallest name as representative
                 lo, hi = sorted((ra, rb))
                 parent[hi] = lo
-        self._rep.update({c: find(c) for c in self.concepts})
+        return {c: find(c) for c in self.concepts}
 
-    def _close_subsumption(self) -> None:
+    def _close_subsumption(self) -> tuple[dict[str, frozenset[str]], ...]:
         reps = sorted(set(self._rep.values()))
         parents: dict[str, set[str]] = {r: set() for r in reps}
         for child, parent in self.edges:
@@ -120,17 +105,21 @@ class Taxonomy:
         for rep_, above in ancestors.items():
             for a in above:
                 descendants[a].add(rep_)
-        self._ancestors.update({r: frozenset(v) for r, v in ancestors.items()})
-        self._descendants.update({r: frozenset(v) for r, v in descendants.items()})
+        return (
+            {r: frozenset(v) for r, v in ancestors.items()},
+            {r: frozenset(v) for r, v in descendants.items()},
+        )
 
-    def _index_disjointness(self) -> None:
+    def _index_disjointness(self) -> set[frozenset[str]]:
+        disjoint_reps = set()
         for a, b in sorted(self.disjointness):
             ra, rb = self._rep[a], self._rep[b]
             if ra == rb or ra in self._ancestors[rb] or rb in self._ancestors[ra]:
                 raise InconsistentTaxonomy(
                     f"{a!r} and {b!r} are declared disjoint but one subsumes the other"
                 )
-            self._disjoint_reps.add(frozenset((ra, rb)))
+            disjoint_reps.add(frozenset((ra, rb)))
+        return disjoint_reps
 
 
 def match_type(taxonomy: Taxonomy, out_concept: str, in_concept: str) -> MatchType:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: reports, exit codes, and the benchmark harness."""
 
+import csv
 import json
 import pathlib
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 
 from qoscompose import errors
 from qoscompose.cli import _parse_grid, main, run_bench
-from qoscompose.data_io import load_classifier
+from qoscompose.composer import _request_classifier
+from qoscompose.data_io import load_config, load_registry, render_classifier
 from qoscompose.errors import EngineError
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -26,8 +28,8 @@ def fixture_args(command, **extra):
     argv = [
         command,
         "--registry", str(extra.pop("registry", FIXTURES / "registry.csv")),
-        "--plan", str(FIXTURES / "plan.json"),
-        "--taxonomy", str(FIXTURES / "taxonomy.txt"),
+        "--plan", str(extra.pop("plan", FIXTURES / "plan.json")),
+        "--taxonomy", str(extra.pop("taxonomy", FIXTURES / "taxonomy.txt")),
         "--config", str(extra.pop("config", FIXTURES / "config.json")),
     ]
     for key, value in extra.items():
@@ -262,6 +264,29 @@ def _only_plan_route(text):
     return json.dumps(doc)
 
 
+def _not_utf8(tmp):
+    path = tmp / "not_utf8"
+    path.write_bytes(b"\xff\xfe\x00")
+    return path
+
+
+def _repeated_column(tmp):
+    """The fixture registry with its availability column repeated as availability:-."""
+    with open(FIXTURES / "registry.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index("availability:+")
+    rows[0].insert(col + 1, "availability:-")
+    for row in rows[1:]:
+        row.insert(col + 1, row[col])
+    path = tmp / "registry.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return path
+
+
+NOT_UTF8 = "error [load]: {tmp}/not_utf8 is not UTF-8 text: "
+
+
 @pytest.mark.parametrize(
     "argv, code, prefix",
     [
@@ -286,12 +311,28 @@ def _only_plan_route(text):
          10, "error [load]: {tmp}/composite.json does not hold a composite report: ValueError"),
         (lambda tmp: _saved_composite(tmp, _only_plan_route),
          43, "error [load]: saved composite assigns no service to "),
+        (lambda tmp: fixture_args("compose", registry=_not_utf8(tmp)), 10, NOT_UTF8),
+        (lambda tmp: fixture_args("compose", plan=_not_utf8(tmp)), 10, NOT_UTF8),
+        (lambda tmp: fixture_args("compose", taxonomy=_not_utf8(tmp)), 10, NOT_UTF8),
+        (lambda tmp: fixture_args("compose", config=_not_utf8(tmp)), 10, NOT_UTF8),
+        (lambda tmp: fixture_args(
+            "replace", task="plan_route", service="pr_city", composite=_not_utf8(tmp)
+         ), 10, NOT_UTF8),
+        (lambda tmp: fixture_args("compose", registry=_repeated_column(tmp)),
+         10, "error [load]: line 1: attribute column 'availability:-' repeats "),
+        (lambda tmp: fixture_args("replace", task="process_payment", service="pay_card"),
+         44, "error [replacement]: no replacement candidate left for task "),
+        (lambda tmp: fixture_args("replace", task="nope", service="pay_card"),
+         14, "error [replacement]: task 'nope' is not part of the search graph"),
     ],
     ids=[
         "nan-range", "bogus-attribute-compose", "bogus-attribute-classify",
         "generate-tasks-0", "bench-attributes-0", "bench-threshold-2", "bench-reps-0",
         "composite-not-json", "composite-task-without-service",
         "composite-non-numeric-final-utility", "composite-missing-tasks",
+        "not-utf8-registry", "not-utf8-plan", "not-utf8-taxonomy", "not-utf8-config",
+        "not-utf8-composite", "repeated-attribute-column",
+        "replace-no-candidate-stage", "replace-unknown-task-stage",
     ],
 )
 def test_bad_input_ends_in_an_error_line_not_a_traceback(tmp_path, argv, code, prefix):
@@ -460,11 +501,14 @@ def test_classify_writes_loadable_rules(tmp_path, capsys):
         "--config", str(FIXTURES / "config.json"),
     ]
     assert main(argv + ["--out", str(out)]) == 0
-    classifier = load_classifier(str(out))
+    config, request = load_config(str(FIXTURES / "config.json"))
+    registry = load_registry(str(FIXTURES / "registry.csv"))
+    classifier = _request_classifier(request, registry, config)
     assert classifier.default_class == "2"
     assert len(classifier.rules) == 22
     perfect = [r for r in classifier.rules if r.confidence == 1.0]
     assert len(perfect) == 22  # this request is fully separable
+    assert out.read_text() == render_classifier(classifier)
     assert main(argv) == 0
     assert capsys.readouterr().out == out.read_text()
 

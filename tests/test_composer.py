@@ -483,7 +483,8 @@ def test_warm_caches_compose_like_fresh_inputs(make_inputs):
         results.append(warm)
     # the two requests level differently, so a cached request result would show
     assert results[0] != results[1]
-    assert registry._cache and taxonomy._link_cache
+    assert {"envelope", "scaled", "_bases"} <= vars(registry).keys()
+    assert taxonomy._link_cache
 
 
 def test_failed_scaling_repeats_its_error_and_caches_no_scaling():
@@ -503,7 +504,7 @@ def test_failed_scaling_repeats_its_error_and_caches_no_scaling():
         with pytest.raises(OutOfRangeValue) as info:
             rank_candidates(request, registry, config)
         raised.append((info.value.stage, str(info.value)))
-        assert "scaled" not in registry._cache
+        assert "scaled" not in vars(registry)
     assert raised == [raised[0]] * 3
     assert raised[0][0] == "scaling"
 
@@ -540,13 +541,13 @@ def test_registry_validation_reports_the_first_fault_in_record_order():
 def test_replaced_objects_start_with_empty_caches():
     plan, registry, taxonomy, config, requests = synthetic_inputs(4)
     graph, primary, _ = compose_with_graph(requests[0], plan, registry, taxonomy, config)
-    assert ("basis", config.bins) in registry._cache
+    assert config.bins in registry._bases
     first, *rest = registry.records
     changed = dc_replace(registry, records=[dc_replace(first, values={
         name: value * 2 for name, value in first.values.items()
     })] + rest)
-    assert registry._cache and not changed._cache
-    assert changed.services()[first.service_id] is not first
+    assert vars(changed).keys() == {"schema", "records"}
+    assert changed.services[first.service_id] is not first
     assert taxonomy._link_cache and not dc_replace(taxonomy)._link_cache
     fresh = Registry(registry.schema, changed.records)
     assert composed(requests[0], plan, changed, taxonomy, config) == composed(
@@ -623,9 +624,7 @@ def test_reused_registry_levels_and_selects_like_fresh_objects(fan_in):
             )
             checked += 1
     assert checked >= 60
-    assert {key for key in registry._cache if key[0] == "basis"} == {
-        ("basis", 3), ("basis", 4), ("basis", 5)
-    }
+    assert registry._bases.keys() == {3, 4, 5}
 
 
 def test_level_basis_interns_keys_and_keeps_their_attributes():
@@ -654,7 +653,8 @@ def test_level_basis_interns_keys_and_keeps_their_attributes():
 def test_registry_basis_shares_one_key_object_per_label_combination():
     plan, registry, taxonomy, config, requests = synthetic_inputs(5)
     compose_with_graph(requests[0], plan, registry, taxonomy, config)
-    basis = registry._cache[("basis", config.bins)]
+    basis = registry.level_bases(config.bins)
+    assert basis is registry._bases[config.bins]
     keys = [key for entries in basis.values() for _, key, _ in entries]
     distinct = {}
     for key in keys:
@@ -662,16 +662,16 @@ def test_registry_basis_shares_one_key_object_per_label_combination():
     assert len(distinct) < len(keys)
 
 
-def out_of_range_classifier(attribute):
-    """Level 9 (outside every scheme) for label 1 of `attribute`, else level 1."""
-    rule = ClassAssociationRule(frozenset([Item(attribute, "1")]), "9", 0.5, 1.0)
-    return Classifier([rule], "1")
+def out_of_range_classifier(schema):
+    """Level 9 (outside every scheme) for label 1 of the first attribute, else level 1."""
+    rule = ClassAssociationRule(frozenset([Item(schema[0].name, "1")]), "9", 0.5, 1.0)
+    return Classifier([rule], "1", tuple(sorted(attr.name for attr in schema)))
 
 
 def test_level_out_of_range_names_the_first_service(monkeypatch):
     plan, registry, taxonomy, config, requests = synthetic_inputs(6)
     attribute = registry.schema[0].name
-    scaled = composer._scaled_tasks(Registry(registry.schema, registry.records))
+    scaled = Registry(registry.schema, registry.records).scaled
     first = next(
         vector.service_id
         for vectors in scaled.values()
@@ -682,10 +682,13 @@ def test_level_out_of_range_names_the_first_service(monkeypatch):
     with pytest.raises(LevelOutOfRange, match=repr(first)) as want:
         for normalized in scaled.values():
             score_candidates(
-                normalized, out_of_range_classifier(attribute), config.scheme, config.bins
+                normalized,
+                out_of_range_classifier(registry.schema),
+                config.scheme,
+                config.bins,
             )
     monkeypatch.setattr(
-        composer, "train_classifier", lambda *_: out_of_range_classifier(attribute)
+        composer, "train_classifier", lambda *_: out_of_range_classifier(registry.schema)
     )
     for _ in range(2):  # cold and warm basis
         with pytest.raises(LevelOutOfRange) as got:

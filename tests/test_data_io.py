@@ -3,11 +3,8 @@
 import pytest
 
 from qoscompose import (
-    ClassAssociationRule,
-    Classifier,
     CompositionPlan,
     EngineConfig,
-    Item,
     LevelScheme,
     MiningConfig,
     Polarity,
@@ -25,8 +22,6 @@ from qoscompose.data_io import (
     default_config,
     default_request,
     generate_synthetic,
-    load_classifier,
-    save_classifier,
     save_config,
     save_plan,
     save_registry,
@@ -282,38 +277,6 @@ def test_config_whole_number_fields_accept_integral_floats(tmp_path, value):
     assert got == (4, 4, 4) and all(type(n) is int for n in got)
 
 
-def test_classifier_round_trip(tmp_path):
-    rules = [
-        ClassAssociationRule(
-            frozenset([Item("latency", "0"), Item("uptime", "3")]), "1", 0.25, 1.0
-        ),
-        ClassAssociationRule(frozenset([Item("latency", "1")]), "2", 1 / 3, 2 / 3),
-    ]
-    classifier = Classifier(rules, "3", attributes=("latency", "uptime"))
-    path = tmp_path / "rules.txt"
-    save_classifier(classifier, str(path))
-    loaded = load_classifier(str(path))
-    assert loaded.rules == rules
-    assert loaded.default_class == "3"
-    assert loaded.attributes is None  # schema is not stored on disk
-
-
-def test_classifier_parse_errors(tmp_path):
-    path = tmp_path / "rules.txt"
-    cases = [
-        "latency=0 => 1 [0.25 1.0]\n",  # no DEFAULT line
-        "DEFAULT 1\nlatency=0 => 1 [0.25 1.0]\n",  # rule after DEFAULT
-        "latency0 => 1 [0.25 1.0]\nDEFAULT 1\n",  # malformed item
-        "latency=0 => 1 [0.25]\nDEFAULT 1\n",  # missing stat
-        "latency=0 => 1 [a b]\nDEFAULT 1\n",  # non-numeric stats
-        "latency=0 1 [0.25 1.0]\nDEFAULT 1\n",  # no arrow
-    ]
-    for text in cases:
-        path.write_text(text)
-        with pytest.raises(ParseError):
-            load_classifier(str(path))
-
-
 def test_generator_is_deterministic(tmp_path):
     first = generate_synthetic(5, 3, 4, seed=42)
     second = generate_synthetic(5, 3, 4, seed=42)
@@ -334,6 +297,7 @@ def test_generator_shapes():
     assert registry.schema[4].name == "response_time_2"  # names cycle with suffixes
     assert len(plan.tasks) == 7
     assert len(plan.edges) == 6  # a chain
+    assert plan.link_pairs == {}
     assert len(taxonomy.concepts) == 4 * 7
     for rec in registry.records:
         assert rec.inputs and rec.outputs

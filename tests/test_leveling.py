@@ -28,7 +28,6 @@ from qoscompose import (
 )
 from qoscompose import leveling
 from qoscompose.cba import discretize, predict
-from qoscompose.data_io import load_classifier, save_classifier
 from qoscompose.leveling import default_scheme
 from qoscompose.errors import (
     DegenerateRequest,
@@ -240,44 +239,30 @@ def random_candidates(rng, attrs, count, prefix):
     return out
 
 
-def test_classify_memo_equals_per_candidate_predict(tmp_path):
+def test_classify_memo_equals_per_candidate_predict():
     rng = random.Random(515)
-    loaded_seen = 0
     for trial in range(40):
         data, mining = random_training_set(rng)
         # levels 1..3, as classes c0..c2 shifted up by one
         data = [TrainingInstance(d.items, str(int(d.class_label[1:]) + 1)) for d in data]
-        trained = train_classifier(data, mining)
-        path = tmp_path / f"rules{trial}.txt"
-        save_classifier(trained, str(path))
-        loaded = load_classifier(str(path))
-        assert loaded.attributes is None
+        classifier = train_classifier(data, mining)
         attrs = sorted(it.attribute for it in data[0].items)
         bins = rng.randint(2, 5)
-        for classifier in (trained, loaded):
-            for batch in range(3):  # the first batch meets a cold memo
-                cands = random_candidates(rng, attrs, 25, f"b{batch}_")
-                assert levels(cands, classifier, bins) == (
-                    predicted_levels(cands, classifier, bins)
-                ), (trial, batch)
-            assert classifier._levels
-            assert not dataclasses.replace(classifier)._levels
-            # another attribute set misses the warm memo: the schema check
-            # still runs, and a schema-free classifier still predicts
-            extra = random_candidates(rng, attrs + ["zz"], 3, "x")
-            if classifier.attributes is None:
-                loaded_seen += 1
-                assert levels(extra, classifier, bins) == (
-                    predicted_levels(extra, classifier, bins)
-                )
-                continue
+        for batch in range(3):  # the first batch meets a cold memo
+            cands = random_candidates(rng, attrs, 25, f"b{batch}_")
+            assert levels(cands, classifier, bins) == (
+                predicted_levels(cands, classifier, bins)
+            ), (trial, batch)
+        assert classifier._levels
+        assert not dataclasses.replace(classifier)._levels
+        # another attribute set misses the warm memo: the schema check still runs
+        extra = random_candidates(rng, attrs + ["zz"], 3, "x")
+        with pytest.raises(SchemaMismatch):
+            levels(extra, classifier, bins)
+        if len(attrs) > 1:
+            fewer = random_candidates(rng, attrs[1:], 1, "y")
             with pytest.raises(SchemaMismatch):
-                levels(extra, classifier, bins)
-            if len(attrs) > 1:
-                fewer = random_candidates(rng, attrs[1:], 1, "y")
-                with pytest.raises(SchemaMismatch):
-                    levels(fewer, classifier, bins)
-    assert loaded_seen == 40
+                levels(fewer, classifier, bins)
 
 
 def test_score_candidates_equals_predict_then_coefficient_times_mean():
