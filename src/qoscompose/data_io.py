@@ -162,17 +162,26 @@ def _open_text(path: str, newline: str | None = None):
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
 
 
+def _csv_rows(reader):
+    """`reader`'s rows; malformed CSV, such as an oversized field, raises ParseError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
+
+
 def load_registry(path: str) -> Registry:
     with _open_text(path, newline="") as fh:
         reader = csv.reader(fh)
+        rows = _csv_rows(reader)
         try:
-            header = next(reader)
+            header = next(rows)
         except StopIteration:
             raise ParseError("registry file is empty", line=1)
         schema = _parse_header(header)
         records: list[RegistryRecord] = []
         seen: set[str] = set()
-        for row in reader:
+        for row in rows:
             line = reader.line_num
             if len(row) != len(schema) + 4:
                 raise ParseError(
@@ -235,6 +244,8 @@ def _json_load(path: str) -> dict:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path} is not valid JSON: {exc}", line=exc.lineno)
+        except RecursionError:
+            raise ParseError(f"{path} nests JSON too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path} must hold a JSON object")
     return doc

@@ -100,21 +100,19 @@ def _shortfall_level(gap_labels: int, bins: int, n_levels: int) -> int:
     return min(n_levels - 1, band) + 1
 
 
-def synthesize_training_set(
+# (schema names in order, each attribute's demand-floor label, bins, n_levels):
+# everything a synthesized training set depends on.
+TrainingSignature = tuple[tuple[str, ...], tuple[int, ...], int, int]
+
+
+def _training_signature(
     request: UserRequest,
     extremes: AttributeExtremes,
     scheme: LevelScheme,
     bins: int,
     schema: list[QoSAttribute],
-) -> list[TrainingInstance]:
-    """Expert-style training rows: every label combination, classed by its worst attribute.
-
-    Each (attribute, label) pair gets one `Item` and one shortfall level,
-    shared by every row that holds it. Raises UnknownAttribute when the
-    request names an attribute outside the schema, SchemaMismatch when it
-    lacks one, and ValueOutOfRange when the bins ** attributes rows would
-    exceed MAX_TRAINING_ROWS.
-    """
+) -> TrainingSignature:
+    """The checks of `synthesize_training_set` and the key its rows follow from."""
     names = [a.name for a in schema]
     extra = set(request.ranges) - set(names)
     if extra:
@@ -129,21 +127,48 @@ def synthesize_training_set(
             f"{bins} bins over {len(names)} attributes synthesize {rows} training "
             f"rows, more than the limit of {MAX_TRAINING_ROWS}"
         )
+    floors = tuple(
+        _demand_floor_label(request, extremes, schema, bins, name) for name in names
+    )
+    return tuple(names), floors, bins, scheme.n_levels
+
+
+def _training_rows(signature: TrainingSignature) -> list[TrainingInstance]:
+    """Every label combination, classed by its worst attribute's shortfall level."""
+    names, floors, bins, n_levels = signature
     # per attribute, label -> (its item, its shortfall level)
-    columns = []
-    for name in names:
-        floor_label = _demand_floor_label(request, extremes, schema, bins, name)
-        columns.append([
-            (Item(name, str(label)),
-             _shortfall_level(floor_label - label, bins, scheme.n_levels))
+    columns = [
+        [
+            (Item(name, str(label)), _shortfall_level(floor - label, bins, n_levels))
             for label in range(bins)
-        ])
-    classes = [str(level) for level in range(scheme.n_levels + 1)]
+        ]
+        for name, floor in zip(names, floors)
+    ]
+    classes = [str(level) for level in range(n_levels + 1)]
     data: list[TrainingInstance] = []
     for combo in itertools.product(*columns):
         items, levels = zip(*combo)
         data.append(TrainingInstance(frozenset(items), classes[max(levels)]))
     return data
+
+
+def synthesize_training_set(
+    request: UserRequest,
+    extremes: AttributeExtremes,
+    scheme: LevelScheme,
+    bins: int,
+    schema: list[QoSAttribute],
+) -> list[TrainingInstance]:
+    """Expert-style training rows: every label combination, classed by its worst attribute.
+
+    Each (attribute, label) pair gets one `Item` and one shortfall level,
+    shared by every row that holds it. Raises UnknownAttribute when the
+    request names an attribute outside the schema, SchemaMismatch when it
+    lacks one, ValueOutOfRange when the bins ** attributes rows would
+    exceed MAX_TRAINING_ROWS, and DegenerateRequest when a requested range
+    lies outside the observed values.
+    """
+    return _training_rows(_training_signature(request, extremes, scheme, bins, schema))
 
 
 # A candidate's discretized labels, ((attribute, label), ...) in its own

@@ -284,7 +284,23 @@ def _repeated_column(tmp):
     return path
 
 
+def _oversized_field(tmp):
+    """The fixture registry plus, on line 3, a quoted field over csv's 131 072-character limit."""
+    lines = (FIXTURES / "registry.csv").read_text().splitlines(keepends=True)
+    lines.insert(2, 'big,book_vehicle,1,1,1,1,"' + "x" * 131_073 + '",Car\n')
+    path = tmp / "registry.csv"
+    path.write_text("".join(lines))
+    return path
+
+
+def _deep_json(tmp):
+    path = tmp / "deep.json"
+    path.write_text("[" * 200_000)
+    return path
+
+
 NOT_UTF8 = "error [load]: {tmp}/not_utf8 is not UTF-8 text: "
+DEEP_JSON = "error [load]: {tmp}/deep.json nests JSON too deeply to parse\n"
 
 
 @pytest.mark.parametrize(
@@ -320,6 +336,13 @@ NOT_UTF8 = "error [load]: {tmp}/not_utf8 is not UTF-8 text: "
          ), 10, NOT_UTF8),
         (lambda tmp: fixture_args("compose", registry=_repeated_column(tmp)),
          10, "error [load]: line 1: attribute column 'availability:-' repeats "),
+        (lambda tmp: fixture_args("compose", registry=_oversized_field(tmp)),
+         10, "error [load]: line 3: malformed CSV: field larger than field limit"),
+        (lambda tmp: fixture_args("compose", plan=_deep_json(tmp)), 10, DEEP_JSON),
+        (lambda tmp: fixture_args("compose", config=_deep_json(tmp)), 10, DEEP_JSON),
+        (lambda tmp: fixture_args(
+            "replace", task="plan_route", service="pr_city", composite=_deep_json(tmp)
+         ), 10, DEEP_JSON),
         (lambda tmp: fixture_args("replace", task="process_payment", service="pay_card"),
          44, "error [replacement]: no replacement candidate left for task "),
         (lambda tmp: fixture_args("replace", task="nope", service="pay_card"),
@@ -331,7 +354,8 @@ NOT_UTF8 = "error [load]: {tmp}/not_utf8 is not UTF-8 text: "
         "composite-not-json", "composite-task-without-service",
         "composite-non-numeric-final-utility", "composite-missing-tasks",
         "not-utf8-registry", "not-utf8-plan", "not-utf8-taxonomy", "not-utf8-config",
-        "not-utf8-composite", "repeated-attribute-column",
+        "not-utf8-composite", "repeated-attribute-column", "oversized-csv-field",
+        "deep-json-plan", "deep-json-config", "deep-json-composite",
         "replace-no-candidate-stage", "replace-unknown-task-stage",
     ],
 )

@@ -1,0 +1,196 @@
+"""The process-wide classifier memo behind `compose`: equal to fresh training, bounded,
+and invisible in refusals and reports."""
+
+import json
+import pathlib
+import random
+from collections import OrderedDict
+
+import pytest
+
+from qoscompose import (
+    EngineConfig,
+    LevelScheme,
+    MiningConfig,
+    UserRequest,
+    synthesize_training_set,
+    train_classifier,
+)
+from qoscompose.cli import main
+from qoscompose.composer import TRAINING_MEMO_SIZE, _request_classifier, _trained
+from qoscompose.data_io import generate_synthetic
+from qoscompose.leveling import score_basis
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+DATA = ROOT / "tests" / "data"
+
+
+def rule_bits(classifier):
+    """Rules in order with their floats as hex, so equal means bit-equal."""
+    return [
+        (sorted(r.antecedent), r.consequent_class, r.support.hex(), r.confidence.hex())
+        for r in classifier.rules
+    ]
+
+
+def random_scheme(rng, n_levels):
+    cuts = sorted((rng.uniform(0.05, 0.95) for _ in range(n_levels - 1)), reverse=True)
+    return LevelScheme(n_levels, (1.0, *cuts))
+
+
+def random_mining(rng):
+    return MiningConfig(
+        min_support=rng.choice([0.0, 0.01, rng.uniform(0.0, 0.1)]),
+        min_confidence=rng.choice([0.0, 0.5, rng.uniform(0.3, 1.0)]),
+        max_antecedent_size=rng.choice([None, 1, 2, 3]),
+    )
+
+
+def random_request(rng, registry):
+    """Ends drawn near three points of each attribute's range, so floors repeat."""
+    ranges = {}
+    for attr in registry.schema:
+        values = [rec.values[attr.name] for rec in registry.records]
+        low, span = min(values), max(values) - min(values)
+        ends = (
+            low + span * (rng.choice([0.1, 0.5, 0.9]) + rng.uniform(-0.02, 0.02))
+            for _ in range(2)
+        )
+        ranges[attr.name] = tuple(sorted(ends))
+    return UserRequest(ranges, {a.name: i + 1 for i, a in enumerate(registry.schema)})
+
+
+def test_memoized_classifier_equals_fresh_training():
+    rng = random.Random(909)
+    scenarios = []
+    for seed in range(8):
+        registry, _, _ = generate_synthetic(3, 6, rng.randint(2, 4), seed)
+        bins, n_levels = rng.randint(2, 6), rng.randint(3, 5)
+        minings = [random_mining(rng) for _ in range(2)]
+        scenarios.append((registry, bins, n_levels, minings))
+    # an LRU over keys the memo never sees: the reference training set itself
+    lru: OrderedDict = OrderedDict()
+    want_hits = 0
+    for trial in range(200):
+        index = rng.randrange(len(scenarios))
+        registry, bins, n_levels, minings = scenarios[index]
+        config = EngineConfig(
+            random_scheme(rng, n_levels), rng.choice(minings), bins, rng.random()
+        )
+        request = random_request(rng, registry)
+        got = _request_classifier(request, registry, config)
+        training = synthesize_training_set(
+            request, registry.envelope, config.scheme, bins, registry.schema
+        )
+        want = train_classifier(training, config.mining)
+        assert rule_bits(got) == rule_bits(want), trial
+        assert got.default_class == want.default_class, trial
+        assert got.attributes == want.attributes, trial
+        for basis in registry.level_bases(bins).values():
+            assert [s.level for s in score_basis(basis, got, config.scheme)] == [
+                s.level for s in score_basis(basis, want, config.scheme)
+            ], trial
+        key = (index, tuple(training), config.mining)
+        if key in lru:
+            want_hits += 1
+            lru.move_to_end(key)
+        else:
+            lru[key] = None
+            if len(lru) > TRAINING_MEMO_SIZE:
+                lru.popitem(last=False)
+        info = _trained.cache_info()
+        assert info.maxsize == TRAINING_MEMO_SIZE
+        assert info.currsize == len(lru) <= TRAINING_MEMO_SIZE, trial
+        assert (info.hits, info.misses) == (want_hits, trial + 1 - want_hits), trial
+    assert want_hits > 0
+
+
+def test_coefficients_threshold_and_a_reloaded_registry_share_one_classifier():
+    registry, _, _ = generate_synthetic(2, 3, 3, 4)
+    request = random_request(random.Random(5), registry)
+    config = EngineConfig(LevelScheme(3, (1.0, 0.75, 0.25)), MiningConfig())
+    first = _request_classifier(request, registry, config)
+    other = EngineConfig(LevelScheme(3, (1.0, 0.5, 0.1)), MiningConfig(), threshold=0.9)
+    assert _request_classifier(request, registry, other) is first
+    reloaded, _, _ = generate_synthetic(2, 3, 3, 4)
+    assert _request_classifier(request, reloaded, config) is first
+    assert _trained.cache_info().misses == 1
+
+
+def _compose_args(config=FIXTURES / "config.json"):
+    return [
+        "compose",
+        "--registry", str(FIXTURES / "registry.csv"),
+        "--plan", str(FIXTURES / "plan.json"),
+        "--taxonomy", str(FIXTURES / "taxonomy.txt"),
+        "--config", str(config),
+    ]
+
+
+def _classify_args(config=FIXTURES / "config.json"):
+    return [
+        "classify",
+        "--registry", str(FIXTURES / "registry.csv"),
+        "--config", str(config),
+    ]
+
+
+def _degenerate(request):
+    request["ranges"]["response_time"] = [900, 2000]
+
+
+def _unknown(request):
+    request["ranges"]["bogus"] = [0, 1]
+    request["preferences"]["bogus"] = 5
+
+
+def _missing(request):
+    del request["ranges"]["availability"]
+    del request["preferences"]["availability"]
+
+
+@pytest.mark.parametrize("command", [_compose_args, _classify_args], ids=["compose", "classify"])
+@pytest.mark.parametrize(
+    "edit, flags, code, message",
+    [
+        (_degenerate, [], 26,
+         "requested range for 'response_time' lies outside the observed value space"),
+        (_unknown, [], 13, "request names attributes absent from the schema: ['bogus']"),
+        (_missing, [], 20, "request attributes do not match the declared schema"),
+        (None, ["--bins", "17"], 23,
+         "17 bins over 4 attributes synthesize 83521 training rows, more than the "
+         "limit of 65536"),
+    ],
+    ids=["degenerate-range", "unknown-attribute", "missing-attribute", "oversized-bins"],
+)
+def test_refusals_are_unchanged_on_a_warm_memo(
+    tmp_path, capsys, command, edit, flags, code, message
+):
+    config = json.loads((FIXTURES / "config.json").read_text())
+    if edit is not None:
+        edit(config["request"])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    refused = command(path) + flags
+    assert main(refused) == code  # cold memo
+    assert capsys.readouterr() == ("", f"error [training]: {message}\n")
+    assert main(command()) == 0
+    capsys.readouterr()
+    warm = _trained.cache_info()
+    assert warm.currsize == 1
+    assert main(refused) == code
+    assert capsys.readouterr() == ("", f"error [training]: {message}\n")
+    assert _trained.cache_info() == warm  # a refusal never reaches the memo
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [(_compose_args(), "fixture_compose.json"), (_classify_args(), "fixture_classify.txt")],
+    ids=["compose", "classify"],
+)
+def test_a_repeated_command_prints_the_golden_bytes(capsys, argv, golden):
+    for hits in (0, 1):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
+        assert _trained.cache_info().hits == hits
