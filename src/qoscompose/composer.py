@@ -154,7 +154,8 @@ def _rank_queue(entries: list[QueueEntry]) -> None:
     """Sort by final utility descending, then service id ascending, in place.
 
     Two stable passes on plain attributes; a reversed sort keeps the order of
-    equal keys, so ties stay in service id order.
+    equal keys, so entries with equal final utilities stay in service id
+    order, whatever order they came in.
     """
     entries.sort(key=attrgetter("service_id"))
     entries.sort(key=attrgetter("final_utility"), reverse=True)
@@ -189,23 +190,27 @@ def build_search_graph(
         candidates = eligible_per_task.get(task, [])
         if not candidates:
             raise NoEligibleCandidate(task)
+        task_preds = preds[task]
         entries: list[QueueEntry] = []
-        if not preds[task]:
+        if not task_preds:
             for cand in candidates:
                 entries.append(QueueEntry(cand.service_id, cand.utility, cand.utility, 1.0))
         else:
             # the predecessors' selections are fixed for this task, so a
-            # candidate's link quality depends on its inputs alone
-            link_memo: dict[tuple[str, ...], float | None] = {}
+            # candidate's link quality depends on its inputs alone; with one
+            # predecessor, `interface_quality`'s memo of its outputs is that map
+            outputs = services[selected[task_preds[0]]].outputs
+            link_memo = taxonomy._link_cache[outputs] if len(task_preds) == 1 else {}
             for cand in candidates:
                 inputs = services[cand.service_id].inputs
-                if inputs in link_memo:
-                    q = link_memo[inputs]
-                else:
-                    q = link_memo[inputs] = _mean_link(
-                        taxonomy,
-                        services,
-                        ((selected[pred], cand.service_id) for pred in preds[task]),
+                q = link_memo.get(inputs, ...)  # Ellipsis: not seen yet
+                if q is ...:
+                    links = ((selected[pred], cand.service_id) for pred in task_preds)
+                    # one link's mean is its quality: sum([q]) / 1 == q
+                    q = link_memo[inputs] = (
+                        interface_quality(taxonomy, outputs, inputs)
+                        if len(task_preds) == 1
+                        else _mean_link(taxonomy, services, links)
                     )
                 if q is not None:
                     entries.append(
@@ -235,44 +240,49 @@ def first_alternative(
     """Best composite that swaps exactly one task to its queue's second entry.
 
     The swapped task's direct successors get their F re-evaluated against the
-    new service; selections everywhere else stay as in the primary.
+    new service; selections everywhere else stay as in the primary. A
+    variant's score is the primary's product up to the swapped task, then
+    times each F from there on: `_score`'s multiplications, so bit-identical.
+    Only the best variant is built.
     """
-    swappable = [t for t in graph.order if len(graph.queues[t]) >= 2]
+    order, chosen, finals = graph.order, primary.assignment, primary.final_utilities
+    swappable = [(i, t) for i, t in enumerate(order) if len(graph.queues[t]) >= 2]
     if not swappable:
         raise NoAlternative("every queue has exactly one entry")
-    best: CompositeService | None = None
-    best_key: tuple[float, int, str] | None = None
-    for task in swappable:
+    # prefix[i]: the product of the primary's F over order[:i]
+    prefix = [1.0]
+    for task in order:
+        prefix.append(prefix[-1] * finals[task])
+    best = None
+    for position, task in swappable:
         second = graph.queues[task][1]
-        assignment = dict(primary.assignment)
-        assignment[task] = second.service_id
-        finals = dict(primary.final_utilities)
-        links = dict(primary.link_qualities)
-        finals[task] = second.final_utility
-        links[task] = second.link_quality
-        feasible = True
+        # the F and link qualities where the variant differs from the primary
+        new_finals = {task: second.final_utility}
+        new_links = {task: second.link_quality}
         for succ in graph.succs[task]:
-            q = _mean_link(
-                graph.taxonomy,
-                graph.services,
-                ((assignment[pred], assignment[succ]) for pred in graph.preds[succ]),
-            )
+            links = [(second.service_id if pred == task else chosen[pred], chosen[succ])
+                     for pred in graph.preds[succ]]
+            q = _mean_link(graph.taxonomy, graph.services, links)
             if q is None:
-                feasible = False
                 break
-            finals[succ] = graph.entries[succ][assignment[succ]].utility * q
-            links[succ] = q
-        if not feasible:
-            continue
-        candidate = CompositeService(
-            assignment, finals, links, _score(graph.order, finals)
-        )
-        key = (-candidate.score, graph.order.index(task), second.service_id)
-        if best_key is None or key < best_key:
-            best, best_key = candidate, key
+            new_finals[succ] = graph.entries[succ][chosen[succ]].utility * q
+            new_links[succ] = q
+        else:
+            score = prefix[position]
+            for later in order[position:]:
+                score *= new_finals.get(later, finals[later])
+            key = (-score, position, second.service_id)
+            if best is None or key < best[0]:
+                best = (key, score, task, second.service_id, new_finals, new_links)
     if best is None:
         raise NoAlternative("every one-swap variant breaks a semantic link")
-    return best
+    _, score, task, service_id, new_finals, new_links = best
+    return CompositeService(
+        {**chosen, task: service_id},
+        {**finals, **new_finals},
+        {**primary.link_qualities, **new_links},
+        score,
+    )
 
 
 def replace_unavailable(
@@ -402,8 +412,10 @@ def rank_candidates(
     """Scale, level, and threshold-filter every task's candidates.
 
     Only training and the per-candidate level lookup depend on the request:
-    scaling, discretization and each candidate's mean are kept on the
-    registry (see `Registry.scaled` and `Registry.level_bases`).
+    scaling, discretization, each candidate's mean and its `ScoredService`
+    at each level are kept on the registry (see `Registry.scaled` and
+    `Registry.level_bases`). The lists are new; the frozen services in them
+    are shared with every other request of the same bins and scheme.
     """
     classifier = _request_classifier(request, registry, config)
     with _stage("scaling"):
@@ -413,7 +425,7 @@ def rank_candidates(
             task: filter_eligible(
                 score_basis(basis, classifier, config.scheme), config.threshold
             )
-            for task, basis in registry.level_bases(config.bins).items()
+            for task, basis in registry.level_bases(config.bins, config.scheme).items()
         }
 
 

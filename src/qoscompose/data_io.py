@@ -84,16 +84,16 @@ class Registry:
         return scaled
 
     @cached_property
-    def _bases(self) -> dict[int, dict[str, Basis]]:
+    def _bases(self) -> dict[tuple[int, LevelScheme], dict[str, Basis]]:
         return {}
 
-    def level_bases(self, bins: int) -> dict[str, Basis]:
-        """Each task's `level_basis` at `bins`, equal keys interned registry-wide."""
-        bases = self._bases.get(bins)
+    def level_bases(self, bins: int, scheme: LevelScheme) -> dict[str, Basis]:
+        """Each task's `level_basis`, equal keys interned; per scheme, as pools are."""
+        bases = self._bases.get((bins, scheme))
         if bases is None:
             interned: dict[LevelKey, LevelKey] = {}
-            bases = self._bases[bins] = {
-                task: level_basis(normalized, bins, interned)
+            bases = self._bases[bins, scheme] = {
+                task: level_basis(normalized, bins, scheme.n_levels, interned)
                 for task, normalized in self.scaled.items()
             }
         return bases

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cba import Classifier, Item, TrainingInstance, discretize, predict
 from .errors import (
@@ -60,7 +61,7 @@ def default_scheme(n_levels: int = 3) -> LevelScheme:
     return LevelScheme(n_levels, tuple(1.0 - i / n_levels for i in range(n_levels)))
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ScoredService:
     service_id: str
     normalized: NormalizedQoSVector
@@ -206,7 +207,7 @@ def score_candidates(
     scheme: LevelScheme,
     bins: int,
 ) -> list[ScoredService]:
-    """`score_basis` over each candidate's level key and mean.
+    """`score_basis` over each candidate's level key and mean, with an empty pool.
 
     Each value is discretized once, and every level is read before any mean
     is taken, so a classifier error comes before any utility's or mean's.
@@ -215,33 +216,37 @@ def score_candidates(
     for cand in candidates:
         keys.append(_level_key(cand, bins))
         _level(classifier, keys[-1])
+    rows = [(cand, key, _mean(cand)) for cand, key in zip(candidates, keys)]
     return score_basis(
-        [(cand, key, _mean(cand)) for cand, key in zip(candidates, keys)],
-        classifier,
-        scheme,
+        Basis(rows, [None] * (len(rows) * scheme.n_levels)), classifier, scheme
     )
 
 
-# One candidate's request-independent leveling inputs: the vector, its level
-# key and its mean normalized value.
-Basis = list[tuple[NormalizedQoSVector, LevelKey, float]]
+class Basis(NamedTuple):
+    """One task's leveling inputs under one `LevelScheme`: per candidate its
+    vector, level key and mean normalized value (`rows`), and row i's service
+    at level l in pool[i * n_levels + l - 1], made the first time it is met."""
+
+    rows: list[tuple[NormalizedQoSVector, LevelKey, float]]
+    pool: list[ScoredService | None]
 
 
 def level_basis(
     candidates: list[NormalizedQoSVector],
     bins: int,
+    n_levels: int,
     interned: dict[LevelKey, LevelKey],
 ) -> Basis:
-    """The request-independent half of `score_candidates`.
+    """The request-independent half of `score_candidates`, with an empty pool.
 
     Equal keys are interned through `interned`, so candidates with the same
     labels share one key object.
     """
-    basis: Basis = []
+    rows = []
     for cand in candidates:
         key = _level_key(cand, bins)
-        basis.append((cand, interned.setdefault(key, key), _mean(cand)))
-    return basis
+        rows.append((cand, interned.setdefault(key, key), _mean(cand)))
+    return Basis(rows, [None] * (len(rows) * n_levels))
 
 
 def score_basis(
@@ -250,21 +255,40 @@ def score_basis(
     """The request-dependent half of `score_candidates`: levels and utilities.
 
     A utility is the level's coefficient times the mean normalized value.
+    Each distinct level key is classified and range-checked once, in row
+    order, so the first out-of-range candidate is named. A (row, level)'s
+    service comes from the pool, made on first use, so `basis` must have been
+    built for `scheme`.
     """
+    rows, pool = basis
+    n_levels, coefficients = scheme.n_levels, scheme.coefficients
+    # level key -> its level - 1, for this call's classifier
+    offsets: dict[LevelKey, int] = {}
     scored: list[ScoredService] = []
-    for cand, key, mean in basis:
-        level = _level(classifier, key)
-        if not 1 <= level <= scheme.n_levels:
-            raise LevelOutOfRange(
-                f"level {level} outside 1..{scheme.n_levels} for {cand.service_id!r}"
+    for row, (cand, key, mean) in enumerate(rows):
+        offset = offsets.get(key)
+        if offset is None:
+            level = _level(classifier, key)
+            if not 1 <= level <= n_levels:
+                raise LevelOutOfRange(
+                    f"level {level} outside 1..{n_levels} for {cand.service_id!r}"
+                )
+            offset = offsets[key] = level - 1
+        slot = row * n_levels + offset
+        service = pool[slot]
+        if service is None:
+            service = pool[slot] = ScoredService(
+                cand.service_id, cand, offset + 1, coefficients[offset] * mean
             )
-        coefficient = scheme.coefficients[level - 1]
-        scored.append(ScoredService(cand.service_id, cand, level, coefficient * mean))
+        scored.append(service)
     return scored
 
 
 def filter_eligible(
     scored: list[ScoredService], threshold: float
 ) -> list[ScoredService]:
-    """Keep services whose utility strictly exceeds the threshold, in order."""
+    """Keep services whose utility strictly exceeds the threshold, in order.
+
+    A NaN utility is dropped: `NaN > threshold` is False.
+    """
     return [s for s in scored if s.utility > threshold]

@@ -7,6 +7,7 @@ match query is plain set reachability.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import IntEnum
 from graphlib import CycleError, TopologicalSorter
@@ -53,8 +54,8 @@ class Taxonomy:
         self._ancestors, self._descendants = self._close_subsumption()
         self._disjoint_reps = self._index_disjointness()
         self._match_cache: dict[tuple[str, str], MatchType] = {}
-        # (upstream outputs, downstream inputs) -> link quality, None when inadmissible
-        self._link_cache: dict[tuple[tuple[str, ...], ...], float | None] = {}
+        # upstream outputs -> downstream inputs -> link quality, None when inadmissible
+        self._link_cache: defaultdict[tuple[str, ...], dict] = defaultdict(dict)
 
     def _require(self, concept: str) -> None:
         if concept not in self.concepts:
@@ -153,11 +154,11 @@ def interface_quality(
 
     None when the link is inadmissible: it has no pair, or a pair is
     disjoint. The two interfaces fully determine the value, so it is
-    memoized on the taxonomy by them.
+    memoized on the taxonomy by them: `_link_cache[outputs][inputs]`.
     """
-    key = (outputs, inputs)
+    memo = taxonomy._link_cache[outputs]
     try:
-        return taxonomy._link_cache[key]
+        return memo[inputs]
     except KeyError:
         pass
     quality: float | None = None
@@ -171,5 +172,5 @@ def interface_quality(
             total += MATCH_QUALITY[match]
         else:
             quality = total / (len(outputs) * len(inputs))
-    taxonomy._link_cache[key] = quality
+    memo[inputs] = quality
     return quality

@@ -22,6 +22,10 @@ DATA = pathlib.Path(__file__).resolve().parent / "data"
 GOLDEN_COMPOSE = DATA / "fixture_compose.json"
 GOLDEN_CLASSIFY = DATA / "fixture_classify.txt"
 GOLDEN_REPLACE = DATA / "fixture_replace.json"
+# `qoscompose compose` stdout on `generate --tasks 40 --candidates 30
+# --attributes 3 --seed 11`: a chain large enough to show selection and
+# alternative changes the fixtures are too small for
+GOLDEN_CHAIN = DATA / "chain_compose.json"
 
 
 def fixture_args(command, **extra):
@@ -84,6 +88,21 @@ def test_replace_matches_the_golden_fixture_report(capsys):
     args = fixture_args("replace") + ["--task", "plan_route", "--service", "pr_city"]
     assert main(args) == 0
     assert capsys.readouterr().out.encode() == GOLDEN_REPLACE.read_bytes()
+
+
+def test_compose_matches_the_golden_chain_report(tmp_path, capsys):
+    generate = ["generate", "--tasks", "40", "--candidates", "30", "--attributes", "3"]
+    assert main(generate + ["--seed", "11", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    args = fixture_args(
+        "compose",
+        registry=tmp_path / "registry.csv",
+        plan=tmp_path / "plan.json",
+        taxonomy=tmp_path / "taxonomy.txt",
+        config=tmp_path / "config.json",
+    )
+    assert main(args) == 0
+    assert capsys.readouterr().out.encode() == GOLDEN_CHAIN.read_bytes()
 
 
 def test_compose_is_deterministic(capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from qoscompose import (
     CompositionPlan,
+    LevelScheme,
     NormalizedQoSVector,
     Polarity,
     QoSAttribute,
@@ -88,6 +89,31 @@ def test_single_task_picks_highest_utility():
     assert composite.assignment == {"t1": "s_high"}
     assert composite.final_utilities["t1"] == 0.9
     assert composite.link_qualities["t1"] == 1.0
+
+
+def test_equal_final_utilities_rank_in_service_id_order_on_every_path():
+    # t1 is a source task, t2 has the single predecessor t1; candidates come
+    # in reverse id order, and equal F arises from unequal U and q too
+    graph, composite = build(
+        ["t1", "t2"],
+        [("t1", "t2")],
+        {
+            "t1": [("s_c", 0.5), ("s_a", 0.5), ("s_b", 0.5)],
+            "t2": [("u_d", 0.4), ("u_c", 0.8), ("u_b", 0.4), ("u_a", 0.8)],
+        },
+        {
+            "s_a": ([], ["A"]), "s_b": ([], ["A"]), "s_c": ([], ["A"]),
+            # Exact links (q 1) for u_b, u_d; Subsume links (q 0.5) for u_a, u_c
+            "u_a": (["B"], []), "u_b": (["A"], []),
+            "u_c": (["B"], []), "u_d": (["A"], []),
+        },
+    )
+    assert [e.service_id for e in graph.queues["t1"]] == ["s_a", "s_b", "s_c"]
+    queue = graph.queues["t2"]
+    assert [e.service_id for e in queue] == ["u_a", "u_b", "u_c", "u_d"]
+    assert {e.final_utility for e in queue} == {0.4}
+    assert [e.link_quality for e in queue] == [0.5, 1.0, 0.5, 1.0]
+    assert composite.assignment == {"t1": "s_a", "t2": "u_a"}
 
 
 def test_exact_link_beats_higher_utility_over_subsume():
@@ -338,27 +364,91 @@ def test_selection_matches_reference_on_random_instances():
             assert ref_rows == ref.queues[task], (inst, task)
 
 
+def assert_alternative_links(graph, primary, alt):
+    """Link qualities: the second entry's at the swapped task, a fresh `_mean_link`
+    at each successor, the primary's elsewhere; every F is U times its q."""
+    [swapped] = [t for t in graph.order if alt.assignment[t] != primary.assignment[t]]
+    for task in graph.order:
+        if task == swapped:
+            want = graph.queues[task][1].link_quality
+        elif task in graph.succs[swapped]:
+            links = [(alt.assignment[p], alt.assignment[task]) for p in graph.preds[task]]
+            want = composer._mean_link(graph.taxonomy, graph.services, links)
+        else:
+            want = primary.link_qualities[task]
+        assert alt.link_qualities[task] == want, task
+        utility = graph.entries[task][alt.assignment[task]].utility
+        assert alt.final_utilities[task] == utility * want, task
+    assert alt.link_qualities.keys() == primary.link_qualities.keys()
+
+
+def check_alternative_against_reference(inst):
+    """None when the reference fails selection, else whether an alternative exists."""
+    engine, _, ref = outcome_views(inst)
+    if ref.error:
+        return None
+    graph, composite = engine
+    ref_alt = ref_first_alternative(inst, ref)
+    try:
+        alt = first_alternative(graph, composite)
+    except NoAlternative:
+        assert ref_alt.error == "no-alternative", inst
+        return False
+    assert ref_alt.error is None, inst
+    assert alt.assignment == ref_alt.assignment, inst
+    assert alt.final_utilities == ref_alt.finals, inst
+    assert alt.score == ref_alt.score, inst
+    assert_alternative_links(graph, composite, alt)
+    return True
+
+
 def test_alternative_matches_exhaustive_one_swap_reference():
     rng = random.Random(77)
     checked = 0
     while checked < 40:
-        inst = random_instance(rng)
-        engine, engine_err, ref = outcome_views(inst)
+        if check_alternative_against_reference(random_instance(rng)) is not None:
+            checked += 1
+
+
+def variant_scores(inst, ref):
+    """Each swappable task's one-swap variant score per the reference.
+
+    None marks a variant that breaks a semantic link.
+    """
+    scores = {}
+    for task, queue in ref.queues.items():
+        if len(queue) < 2:
+            continue
+        # with every other queue cut to its head, the reference has one variant
+        heads = {t: q if t == task else q[:1] for t, q in ref.queues.items()}
+        variant = ref_first_alternative(inst, dc_replace(ref, queues=heads))
+        scores[task] = None if variant.error else variant.score
+    return scores
+
+
+def test_alternative_matches_the_reference_on_tie_heavy_instances():
+    """Equal utilities and two interfaces per instance make equal variant
+    scores, so task order breaks ties; a disjoint interface pair makes
+    infeasible variants."""
+    rng = random.Random(4242)
+    tied = infeasible = found = 0
+    for _ in range(500):
+        inst = random_instance(rng, max_tasks=6, max_cands=4)
+        level = rng.choice([0.5, 0.25])
+        profiles = [rng.choice(sorted(inst.interfaces.values())) for _ in range(2)]
+        for task, rows in inst.candidates.items():
+            inst.candidates[task] = [(sid, level) for sid, _ in rows]
+            for sid, _ in rows:
+                inst.interfaces[sid] = rng.choice(profiles)
+        found += bool(check_alternative_against_reference(inst))
+        ref = ref_select(inst)
         if ref.error:
             continue
-        graph, composite = engine
-        ref_alt = ref_first_alternative(inst, ref)
-        try:
-            alt = first_alternative(graph, composite)
-        except NoAlternative:
-            assert ref_alt.error == "no-alternative", inst
-            checked += 1
-            continue
-        assert ref_alt.error is None, inst
-        assert alt.assignment == ref_alt.assignment, inst
-        assert alt.final_utilities == ref_alt.finals, inst
-        assert alt.score == ref_alt.score, inst
-        checked += 1
+        scores = list(variant_scores(inst, ref).values())
+        feasible = [s for s in scores if s is not None]
+        infeasible += len(feasible) < len(scores)
+        tied += bool(feasible) and feasible.count(max(feasible)) >= 2
+    assert found >= 100 and tied >= 20 and infeasible >= 10, (found, tied, infeasible)
 
 
 def test_replacement_matches_reference():
@@ -541,7 +631,7 @@ def test_registry_validation_reports_the_first_fault_in_record_order():
 def test_replaced_objects_start_with_empty_caches():
     plan, registry, taxonomy, config, requests = synthetic_inputs(4)
     graph, primary, _ = compose_with_graph(requests[0], plan, registry, taxonomy, config)
-    assert config.bins in registry._bases
+    assert (config.bins, config.scheme) in registry._bases
     first, *rest = registry.records
     changed = dc_replace(registry, records=[dc_replace(first, values={
         name: value * 2 for name, value in first.values.items()
@@ -624,7 +714,7 @@ def test_reused_registry_levels_and_selects_like_fresh_objects(fan_in):
             )
             checked += 1
     assert checked >= 60
-    assert registry._bases.keys() == {3, 4, 5}
+    assert registry._bases.keys() == {(bins, config.scheme) for bins in (3, 4, 5)}
 
 
 def test_level_basis_interns_keys_and_keeps_their_attributes():
@@ -637,9 +727,10 @@ def test_level_basis_interns_keys_and_keeps_their_attributes():
         candidates.append(NormalizedQoSVector(f"s{i}", values))
     for bins in (2, 3, 5):
         interned = {}
-        basis = level_basis(candidates, bins, interned)
+        basis = level_basis(candidates, bins, 3, interned)
+        assert basis.pool == [None] * (3 * len(candidates))
         by_key = {}
-        for cand, (vector, key, mean) in zip(candidates, basis):
+        for cand, (vector, key, mean) in zip(candidates, basis.rows):
             assert vector is cand
             assert key == tuple(
                 (n, min(int(v * bins), bins - 1)) for n, v in cand.values.items()
@@ -653,13 +744,70 @@ def test_level_basis_interns_keys_and_keeps_their_attributes():
 def test_registry_basis_shares_one_key_object_per_label_combination():
     plan, registry, taxonomy, config, requests = synthetic_inputs(5)
     compose_with_graph(requests[0], plan, registry, taxonomy, config)
-    basis = registry.level_bases(config.bins)
-    assert basis is registry._bases[config.bins]
-    keys = [key for entries in basis.values() for _, key, _ in entries]
+    basis = registry.level_bases(config.bins, config.scheme)
+    assert basis is registry._bases[config.bins, config.scheme]
+    keys = [key for entries in basis.values() for _, key, _ in entries.rows]
     distinct = {}
     for key in keys:
         assert distinct.setdefault(key, key) is key
     assert len(distinct) < len(keys)
+
+
+# ------------------------------------------- the registry's ScoredService pool
+
+def test_schemes_sharing_a_registry_never_read_each_others_pool():
+    rng = random.Random(515)
+    plan, registry, taxonomy = dag_inputs(21, 2)
+    base = dc_replace(default_config(), threshold=0.0)
+    configs = [
+        dc_replace(base, scheme=LevelScheme(3, (1.0, 0.75, 0.25))),
+        dc_replace(base, scheme=LevelScheme(3, (1.0, 0.5, 0.125))),
+        dc_replace(base, scheme=LevelScheme(4, (1.0, 0.75, 0.5, 0.25))),
+    ]
+    differ = 0
+    for _ in range(50):
+        request = random_request(rng, registry)
+        got = []
+        for config in configs:
+            fresh = Registry(registry.schema, list(registry.records))
+            warm = rank_candidates(request, registry, config)
+            assert warm == rank_candidates(request, fresh, config)
+            try:
+                want = composed(request, plan, fresh, taxonomy, config)
+            except NoAdmissibleLink:
+                with pytest.raises(NoAdmissibleLink):
+                    compose_with_graph(request, plan, registry, taxonomy, config)
+            else:
+                assert composed(request, plan, registry, taxonomy, config) == want
+            got.append(warm)
+        # equal levels under the two 3-level schemes, different utilities
+        differ += got[0] != got[1]
+    assert differ >= 40
+    assert registry._bases.keys() == {(base.bins, c.scheme) for c in configs}
+
+
+def test_rank_candidates_hands_out_pooled_copies_of_score_candidates():
+    rng = random.Random(616)
+    plan, registry, taxonomy = dag_inputs(31, 1)
+    config = default_config()
+    pooled = {}
+    for _ in range(200):
+        request = random_request(rng, registry)
+        classifier = _request_classifier(request, registry, config)
+        got = rank_candidates(request, registry, config)
+        assert got.keys() == registry.scaled.keys()
+        for task, normalized in registry.scaled.items():
+            want = filter_eligible(
+                score_candidates(normalized, classifier, config.scheme, config.bins),
+                config.threshold,
+            )
+            assert got[task] == want
+            for service, fresh in zip(got[task], want):
+                assert service is not fresh
+                # one object per (candidate, level), whichever request met it
+                key = (service.service_id, service.level)
+                assert pooled.setdefault(key, service) is service
+    assert len(pooled) > sum(map(len, registry.scaled.values()))
 
 
 def out_of_range_classifier(schema):

@@ -359,6 +359,23 @@ def scored(sid, utility):
     return ScoredService(sid, norm(sid, utility, utility), 1, utility)
 
 
+def test_filter_eligible_drops_a_nan_utility():
+    rows = [scored("a", 0.7), scored("n", float("nan")), scored("c", 0.3)]
+    for threshold in (0.0, 0.25, 1.0):
+        kept = filter_eligible(rows, threshold)
+        assert [s.service_id for s in kept] == [
+            s.service_id for s in (rows[0], rows[2]) if s.utility > threshold
+        ]
+
+
+def test_scored_service_is_frozen():
+    service = scored("a", 0.7)
+    for name, value in [("utility", 0.1), ("level", 2), ("service_id", "b")]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(service, name, value)
+    assert service == scored("a", 0.7)
+
+
 def test_filter_eligible_strict_threshold_keeps_order():
     rows = [scored("a", 0.7), scored("b", 0.2), scored("c", 0.9)]
     kept = filter_eligible(rows, 0.5)

@@ -87,7 +87,7 @@ def test_memoized_classifier_equals_fresh_training():
         assert rule_bits(got) == rule_bits(want), trial
         assert got.default_class == want.default_class, trial
         assert got.attributes == want.attributes, trial
-        for basis in registry.level_bases(bins).values():
+        for basis in registry.level_bases(bins, config.scheme).values():
             assert [s.level for s in score_basis(basis, got, config.scheme)] == [
                 s.level for s in score_basis(basis, want, config.scheme)
             ], trial
