@@ -198,20 +198,18 @@ def build_search_graph(
         else:
             # the predecessors' selections are fixed for this task, so a
             # candidate's link quality depends on its inputs alone; with one
-            # predecessor, `interface_quality`'s memo of its outputs is that map
-            outputs = services[selected[task_preds[0]]].outputs
-            link_memo = taxonomy._link_cache[outputs] if len(task_preds) == 1 else {}
+            # predecessor, the taxonomy's memo of its outputs is that map
+            link_memo = (
+                taxonomy.link_memo(services[selected[task_preds[0]]].outputs)
+                if len(task_preds) == 1
+                else {}
+            )
             for cand in candidates:
                 inputs = services[cand.service_id].inputs
                 q = link_memo.get(inputs, ...)  # Ellipsis: not seen yet
                 if q is ...:
                     links = ((selected[pred], cand.service_id) for pred in task_preds)
-                    # one link's mean is its quality: sum([q]) / 1 == q
-                    q = link_memo[inputs] = (
-                        interface_quality(taxonomy, outputs, inputs)
-                        if len(task_preds) == 1
-                        else _mean_link(taxonomy, services, links)
-                    )
+                    q = link_memo[inputs] = _mean_link(taxonomy, services, links)
                 if q is not None:
                     entries.append(
                         QueueEntry(cand.service_id, cand.utility, cand.utility * q, q)

@@ -61,6 +61,10 @@ class Taxonomy:
         if concept not in self.concepts:
             raise UnknownConcept(f"concept {concept!r} is not declared")
 
+    def link_memo(self, outputs: tuple[str, ...]) -> dict:
+        """Link qualities from `outputs`, keyed by downstream inputs; None when inadmissible."""
+        return self._link_cache[outputs]
+
     def rep(self, concept: str) -> str:
         """Canonical representative of a concept's equivalence class."""
         self._require(concept)
@@ -154,9 +158,9 @@ def interface_quality(
 
     None when the link is inadmissible: it has no pair, or a pair is
     disjoint. The two interfaces fully determine the value, so it is
-    memoized on the taxonomy by them: `_link_cache[outputs][inputs]`.
+    memoized on the taxonomy by them: `taxonomy.link_memo(outputs)[inputs]`.
     """
-    memo = taxonomy._link_cache[outputs]
+    memo = taxonomy.link_memo(outputs)
     try:
         return memo[inputs]
     except KeyError:

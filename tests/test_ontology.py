@@ -115,7 +115,7 @@ def test_link_quality_rejects_disjoint_and_empty():
     # an unknown concept raises and leaves the memo empty
     with pytest.raises(UnknownConcept):
         interface_quality(isolated, ("A",), ("Z",))
-    assert ("Z",) not in isolated._link_cache[("A",)]
+    assert ("Z",) not in isolated.link_memo(("A",))
 
 
 def test_match_type_agrees_with_raw_axiom_walks():
