@@ -55,6 +55,14 @@ MATCH_LABELS: dict[MatchType, str] = {
 
 @dataclass(frozen=True)
 class CompositionPlan:
+    """Tasks and data-flow edges of a composite, checked to form a DAG.
+
+    Construction also keeps the plan's structure, read-only and outside the
+    dataclass fields (so equality and repr see only the fields): `order`, the
+    tasks in `topological_order`, and `preds`/`succs`, each task's direct
+    predecessors and successors in sorted edge order.
+    """
+
     tasks: frozenset[str]
     edges: frozenset[tuple[str, str]]
     # edge -> declared (out_concept, in_concept) pairs; documents the intended
@@ -71,7 +79,15 @@ class CompositionPlan:
         for edge in self.link_pairs:
             if edge not in self.edges:
                 raise UnknownTask(f"link pairs declared for non-edge {edge!r}")
-        topological_order(self.tasks, self.edges)
+        order = topological_order(self.tasks, self.edges)
+        preds: dict[str, list[str]] = {t: [] for t in order}
+        succs: dict[str, list[str]] = {t: [] for t in order}
+        for a, b in sorted(self.edges):
+            preds[b].append(a)
+            succs[a].append(b)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "preds", preds)
+        object.__setattr__(self, "succs", succs)
 
 
 def topological_order(
@@ -109,6 +125,7 @@ class QueueEntry:
 
 @dataclass
 class SearchGraph:
+    # order, preds and succs are the plan's own, read-only
     order: list[str]
     # task -> entries sorted by final utility desc, service_id asc
     queues: dict[str, list[QueueEntry]]
@@ -175,12 +192,7 @@ def build_search_graph(
     registry: "Registry",
 ) -> tuple[SearchGraph, CompositeService]:
     """One greedy pass in topological order; returns the graph and its head composite."""
-    order = topological_order(plan.tasks, plan.edges)
-    preds: dict[str, list[str]] = {t: [] for t in order}
-    succs: dict[str, list[str]] = {t: [] for t in order}
-    for a, b in sorted(plan.edges):
-        preds[b].append(a)
-        succs[a].append(b)
+    order, preds, succs = plan.order, plan.preds, plan.succs
     services = registry.services
     queues: dict[str, list[QueueEntry]] = {}
     selected: dict[str, str] = {}
@@ -294,7 +306,11 @@ def replace_unavailable(
 
     Remaining candidates at the failed task are re-scored with
     q = mean(prev-side mean, next-side mean); a boundary node keeps its single
-    side and an isolated node falls back to q = 1.
+    side and an isolated node falls back to q = 1. Every neighbor's selection
+    stays fixed, so the prev side is probed once per distinct input interface
+    and the next side once per distinct output interface. No rescored queue
+    is built: one pass keeps the head in `_rank_queue`'s order, final utility
+    descending, then service id ascending.
     """
     task, service_id = failed
     if task not in graph.queues:
@@ -305,42 +321,44 @@ def replace_unavailable(
         )
     services = registry.services
     selected = composite.assignment
-    rescored: list[QueueEntry] = []
+    preds, succs = graph.preds[task], graph.succs[task]
+    # interface tuple -> that side's mean; None when inadmissible
+    prev_memo: dict[tuple[str, ...], float | None] = {}
+    next_memo: dict[tuple[str, ...], float | None] = {}
+    head: tuple[float, str, float] | None = None  # (final, service id, q)
     for entry in graph.queues[task]:
         candidate = entry.service_id
         if candidate == service_id:
             continue
         sides: list[float] = []
-        if graph.preds[task]:
-            prev_side = _mean_link(
-                taxonomy,
-                services,
-                ((selected[pred], candidate) for pred in graph.preds[task]),
-            )
+        if preds:
+            inputs = services[candidate].inputs
+            prev_side = prev_memo.get(inputs, ...)  # Ellipsis: not seen yet
+            if prev_side is ...:
+                links = ((selected[pred], candidate) for pred in preds)
+                prev_side = prev_memo[inputs] = _mean_link(taxonomy, services, links)
             if prev_side is None:
                 continue
             sides.append(prev_side)
-        if graph.succs[task]:
-            next_side = _mean_link(
-                taxonomy,
-                services,
-                ((candidate, selected[succ]) for succ in graph.succs[task]),
-            )
+        if succs:
+            outputs = services[candidate].outputs
+            next_side = next_memo.get(outputs, ...)
+            if next_side is ...:
+                links = ((candidate, selected[succ]) for succ in succs)
+                next_side = next_memo[outputs] = _mean_link(taxonomy, services, links)
             if next_side is None:
                 continue
             sides.append(next_side)
         q = sum(sides) / len(sides) if sides else 1.0
-        rescored.append(QueueEntry(entry.service_id, entry.utility, entry.utility * q, q))
-    if not rescored:
+        final = entry.utility * q
+        if head is None or final > head[0] or (final == head[0] and candidate < head[1]):
+            head = (final, candidate, q)
+    if head is None:
         raise NoReplacementCandidate(task)
-    _rank_queue(rescored)
-    head = rescored[0]
-    assignment = dict(composite.assignment)
-    finals = dict(composite.final_utilities)
-    links = dict(composite.link_qualities)
-    assignment[task] = head.service_id
-    finals[task] = head.final_utility
-    links[task] = head.link_quality
+    final, candidate, q = head
+    assignment = {**composite.assignment, task: candidate}
+    finals = {**composite.final_utilities, task: final}
+    links = {**composite.link_qualities, task: q}
     return CompositeService(assignment, finals, links, _score(graph.order, finals))
 
 
@@ -413,15 +431,18 @@ def rank_candidates(
     scaling, discretization, each candidate's mean and its `ScoredService`
     at each level are kept on the registry (see `Registry.scaled` and
     `Registry.level_bases`). The lists are new; the frozen services in them
-    are shared with every other request of the same bins and scheme.
+    are shared with every other request of the same bins and scheme. All
+    tasks share one level table, so each distinct level key is classified
+    once per request.
     """
     classifier = _request_classifier(request, registry, config)
     with _stage("scaling"):
         registry.scaled  # computed here, so a scaling error carries this stage
+    offsets: dict = {}
     with _stage("classification"):
         return {
             task: filter_eligible(
-                score_basis(basis, classifier, config.scheme), config.threshold
+                score_basis(basis, classifier, config.scheme, offsets), config.threshold
             )
             for task, basis in registry.level_bases(config.bins, config.scheme).items()
         }

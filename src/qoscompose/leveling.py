@@ -250,7 +250,10 @@ def level_basis(
 
 
 def score_basis(
-    basis: Basis, classifier: Classifier, scheme: LevelScheme
+    basis: Basis,
+    classifier: Classifier,
+    scheme: LevelScheme,
+    offsets: dict[LevelKey, int] | None = None,
 ) -> list[ScoredService]:
     """The request-dependent half of `score_candidates`: levels and utilities.
 
@@ -258,12 +261,14 @@ def score_basis(
     Each distinct level key is classified and range-checked once, in row
     order, so the first out-of-range candidate is named. A (row, level)'s
     service comes from the pool, made on first use, so `basis` must have been
-    built for `scheme`.
+    built for `scheme`. `offsets` maps each key already checked to its level
+    minus one; calls that share it, with the same classifier and scheme,
+    classify each key once between them.
     """
     rows, pool = basis
     n_levels, coefficients = scheme.n_levels, scheme.coefficients
-    # level key -> its level - 1, for this call's classifier
-    offsets: dict[LevelKey, int] = {}
+    if offsets is None:
+        offsets = {}
     scored: list[ScoredService] = []
     for row, (cand, key, mean) in enumerate(rows):
         offset = offsets.get(key)

@@ -26,6 +26,9 @@ GOLDEN_REPLACE = DATA / "fixture_replace.json"
 # --attributes 3 --seed 11`: a chain large enough to show selection and
 # alternative changes the fixtures are too small for
 GOLDEN_CHAIN = DATA / "chain_compose.json"
+# `qoscompose replace --task t20 --service t20_s15` stdout on that chain: a
+# middle task with both sides, at a scale where candidates share interfaces
+GOLDEN_CHAIN_REPLACE = DATA / "chain_replace.json"
 
 
 def fixture_args(command, **extra):
@@ -90,19 +93,29 @@ def test_replace_matches_the_golden_fixture_report(capsys):
     assert capsys.readouterr().out.encode() == GOLDEN_REPLACE.read_bytes()
 
 
-def test_compose_matches_the_golden_chain_report(tmp_path, capsys):
+def chain_args(tmp_path, capsys, command):
+    """Generate the golden chain into `tmp_path`; `command`'s argv over it."""
     generate = ["generate", "--tasks", "40", "--candidates", "30", "--attributes", "3"]
     assert main(generate + ["--seed", "11", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    args = fixture_args(
-        "compose",
+    return fixture_args(
+        command,
         registry=tmp_path / "registry.csv",
         plan=tmp_path / "plan.json",
         taxonomy=tmp_path / "taxonomy.txt",
         config=tmp_path / "config.json",
     )
-    assert main(args) == 0
+
+
+def test_compose_matches_the_golden_chain_report(tmp_path, capsys):
+    assert main(chain_args(tmp_path, capsys, "compose")) == 0
     assert capsys.readouterr().out.encode() == GOLDEN_CHAIN.read_bytes()
+
+
+def test_replace_matches_the_golden_chain_report(tmp_path, capsys):
+    args = chain_args(tmp_path, capsys, "replace")
+    assert main(args + ["--task", "t20", "--service", "t20_s15"]) == 0
+    assert capsys.readouterr().out.encode() == GOLDEN_CHAIN_REPLACE.read_bytes()
 
 
 def test_compose_is_deterministic(capsys):

@@ -2,7 +2,7 @@
 
 import pathlib
 import random
-from dataclasses import replace as dc_replace
+from dataclasses import FrozenInstanceError, fields, replace as dc_replace
 
 import pytest
 
@@ -28,7 +28,7 @@ from qoscompose import (
     rank_candidates,
     replace_unavailable,
 )
-from qoscompose import composer
+from qoscompose import composer, leveling
 from qoscompose.cba import ClassAssociationRule, Classifier, Item, discretize
 from qoscompose.composer import _request_classifier, topological_order
 from qoscompose.data_io import default_config, default_request, generate_synthetic
@@ -53,6 +53,7 @@ from reference import (
     engine_outcome,
     random_instance,
     ref_first_alternative,
+    ref_link,
     ref_replace,
     ref_select,
 )
@@ -335,6 +336,25 @@ def test_plan_rejects_foreign_edge_endpoints():
         )
 
 
+def test_plan_keeps_its_structure_outside_its_fields():
+    edges = frozenset([("a", "c"), ("b", "c"), ("c", "d")])
+    plan = CompositionPlan(frozenset("abcd"), edges)
+    assert plan.order == ["a", "b", "c", "d"]
+    assert plan.preds == {"a": [], "b": [], "c": ["a", "b"], "d": ["c"]}
+    assert plan.succs == {"a": ["c"], "b": ["c"], "c": ["d"], "d": []}
+    assert [f.name for f in fields(plan)] == ["tasks", "edges", "link_pairs"]
+    twin = CompositionPlan(frozenset("abcd"), edges)
+    assert plan == twin and repr(plan) == repr(twin)
+    assert "order" not in repr(plan)
+    with pytest.raises(FrozenInstanceError):
+        plan.order = []
+    # selection reads the plan's structure instead of deriving its own
+    plan, registry, taxonomy, config, requests = fixture_inputs()
+    graph, _, _ = compose_with_graph(requests[0], plan, registry, taxonomy, config)
+    assert graph.order is plan.order
+    assert graph.preds is plan.preds and graph.succs is plan.succs
+
+
 def outcome_views(inst):
     """Run engine and reference; normalize both to comparable tuples."""
     engine, engine_err = engine_outcome(inst)
@@ -480,6 +500,108 @@ def test_replacement_matches_reference():
         }
         assert changed == {task}, (inst, task)
         checked += 1
+
+
+def shared_interface_instance(rng):
+    """A random DAG of 5 to 7 tasks in which t02 has two predecessors and at
+    least two successors. Each task holds 6 to 16 candidates that draw their interface
+    from four profiles and their utility from three values, so many
+    candidates share an interface and rescored finals tie."""
+    inst = random_instance(rng, max_tasks=7, max_cands=3)
+    tasks = [f"t{i:02d}" for i in range(rng.randint(5, 7))]
+    edges = {("t00", "t02"), ("t01", "t02"), ("t02", "t03"), ("t02", "t04")}
+    for i in range(3, len(tasks)):
+        for j in rng.sample(range(i), rng.randint(1, 2)):
+            edges.add((tasks[j], tasks[i]))
+    pool = sorted(set(inst.interfaces.values()))
+    profiles = [rng.choice(pool) for _ in range(4)]
+    candidates, interfaces = {}, {}
+    for task in tasks:
+        rows = [
+            (f"{task}_s{j:02d}", rng.choice([0.25, 0.5, 1.0]))
+            for j in range(rng.randint(6, 16))
+        ]
+        candidates[task] = rows
+        for sid, _ in rows:
+            interfaces[sid] = rng.choice(profiles)
+    return dc_replace(
+        inst, tasks=tasks, edges=sorted(edges), candidates=candidates, interfaces=interfaces
+    )
+
+
+def hand_link_quality(inst, assignment, task, service_id):
+    """Two-sided q of `service_id` at `task` from the reference's per-link
+    qualities; None when a side is inadmissible."""
+    sides = []
+    for links in (
+        [(assignment[a], service_id) for a, b in sorted(inst.edges) if b == task],
+        [(service_id, assignment[b]) for a, b in sorted(inst.edges) if a == task],
+    ):
+        if links:
+            qualities = [ref_link(inst, f, t) for f, t in links]
+            if None in qualities:
+                return None
+            sides.append(sum(qualities) / len(qualities))
+    return sum(sides) / len(sides) if sides else 1.0
+
+
+def test_replacement_matches_reference_on_shared_interfaces_and_ties():
+    """Replace every task's selection; the engine's per-interface side memo and
+    one-pass head must agree with the reference's full rescore and sort."""
+    rng = random.Random(1717)
+    replaced = two_by_two = shared_dead = tied = failed_shares = 0
+    for _ in range(300):
+        inst = shared_interface_instance(rng)
+        engine, _, ref = outcome_views(inst)
+        if ref.error:
+            continue
+        graph, composite = engine
+        _, _, taxonomy, registry = engine_inputs(inst)
+        for task in graph.order:
+            failed = composite.assignment[task]
+            # the survivors the engine rescores, grouped by interface
+            shared = {}
+            for entry in graph.queues[task]:
+                if entry.service_id != failed:
+                    sid = entry.service_id
+                    shared.setdefault(inst.interfaces[sid], []).append(sid)
+            qs = {
+                sid: hand_link_quality(inst, composite.assignment, task, sid)
+                for group in shared.values()
+                for sid in group
+            }
+            shared_dead += any(
+                len(group) >= 2 and qs[group[0]] is None for group in shared.values()
+            )
+            failed_shares += inst.interfaces[failed] in shared
+            ref_new = ref_replace(inst, ref, task, failed)
+            try:
+                new = replace_unavailable(
+                    graph, composite, (task, failed), taxonomy, registry
+                )
+            except NoReplacementCandidate:
+                assert ref_new.error == "no-replacement", (inst, task)
+                assert set(qs.values()) <= {None}, (inst, task)
+                continue
+            assert ref_new.error is None, (inst, task)
+            assert new.assignment == ref_new.assignment, (inst, task)
+            assert new.final_utilities == ref_new.finals, (inst, task)
+            assert new.score == ref_new.score, (inst, task)
+            # the stand-in's q and F, recomputed link by link
+            stand_in = new.assignment[task]
+            utilities = dict(inst.candidates[task])
+            assert new.link_qualities[task] == qs[stand_in], (inst, task)
+            assert new.final_utilities[task] == utilities[stand_in] * qs[stand_in]
+            finals = {sid: utilities[sid] * q for sid, q in qs.items() if q is not None}
+            best = max(finals.values())
+            ties = sorted(sid for sid, f in finals.items() if f == best)
+            assert stand_in == ties[0], (inst, task)
+            replaced += 1
+            tied += len(ties) >= 2
+            two_by_two += len(graph.preds[task]) >= 2 and len(graph.succs[task]) >= 2
+    counts = (replaced, two_by_two, shared_dead, tied, failed_shares)
+    assert replaced >= 350 and two_by_two >= 50 and shared_dead >= 40, counts
+    assert tied >= 150 and failed_shares >= 300, counts
 
 
 # ------------------------------------------- request-independent caches
@@ -808,6 +930,27 @@ def test_rank_candidates_hands_out_pooled_copies_of_score_candidates():
                 key = (service.service_id, service.level)
                 assert pooled.setdefault(key, service) is service
     assert len(pooled) > sum(map(len, registry.scaled.values()))
+
+
+def test_rank_candidates_classifies_each_level_key_once_per_request(monkeypatch):
+    plan, registry, taxonomy, config, requests = synthetic_inputs(8)
+    bases = registry.level_bases(config.bins, config.scheme).values()
+    keys = [key for basis in bases for _, key, _ in basis.rows]
+    per_task = sum(len({key for _, key, _ in basis.rows}) for basis in bases)
+    calls = []
+    real_level = leveling._level
+
+    def counting_level(classifier, key):
+        calls.append(key)
+        return real_level(classifier, key)
+
+    monkeypatch.setattr(leveling, "_level", counting_level)
+    for request in requests:
+        calls.clear()
+        rank_candidates(request, registry, config)
+        # one table across every task: each distinct key once, in first-met order
+        assert calls == list(dict.fromkeys(keys))
+    assert len(calls) <= config.bins ** len(registry.schema) and len(calls) < per_task
 
 
 def out_of_range_classifier(schema):
