@@ -42,11 +42,6 @@ class Classifier:
     default_class: str
     attributes: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        # ((attribute, label), ...) -> level, filled lazily by leveling._level; the
-        # rules must not change after first use, and a replace copy starts empty
-        self._levels: dict[tuple[tuple[str, int], ...], int] = {}
-
 
 @dataclass(frozen=True)
 class MiningConfig:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import statistics
@@ -11,7 +12,7 @@ import time
 from dataclasses import dataclass, replace as dc_replace
 
 from .composer import (
-    _request_classifier,
+    _request_training,
     _stage,
     build_search_graph,
     compose_with_graph,
@@ -138,7 +139,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     registry = load_registry(args.registry)
     config, request = load_config(args.config)
     config = _apply_overrides(args, config)
-    _emit(render_classifier(_request_classifier(request, registry, config)), args.out)
+    _emit(render_classifier(_request_training(request, registry, config)[0]), args.out)
     return 0
 
 
@@ -205,6 +206,7 @@ def run_bench(
             ranking: list[float] = []
             selection: list[float] = []
             alternative: list[float] = []
+            gc.collect()  # so no garbage of earlier work is collected in the timed loop
             for _ in range(repetitions):
                 t1 = time.perf_counter()
                 graph, primary = build_search_graph(plan, eligible, taxonomy, registry)

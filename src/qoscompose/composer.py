@@ -18,10 +18,11 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from .cba import Classifier, MiningConfig, train_classifier
+from .cba import Classifier, MiningConfig, predict, train_classifier
 from .errors import (
     CycleDetected,
     EngineError,
+    InvalidValue,
     NoAdmissibleLink,
     NoAlternative,
     NoEligibleCandidate,
@@ -191,7 +192,10 @@ def build_search_graph(
     taxonomy: Taxonomy,
     registry: "Registry",
 ) -> tuple[SearchGraph, CompositeService]:
-    """One greedy pass in topological order; returns the graph and its head composite."""
+    """One greedy pass in topological order; returns the graph and its head composite.
+
+    A NaN utility has no rank, so it is refused with InvalidValue.
+    """
     order, preds, succs = plan.order, plan.preds, plan.succs
     services = registry.services
     queues: dict[str, list[QueueEntry]] = {}
@@ -204,6 +208,9 @@ def build_search_graph(
             raise NoEligibleCandidate(task)
         task_preds = preds[task]
         entries: list[QueueEntry] = []
+        nan = [cand.service_id for cand in candidates if cand.utility != cand.utility]
+        if nan:
+            raise InvalidValue(f"task {task!r}: service {nan[0]!r} has a NaN utility")
         if not task_preds:
             for cand in candidates:
                 entries.append(QueueEntry(cand.service_id, cand.utility, cand.utility, 1.0))
@@ -398,19 +405,26 @@ TRAINING_MEMO_SIZE = 64
 
 
 @lru_cache(maxsize=TRAINING_MEMO_SIZE)
-def _trained(signature: TrainingSignature, mining: MiningConfig) -> Classifier:
-    """The classifier of one training signature, shared by every request that has it.
+def _trained(
+    signature: TrainingSignature, mining: MiningConfig
+) -> tuple[Classifier, tuple[int, ...]]:
+    """The classifier of one training signature and its level of every training
+    row, in row order; shared by every request that has the signature.
 
-    Process-wide rather than on the registry, so a reloaded registry still
-    hits. The classifier it returns must not be mutated.
+    The rows are every label combination, so a registry candidate's level is
+    the entry at its `level_basis` code. Process-wide rather than on the
+    registry, so a reloaded registry still hits. What it returns must not be
+    mutated.
     """
-    return train_classifier(_training_rows(signature), mining)
+    rows = _training_rows(signature)
+    classifier = train_classifier(rows, mining)
+    return classifier, tuple(int(predict(classifier, row.items)) for row in rows)
 
 
-def _request_classifier(
+def _request_training(
     request: UserRequest, registry: "Registry", config: "EngineConfig"
-) -> Classifier:
-    """The request's classifier; errors carry the "training" stage.
+) -> tuple[Classifier, tuple[int, ...]]:
+    """The request's classifier and level table; errors carry the "training" stage.
 
     Every request's signature is computed and checked; mining runs only the
     first time a (signature, mining config) pair is met, see `_trained`.
@@ -431,19 +445,16 @@ def rank_candidates(
     scaling, discretization, each candidate's mean and its `ScoredService`
     at each level are kept on the registry (see `Registry.scaled` and
     `Registry.level_bases`). The lists are new; the frozen services in them
-    are shared with every other request of the same bins and scheme. All
-    tasks share one level table, so each distinct level key is classified
-    once per request.
+    are shared with every other request of the same bins and scheme. Levels
+    are read from the training signature's table, so a warm signature never
+    calls `predict`.
     """
-    classifier = _request_classifier(request, registry, config)
+    _, levels = _request_training(request, registry, config)
     with _stage("scaling"):
         registry.scaled  # computed here, so a scaling error carries this stage
-    offsets: dict = {}
     with _stage("classification"):
         return {
-            task: filter_eligible(
-                score_basis(basis, classifier, config.scheme, offsets), config.threshold
-            )
+            task: filter_eligible(score_basis(basis, levels, config.scheme), config.threshold)
             for task, basis in registry.level_bases(config.bins, config.scheme).items()
         }
 

@@ -23,9 +23,7 @@ from .errors import (
     UnknownAttribute,
     UnknownConcept,
 )
-from .leveling import (
-    Basis, LevelKey, LevelScheme, UserRequest, default_scheme, level_basis,
-)
+from .leveling import Basis, LevelScheme, UserRequest, default_scheme, level_basis
 from .ontology import MatchType, Taxonomy, match_type
 from .qos import (
     AttributeExtremes, NormalizedQoSVector, Polarity, QoSAttribute, QoSVector,
@@ -88,12 +86,11 @@ class Registry:
         return {}
 
     def level_bases(self, bins: int, scheme: LevelScheme) -> dict[str, Basis]:
-        """Each task's `level_basis`, equal keys interned; per scheme, as pools are."""
+        """Each task's `level_basis`, kept per scheme, as pools are."""
         bases = self._bases.get((bins, scheme))
         if bases is None:
-            interned: dict[LevelKey, LevelKey] = {}
             bases = self._bases[bins, scheme] = {
-                task: level_basis(normalized, bins, scheme.n_levels, interned)
+                task: level_basis(normalized, bins, scheme.n_levels)
                 for task, normalized in self.scaled.items()
             }
         return bases

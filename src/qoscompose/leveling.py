@@ -8,6 +8,7 @@ attribute falls short of the requested range.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -172,15 +173,13 @@ def synthesize_training_set(
     return _training_rows(_training_signature(request, extremes, scheme, bins, schema))
 
 
-# A candidate's discretized labels, ((attribute, label), ...) in its own
-# attribute order: the key of the classifier's level memo.
-LevelKey = tuple[tuple[str, int], ...]
-
-
-def _level_key(candidate: NormalizedQoSVector, bins: int) -> LevelKey:
-    return tuple(
-        (name, discretize(value, bins)) for name, value in candidate.values.items()
-    )
+def _level_code(candidate: NormalizedQoSVector, bins: int) -> int:
+    """The candidate's labels as a base-`bins` number, first attribute most significant:
+    its row in `_training_rows` when its values are in schema order."""
+    code = 0
+    for value in candidate.values.values():
+        code = code * bins + discretize(value, bins)
+    return code
 
 
 def _mean(candidate: NormalizedQoSVector) -> float:
@@ -192,98 +191,78 @@ def _mean(candidate: NormalizedQoSVector) -> float:
     return total / len(candidate.values)
 
 
-def _level(classifier: Classifier, key: LevelKey) -> int:
-    """The classifier's level for one key; `predict` runs only on a memo miss."""
-    level = classifier._levels.get(key)
-    if level is None:
-        instance = frozenset(Item(name, str(label)) for name, label in key)
-        level = classifier._levels[key] = int(predict(classifier, instance))
-    return level
-
-
 def score_candidates(
     candidates: list[NormalizedQoSVector],
     classifier: Classifier,
     scheme: LevelScheme,
     bins: int,
 ) -> list[ScoredService]:
-    """`score_basis` over each candidate's level key and mean, with an empty pool.
+    """`score_basis` over a per-row level table, with an empty pool.
 
-    Each value is discretized once, and every level is read before any mean
-    is taken, so a classifier error comes before any utility's or mean's.
+    Each value is discretized once and each distinct label set predicted
+    once, and every level is read before any mean is taken, so a classifier
+    error comes before any utility's or mean's.
     """
-    keys: list[LevelKey] = []
+    level_of: dict[frozenset[Item], int] = {}
+    levels: list[int] = []
     for cand in candidates:
-        keys.append(_level_key(cand, bins))
-        _level(classifier, keys[-1])
-    rows = [(cand, key, _mean(cand)) for cand, key in zip(candidates, keys)]
-    return score_basis(
-        Basis(rows, [None] * (len(rows) * scheme.n_levels)), classifier, scheme
-    )
+        items = frozenset(
+            Item(name, str(discretize(value, bins))) for name, value in cand.values.items()
+        )
+        if items not in level_of:
+            level_of[items] = int(predict(classifier, items))
+        levels.append(level_of[items])
+    rows = [(cand, i, _mean(cand)) for i, cand in enumerate(candidates)]
+    return score_basis(Basis(rows, [None] * (len(rows) * scheme.n_levels)), levels, scheme)
 
 
 class Basis(NamedTuple):
     """One task's leveling inputs under one `LevelScheme`: per candidate its
-    vector, level key and mean normalized value (`rows`), and row i's service
-    at level l in pool[i * n_levels + l - 1], made the first time it is met."""
+    vector, its row in the level table and its mean normalized value (`rows`),
+    and row i's service at level l in pool[i * n_levels + l - 1], made the
+    first time it is met."""
 
-    rows: list[tuple[NormalizedQoSVector, LevelKey, float]]
+    rows: list[tuple[NormalizedQoSVector, int, float]]
     pool: list[ScoredService | None]
 
 
 def level_basis(
-    candidates: list[NormalizedQoSVector],
-    bins: int,
-    n_levels: int,
-    interned: dict[LevelKey, LevelKey],
+    candidates: list[NormalizedQoSVector], bins: int, n_levels: int
 ) -> Basis:
     """The request-independent half of `score_candidates`, with an empty pool.
 
-    Equal keys are interned through `interned`, so candidates with the same
-    labels share one key object.
+    A candidate's row is its `_level_code`, so its values must be in schema
+    order, as `normalize` makes them.
     """
-    rows = []
-    for cand in candidates:
-        key = _level_key(cand, bins)
-        rows.append((cand, interned.setdefault(key, key), _mean(cand)))
+    rows = [(cand, _level_code(cand, bins), _mean(cand)) for cand in candidates]
     return Basis(rows, [None] * (len(rows) * n_levels))
 
 
 def score_basis(
-    basis: Basis,
-    classifier: Classifier,
-    scheme: LevelScheme,
-    offsets: dict[LevelKey, int] | None = None,
+    basis: Basis, levels: Sequence[int], scheme: LevelScheme
 ) -> list[ScoredService]:
     """The request-dependent half of `score_candidates`: levels and utilities.
 
-    A utility is the level's coefficient times the mean normalized value.
-    Each distinct level key is classified and range-checked once, in row
-    order, so the first out-of-range candidate is named. A (row, level)'s
-    service comes from the pool, made on first use, so `basis` must have been
-    built for `scheme`. `offsets` maps each key already checked to its level
-    minus one; calls that share it, with the same classifier and scheme,
-    classify each key once between them.
+    Row i's level is `levels[code]` for its code, range-checked in row order,
+    so the first out-of-range candidate is named. A utility is the level's
+    coefficient times the mean normalized value. A (row, level)'s service
+    comes from the pool, made on first use, so `basis` must have been built
+    for `scheme`.
     """
     rows, pool = basis
     n_levels, coefficients = scheme.n_levels, scheme.coefficients
-    if offsets is None:
-        offsets = {}
     scored: list[ScoredService] = []
-    for row, (cand, key, mean) in enumerate(rows):
-        offset = offsets.get(key)
-        if offset is None:
-            level = _level(classifier, key)
-            if not 1 <= level <= n_levels:
-                raise LevelOutOfRange(
-                    f"level {level} outside 1..{n_levels} for {cand.service_id!r}"
-                )
-            offset = offsets[key] = level - 1
-        slot = row * n_levels + offset
+    for row, (cand, code, mean) in enumerate(rows):
+        level = levels[code]
+        if not 1 <= level <= n_levels:
+            raise LevelOutOfRange(
+                f"level {level} outside 1..{n_levels} for {cand.service_id!r}"
+            )
+        slot = row * n_levels + level - 1
         service = pool[slot]
         if service is None:
             service = pool[slot] = ScoredService(
-                cand.service_id, cand, offset + 1, coefficients[offset] * mean
+                cand.service_id, cand, level, coefficients[level - 1] * mean
             )
         scored.append(service)
     return scored

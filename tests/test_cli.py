@@ -11,7 +11,7 @@ import pytest
 
 from qoscompose import errors
 from qoscompose.cli import _parse_grid, main, run_bench
-from qoscompose.composer import _request_classifier
+from qoscompose.composer import _request_training
 from qoscompose.data_io import load_config, load_registry, render_classifier
 from qoscompose.errors import EngineError
 
@@ -29,6 +29,9 @@ GOLDEN_CHAIN = DATA / "chain_compose.json"
 # `qoscompose replace --task t20 --service t20_s15` stdout on that chain: a
 # middle task with both sides, at a scale where candidates share interfaces
 GOLDEN_CHAIN_REPLACE = DATA / "chain_replace.json"
+# `qoscompose compose --bins 5 --levels 4` stdout on that chain: pins the
+# level codes away from the default 4 bins and 3 levels
+GOLDEN_CHAIN_B5_L4 = DATA / "chain_compose_b5_l4.json"
 
 
 def fixture_args(command, **extra):
@@ -110,6 +113,12 @@ def chain_args(tmp_path, capsys, command):
 def test_compose_matches_the_golden_chain_report(tmp_path, capsys):
     assert main(chain_args(tmp_path, capsys, "compose")) == 0
     assert capsys.readouterr().out.encode() == GOLDEN_CHAIN.read_bytes()
+
+
+def test_compose_at_5_bins_and_4_levels_matches_the_golden_chain_report(tmp_path, capsys):
+    args = chain_args(tmp_path, capsys, "compose") + ["--bins", "5", "--levels", "4"]
+    assert main(args) == 0
+    assert capsys.readouterr().out.encode() == GOLDEN_CHAIN_B5_L4.read_bytes()
 
 
 def test_replace_matches_the_golden_chain_report(tmp_path, capsys):
@@ -559,7 +568,7 @@ def test_classify_writes_loadable_rules(tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 0
     config, request = load_config(str(FIXTURES / "config.json"))
     registry = load_registry(str(FIXTURES / "registry.csv"))
-    classifier = _request_classifier(request, registry, config)
+    classifier, _ = _request_training(request, registry, config)
     assert classifier.default_class == "2"
     assert len(classifier.rules) == 22
     perfect = [r for r in classifier.rules if r.confidence == 1.0]

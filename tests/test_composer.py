@@ -1,5 +1,6 @@
 """Greedy selection, one-swap alternative, and replacement against the naive reference."""
 
+import itertools
 import pathlib
 import random
 from dataclasses import FrozenInstanceError, fields, replace as dc_replace
@@ -29,13 +30,18 @@ from qoscompose import (
     replace_unavailable,
 )
 from qoscompose import composer, leveling
-from qoscompose.cba import ClassAssociationRule, Classifier, Item, discretize
-from qoscompose.composer import _request_classifier, topological_order
+from qoscompose.cba import (
+    ClassAssociationRule, Classifier, Item, MiningConfig, discretize, predict, train_classifier,
+)
+from qoscompose.composer import _request_training, topological_order
 from qoscompose.data_io import default_config, default_request, generate_synthetic
-from qoscompose.leveling import filter_eligible, level_basis, score_candidates
+from qoscompose.leveling import (
+    _training_rows, filter_eligible, level_basis, score_candidates,
+)
 from qoscompose.qos import QoSVector, compute_extremes, normalize
 from qoscompose.errors import (
     CycleDetected,
+    InvalidValue,
     NoAdmissibleLink,
     NoAlternative,
     NoEligibleCandidate,
@@ -186,6 +192,22 @@ def test_candidate_without_inputs_is_inadmissible_downstream():
     )
     assert composite.assignment["t2"] == "ok"
     assert [e.service_id for e in graph.queues["t2"]] == ["ok"]
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations("abc")))
+@pytest.mark.parametrize("downstream", [False, True], ids=["source", "downstream"])
+def test_a_nan_utility_is_refused_naming_its_task_and_service(order, downstream):
+    utilities = {"a": 0.5, "b": float("nan"), "c": 0.7}
+    cands = {"t2": [(sid, utilities[sid]) for sid in order]}
+    interfaces = {sid: (["A"], []) for sid in "abc"}
+    edges = []
+    if downstream:
+        cands["t1"] = [("up", 0.9)]
+        interfaces["up"] = ([], ["A"])
+        edges = [("t1", "t2")]
+    with pytest.raises(InvalidValue, match="task 't2': service 'b' has a NaN utility") as exc:
+        build(list(cands), edges, cands, interfaces)
+    assert exc.value.exit_code == 18
 
 
 def test_score_is_the_product_of_final_utilities():
@@ -792,7 +814,7 @@ def random_request(rng, registry):
 def fresh_eligible(request, registry, config):
     """Per-request leveling from scratch: per-task scaling, score_candidates, filter."""
     fresh = Registry(registry.schema, list(registry.records))
-    classifier = _request_classifier(request, fresh, config)
+    classifier, _ = _request_training(request, fresh, config)
     by_task = {}
     for rec in fresh.records:
         by_task.setdefault(rec.task_id, []).append(QoSVector(rec.service_id, rec.values))
@@ -839,42 +861,6 @@ def test_reused_registry_levels_and_selects_like_fresh_objects(fan_in):
     assert registry._bases.keys() == {(bins, config.scheme) for bins in (3, 4, 5)}
 
 
-def test_level_basis_interns_keys_and_keeps_their_attributes():
-    rng = random.Random(31)
-    attribute_sets = [["a", "b"], ["b", "a"], ["a", "c"], ["a", "b", "c"], ["c"]]
-    candidates = []
-    for i in range(200):
-        names = rng.choice(attribute_sets)
-        values = {n: rng.choice([0.0, 0.5, 1.0, rng.random()]) for n in names}
-        candidates.append(NormalizedQoSVector(f"s{i}", values))
-    for bins in (2, 3, 5):
-        interned = {}
-        basis = level_basis(candidates, bins, 3, interned)
-        assert basis.pool == [None] * (3 * len(candidates))
-        by_key = {}
-        for cand, (vector, key, mean) in zip(candidates, basis.rows):
-            assert vector is cand
-            assert key == tuple(
-                (n, min(int(v * bins), bins - 1)) for n, v in cand.values.items()
-            )
-            values = list(cand.values.values())
-            assert mean == sum(values) / len(values)
-            assert by_key.setdefault(key, key) is key
-        assert len(interned) == len(by_key)
-
-
-def test_registry_basis_shares_one_key_object_per_label_combination():
-    plan, registry, taxonomy, config, requests = synthetic_inputs(5)
-    compose_with_graph(requests[0], plan, registry, taxonomy, config)
-    basis = registry.level_bases(config.bins, config.scheme)
-    assert basis is registry._bases[config.bins, config.scheme]
-    keys = [key for entries in basis.values() for _, key, _ in entries.rows]
-    distinct = {}
-    for key in keys:
-        assert distinct.setdefault(key, key) is key
-    assert len(distinct) < len(keys)
-
-
 # ------------------------------------------- the registry's ScoredService pool
 
 def test_schemes_sharing_a_registry_never_read_each_others_pool():
@@ -915,7 +901,7 @@ def test_rank_candidates_hands_out_pooled_copies_of_score_candidates():
     pooled = {}
     for _ in range(200):
         request = random_request(rng, registry)
-        classifier = _request_classifier(request, registry, config)
+        classifier, _ = _request_training(request, registry, config)
         got = rank_candidates(request, registry, config)
         assert got.keys() == registry.scaled.keys()
         for task, normalized in registry.scaled.items():
@@ -932,25 +918,58 @@ def test_rank_candidates_hands_out_pooled_copies_of_score_candidates():
     assert len(pooled) > sum(map(len, registry.scaled.values()))
 
 
-def test_rank_candidates_classifies_each_level_key_once_per_request(monkeypatch):
+def test_a_warm_signature_levels_without_predict(monkeypatch):
     plan, registry, taxonomy, config, requests = synthetic_inputs(8)
-    bases = registry.level_bases(config.bins, config.scheme).values()
-    keys = [key for basis in bases for _, key, _ in basis.rows]
-    per_task = sum(len({key for _, key, _ in basis.rows}) for basis in bases)
     calls = []
-    real_level = leveling._level
 
-    def counting_level(classifier, key):
-        calls.append(key)
-        return real_level(classifier, key)
+    def counting_predict(classifier, instance):
+        calls.append(instance)
+        return predict(classifier, instance)
 
-    monkeypatch.setattr(leveling, "_level", counting_level)
-    for request in requests:
-        calls.clear()
-        rank_candidates(request, registry, config)
-        # one table across every task: each distinct key once, in first-met order
-        assert calls == list(dict.fromkeys(keys))
-    assert len(calls) <= config.bins ** len(registry.schema) and len(calls) < per_task
+    monkeypatch.setattr(composer, "predict", counting_predict)
+    monkeypatch.setattr(leveling, "predict", counting_predict)
+    request = requests[0]
+    cold = rank_candidates(request, registry, config)
+    # a memo miss predicts each training row once
+    assert len(calls) == config.bins ** len(registry.schema)
+    calls.clear()
+    twin = UserRequest(dict(request.ranges), dict(request.preferences))
+    for again in (request, twin):
+        assert rank_candidates(again, registry, config) == cold
+    assert calls == []
+    assert composer._trained.cache_info().misses == 1
+
+
+def test_trained_levels_equal_predict_at_each_candidates_level_code():
+    rng = random.Random(1212)
+    for trial in range(60):
+        n_attrs, bins, n_levels = rng.randint(1, 4), rng.randint(2, 6), rng.randint(3, 5)
+        names = tuple(rng.sample("abcdef", n_attrs))
+        signature = (names, tuple(rng.randrange(bins) for _ in names), bins, n_levels)
+        mining = MiningConfig(
+            min_support=rng.choice([0.0, 0.01, 0.2]),
+            min_confidence=rng.choice([0.0, 0.5, 0.9]),
+            max_antecedent_size=rng.choice([None, 1, 2]),
+        )
+        _, levels = composer._trained(signature, mining)
+        rows = _training_rows(signature)
+        want = train_classifier(rows, mining)
+        assert len(levels) == len(rows) == bins**n_attrs, trial
+        combos = list(itertools.product(range(bins), repeat=n_attrs))
+        rng.shuffle(combos)
+        candidates = [
+            NormalizedQoSVector(f"s{i}", {
+                name: 1.0 if label == bins - 1 and rng.random() < 0.2
+                else (label + rng.uniform(0.05, 0.95)) / bins
+                for name, label in zip(names, combo)
+            })
+            for i, combo in enumerate(combos)
+        ]
+        basis = level_basis(candidates, bins, n_levels)
+        for combo, (_, code, _) in zip(combos, basis.rows):
+            items = frozenset(Item(name, str(label)) for name, label in zip(names, combo))
+            assert rows[code].items == items, trial
+            assert levels[code] == int(predict(want, items)), trial
 
 
 def out_of_range_classifier(schema):

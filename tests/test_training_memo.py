@@ -4,7 +4,7 @@ and invisible in refusals and reports."""
 import json
 import pathlib
 import random
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 
 import pytest
 
@@ -12,14 +12,17 @@ from qoscompose import (
     EngineConfig,
     LevelScheme,
     MiningConfig,
+    Polarity,
     UserRequest,
+    compose_with_graph,
+    composite_report,
     synthesize_training_set,
     train_classifier,
 )
 from qoscompose.cli import main
-from qoscompose.composer import TRAINING_MEMO_SIZE, _request_classifier, _trained
-from qoscompose.data_io import generate_synthetic
-from qoscompose.leveling import score_basis
+from qoscompose.composer import TRAINING_MEMO_SIZE, _request_training, _trained
+from qoscompose.data_io import default_config, generate_synthetic
+from qoscompose.leveling import _training_signature, score_basis, score_candidates
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -79,7 +82,7 @@ def test_memoized_classifier_equals_fresh_training():
             random_scheme(rng, n_levels), rng.choice(minings), bins, rng.random()
         )
         request = random_request(rng, registry)
-        got = _request_classifier(request, registry, config)
+        got, levels = _request_training(request, registry, config)
         training = synthesize_training_set(
             request, registry.envelope, config.scheme, bins, registry.schema
         )
@@ -87,9 +90,10 @@ def test_memoized_classifier_equals_fresh_training():
         assert rule_bits(got) == rule_bits(want), trial
         assert got.default_class == want.default_class, trial
         assert got.attributes == want.attributes, trial
-        for basis in registry.level_bases(bins, config.scheme).values():
-            assert [s.level for s in score_basis(basis, got, config.scheme)] == [
-                s.level for s in score_basis(basis, want, config.scheme)
+        for task, basis in registry.level_bases(bins, config.scheme).items():
+            normalized = registry.scaled[task]
+            assert [s.level for s in score_basis(basis, levels, config.scheme)] == [
+                s.level for s in score_candidates(normalized, want, config.scheme, bins)
             ], trial
         key = (index, tuple(training), config.mining)
         if key in lru:
@@ -110,12 +114,56 @@ def test_coefficients_threshold_and_a_reloaded_registry_share_one_classifier():
     registry, _, _ = generate_synthetic(2, 3, 3, 4)
     request = random_request(random.Random(5), registry)
     config = EngineConfig(LevelScheme(3, (1.0, 0.75, 0.25)), MiningConfig())
-    first = _request_classifier(request, registry, config)
+    first = _request_training(request, registry, config)
     other = EngineConfig(LevelScheme(3, (1.0, 0.5, 0.1)), MiningConfig(), threshold=0.9)
-    assert _request_classifier(request, registry, other) is first
+    assert _request_training(request, registry, other) is first
     reloaded, _, _ = generate_synthetic(2, 3, 3, 4)
-    assert _request_classifier(request, reloaded, config) is first
+    assert _request_training(request, reloaded, config) is first
     assert _trained.cache_info().misses == 1
+
+
+def catalog_request(rng, registry):
+    """A catalog-style request: each range's weak end in the lower 60 % of the
+    attribute's quality scale, its strong end past the middle."""
+    ranges = {}
+    for attr in registry.schema:
+        lo, hi = registry.envelope[attr.name]
+        span = hi - lo
+        if attr.polarity is Polarity.POSITIVE:
+            weak = rng.uniform(lo, lo + 0.6 * span)
+            ranges[attr.name] = (weak, rng.uniform(max(weak, lo + 0.5 * span), hi))
+        else:
+            weak = rng.uniform(hi - 0.6 * span, hi)
+            ranges[attr.name] = (rng.uniform(lo, min(weak, hi - 0.5 * span)), weak)
+    return UserRequest(ranges, {a.name: i + 1 for i, a in enumerate(registry.schema)})
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_requests_sharing_a_signature_compose_identically(seed):
+    rng = random.Random(seed)
+    config = default_config()
+    by_signature = defaultdict(list)
+    for _ in range(40):
+        # fresh inputs and a cold memo, so no request reads another's caches
+        _trained.cache_clear()
+        registry, plan, taxonomy = generate_synthetic(15, 12, 3, seed)
+        request = catalog_request(rng, registry)
+        signature = _training_signature(
+            request, registry.envelope, config.scheme, config.bins, registry.schema
+        )
+        graph, primary, alternative = compose_with_graph(
+            request, plan, registry, taxonomy, config
+        )
+        reports = [
+            json.dumps(composite_report(graph, c), indent=2) if c is not None else None
+            for c in (primary, alternative)
+        ]
+        by_signature[signature].append((primary, alternative, reports))
+    shared = [group for group in by_signature.values() if len(group) > 1]
+    assert len(shared) >= 3
+    for first, *rest in shared:
+        for other in rest:
+            assert other == first
 
 
 def _compose_args(config=FIXTURES / "config.json"):
