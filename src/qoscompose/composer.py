@@ -11,10 +11,10 @@ the same queues.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
@@ -126,16 +126,61 @@ class QueueEntry:
 
 @dataclass
 class SearchGraph:
+    """One request's selection: each queue's head and runner-up, and what the
+    full queues are built from on first read. Nothing it holds may be mutated."""
+
     # order, preds and succs are the plan's own, read-only
     order: list[str]
-    # task -> entries sorted by final utility desc, service_id asc
-    queues: dict[str, list[QueueEntry]]
     preds: dict[str, list[str]]
     succs: dict[str, list[str]]
     taxonomy: Taxonomy
     services: dict[str, "RegistryRecord"]
-    # task -> service_id -> its queue entry
-    entries: dict[str, dict[str, QueueEntry]]
+    eligible: dict[str, list[ScoredService]]
+    # task -> the first two entries of its queue (or its only one), head first
+    heads: dict[str, list[QueueEntry]]
+
+    def _scored(self, task: str) -> Iterator[tuple[float, str, float, float]]:
+        """(F, service id, U, q) of each admissible candidate, in eligible order.
+
+        The predecessors' selections are fixed for this task, so a candidate's
+        link quality depends on its inputs alone; with one predecessor, the
+        taxonomy's memo of its outputs is that map. A source task's q is 1.
+        """
+        services, preds = self.services, self.preds[task]
+        selected = {pred: self.heads[pred][0].service_id for pred in preds}
+        outputs = services[selected[preds[0]]].outputs if len(preds) == 1 else None
+        link_memo = {} if outputs is None else self.taxonomy.link_memo(outputs)
+        for cand in self.eligible[task]:
+            inputs = services[cand.service_id].inputs
+            q = link_memo.get(inputs, ...)  # Ellipsis: not seen yet
+            if q is ...:
+                links = ((selected[pred], cand.service_id) for pred in preds)
+                q = link_memo[inputs] = _mean_link(self.taxonomy, services, links)
+            if q is not None:
+                yield cand.utility * q, cand.service_id, cand.utility, q
+
+    @cached_property
+    def queues(self) -> dict[str, list[QueueEntry]]:
+        """task -> entries sorted by final utility desc, service_id asc; the last
+        reader of `eligible`, so it lets those lists go."""
+        queues = {
+            task: _rank_queue([QueueEntry(s, u, f, q) for f, s, u, q in self._scored(task)])
+            for task in self.order
+        }
+        self.eligible = {}
+        return queues
+
+    @cached_property
+    def entries(self) -> dict[str, dict[str, QueueEntry]]:
+        """task -> service_id -> its queue entry."""
+        return {task: {e.service_id: e for e in q} for task, q in self.queues.items()}
+
+    def entry(self, task: str, service_id: str) -> QueueEntry:
+        """A service's queue entry; only a service outside the heads reads `entries`."""
+        for head in self.heads[task]:
+            if head.service_id == service_id:
+                return head
+        return self.entries[task][service_id]
 
 
 @dataclass
@@ -154,8 +199,8 @@ def _mean_link(
     """Mean quality over one side's (from_service, to_service) links.
 
     Each link's quality comes from the taxonomy's memo over the two services'
-    interfaces. None as soon as one link is inadmissible; `links` must not be
-    empty.
+    interfaces. None as soon as one link is inadmissible; 1.0 when there are
+    no links.
     """
     qualities: list[float] = []
     for from_service, to_service in links:
@@ -165,10 +210,10 @@ def _mean_link(
         if quality is None:
             return None
         qualities.append(quality)
-    return sum(qualities) / len(qualities)
+    return sum(qualities) / len(qualities) if qualities else 1.0
 
 
-def _rank_queue(entries: list[QueueEntry]) -> None:
+def _rank_queue(entries: list[QueueEntry]) -> list[QueueEntry]:
     """Sort by final utility descending, then service id ascending, in place.
 
     Two stable passes on plain attributes; a reversed sort keeps the order of
@@ -177,6 +222,7 @@ def _rank_queue(entries: list[QueueEntry]) -> None:
     """
     entries.sort(key=attrgetter("service_id"))
     entries.sort(key=attrgetter("final_utility"), reverse=True)
+    return entries
 
 
 def _score(order: list[str], final_utilities: dict[str, float]) -> float:
@@ -194,59 +240,35 @@ def build_search_graph(
 ) -> tuple[SearchGraph, CompositeService]:
     """One greedy pass in topological order; returns the graph and its head composite.
 
+    Each task keeps its queue's first two entries; the queues are built on first read.
     A NaN utility has no rank, so it is refused with InvalidValue.
     """
-    order, preds, succs = plan.order, plan.preds, plan.succs
-    services = registry.services
-    queues: dict[str, list[QueueEntry]] = {}
-    selected: dict[str, str] = {}
-    final_utilities: dict[str, float] = {}
-    link_qualities: dict[str, float] = {}
-    for task in order:
+    graph = SearchGraph(plan.order, plan.preds, plan.succs, taxonomy, registry.services,
+                        eligible_per_task, {})
+    for task in plan.order:
         candidates = eligible_per_task.get(task, [])
         if not candidates:
             raise NoEligibleCandidate(task)
-        task_preds = preds[task]
-        entries: list[QueueEntry] = []
         nan = [cand.service_id for cand in candidates if cand.utility != cand.utility]
         if nan:
             raise InvalidValue(f"task {task!r}: service {nan[0]!r} has a NaN utility")
-        if not task_preds:
-            for cand in candidates:
-                entries.append(QueueEntry(cand.service_id, cand.utility, cand.utility, 1.0))
-        else:
-            # the predecessors' selections are fixed for this task, so a
-            # candidate's link quality depends on its inputs alone; with one
-            # predecessor, the taxonomy's memo of its outputs is that map
-            link_memo = (
-                taxonomy.link_memo(services[selected[task_preds[0]]].outputs)
-                if len(task_preds) == 1
-                else {}
-            )
-            for cand in candidates:
-                inputs = services[cand.service_id].inputs
-                q = link_memo.get(inputs, ...)  # Ellipsis: not seen yet
-                if q is ...:
-                    links = ((selected[pred], cand.service_id) for pred in task_preds)
-                    q = link_memo[inputs] = _mean_link(taxonomy, services, links)
-                if q is not None:
-                    entries.append(
-                        QueueEntry(cand.service_id, cand.utility, cand.utility * q, q)
-                    )
-        if not entries:
+        # the first two rows in `_rank_queue`'s order; as in its sorts, ties keep the first
+        head = second = None
+        for row in graph._scored(task):
+            f, sid = row[0], row[1]
+            if second is None or f > second[0] or (f == second[0] and sid < second[1]):
+                if head is None or f > head[0] or (f == head[0] and sid < head[1]):
+                    head, second = row, head
+                else:
+                    second = row
+        if head is None:
             raise NoAdmissibleLink(task)
-        _rank_queue(entries)
-        queues[task] = entries
-        head = entries[0]
-        selected[task] = head.service_id
-        final_utilities[task] = head.final_utility
-        link_qualities[task] = head.link_quality
-    index = {
-        task: {e.service_id: e for e in entries} for task, entries in queues.items()
-    }
-    graph = SearchGraph(order, queues, preds, succs, taxonomy, services, index)
+        graph.heads[task] = [QueueEntry(r[1], r[2], r[0], r[3]) for r in (head, second) if r]
+    heads = {task: entries[0] for task, entries in graph.heads.items()}
+    finals = {task: head.final_utility for task, head in heads.items()}
     composite = CompositeService(
-        selected, final_utilities, link_qualities, _score(order, final_utilities)
+        {task: head.service_id for task, head in heads.items()}, finals,
+        {task: head.link_quality for task, head in heads.items()}, _score(plan.order, finals),
     )
     return graph, composite
 
@@ -263,7 +285,7 @@ def first_alternative(
     Only the best variant is built.
     """
     order, chosen, finals = graph.order, primary.assignment, primary.final_utilities
-    swappable = [(i, t) for i, t in enumerate(order) if len(graph.queues[t]) >= 2]
+    swappable = [(i, t) for i, t in enumerate(order) if len(graph.heads[t]) >= 2]
     if not swappable:
         raise NoAlternative("every queue has exactly one entry")
     # prefix[i]: the product of the primary's F over order[:i]
@@ -272,7 +294,7 @@ def first_alternative(
         prefix.append(prefix[-1] * finals[task])
     best = None
     for position, task in swappable:
-        second = graph.queues[task][1]
+        second = graph.heads[task][1]
         # the F and link qualities where the variant differs from the primary
         new_finals = {task: second.final_utility}
         new_links = {task: second.link_quality}
@@ -282,7 +304,7 @@ def first_alternative(
             q = _mean_link(graph.taxonomy, graph.services, links)
             if q is None:
                 break
-            new_finals[succ] = graph.entries[succ][chosen[succ]].utility * q
+            new_finals[succ] = graph.entry(succ, chosen[succ]).utility * q
             new_links[succ] = q
         else:
             score = prefix[position]
@@ -316,17 +338,21 @@ def replace_unavailable(
     side and an isolated node falls back to q = 1. Every neighbor's selection
     stays fixed, so the prev side is probed once per distinct input interface
     and the next side once per distinct output interface. No rescored queue
-    is built: one pass keeps the head in `_rank_queue`'s order, final utility
-    descending, then service id ascending.
+    is built: one pass over the task's queue keeps the head in `_rank_queue`'s
+    order. `taxonomy` and `registry` must be the graph's own (InvalidValue).
     """
+    if taxonomy is not graph.taxonomy:
+        raise InvalidValue("the taxonomy is not the one the search graph was built from")
+    if registry.services is not graph.services:
+        raise InvalidValue("the registry is not the one the search graph was built from")
     task, service_id = failed
-    if task not in graph.queues:
+    if task not in graph.preds:
         raise UnknownTask(f"task {task!r} is not part of the search graph")
     if composite.assignment.get(task) != service_id:
         raise NotSelectedService(
             f"{service_id!r} is not the selected service of task {task!r}"
         )
-    services = registry.services
+    services = graph.services
     selected = composite.assignment
     preds, succs = graph.preds[task], graph.succs[task]
     # interface tuple -> that side's mean; None when inadmissible
@@ -488,18 +514,15 @@ def compose(
     config: "EngineConfig",
 ) -> tuple[CompositeService, CompositeService | None]:
     """End-to-end selection: primary composite plus best one-swap alternative (or None)."""
-    _, primary, alternative = compose_with_graph(
-        request, plan, registry, taxonomy, config
-    )
-    return primary, alternative
+    return compose_with_graph(request, plan, registry, taxonomy, config)[1:]
 
 
 def composite_report(graph: SearchGraph, composite: CompositeService) -> dict:
     """JSON-ready view of a composite with stable key and task ordering."""
-    tasks = []
+    tasks, taxonomy, services = [], graph.taxonomy, graph.services
     for task in graph.order:
         service_id = composite.assignment[task]
-        entry = graph.entries[task][service_id]
+        entry = graph.entry(task, service_id)
         links = []
         for pred in graph.preds[task]:
             from_service = composite.assignment[pred]
@@ -511,10 +534,10 @@ def composite_report(graph: SearchGraph, composite: CompositeService) -> dict:
                         {
                             "out": out,
                             "in": inp,
-                            "match": MATCH_LABELS[match_type(graph.taxonomy, out, inp)],
+                            "match": MATCH_LABELS[match_type(taxonomy, out, inp)],
                         }
-                        for out in graph.services[from_service].outputs
-                        for inp in graph.services[service_id].inputs
+                        for out in services[from_service].outputs
+                        for inp in services[service_id].inputs
                     ],
                 }
             )

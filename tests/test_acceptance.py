@@ -22,6 +22,7 @@ from qoscompose import (
     QoSAttribute,
     QoSVector,
     build_classifier,
+    build_search_graph,
     compute_extremes,
     first_alternative,
     mine_cars,
@@ -218,9 +219,9 @@ def test_criterion_7_replacement_correctness():
         ref = ref_select(inst)
         if ref.error:
             continue
-        engine, _ = engine_outcome(inst)
-        graph, composite = engine
-        _, _, taxonomy, registry = engine_inputs(inst)
+        # replacement takes the taxonomy and registry the graph was built from
+        plan, eligible, taxonomy, registry = engine_inputs(inst)
+        graph, composite = build_search_graph(plan, eligible, taxonomy, registry)
         middles = [
             t
             for t in inst.tasks

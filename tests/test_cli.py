@@ -32,6 +32,9 @@ GOLDEN_CHAIN_REPLACE = DATA / "chain_replace.json"
 # `qoscompose compose --bins 5 --levels 4` stdout on that chain: pins the
 # level codes away from the default 4 bins and 3 levels
 GOLDEN_CHAIN_B5_L4 = DATA / "chain_compose_b5_l4.json"
+# `qoscompose replace --composite chain_replace.json --task t21 --service
+# t21_s15` stdout on that chain: its t20 and t21 services are not queue heads
+GOLDEN_CHAIN_REPLACE_TWICE = DATA / "chain_replace_twice.json"
 
 
 def fixture_args(command, **extra):
@@ -125,6 +128,14 @@ def test_replace_matches_the_golden_chain_report(tmp_path, capsys):
     args = chain_args(tmp_path, capsys, "replace")
     assert main(args + ["--task", "t20", "--service", "t20_s15"]) == 0
     assert capsys.readouterr().out.encode() == GOLDEN_CHAIN_REPLACE.read_bytes()
+
+
+def test_replace_on_a_saved_replaced_composite_matches_the_golden_chain_report(
+    tmp_path, capsys
+):
+    args = chain_args(tmp_path, capsys, "replace") + ["--composite", str(GOLDEN_CHAIN_REPLACE)]
+    assert main(args + ["--task", "t21", "--service", "t21_s15"]) == 0
+    assert capsys.readouterr().out.encode() == GOLDEN_CHAIN_REPLACE_TWICE.read_bytes()
 
 
 def test_compose_is_deterministic(capsys):

@@ -72,6 +72,11 @@ TAX = Taxonomy(frozenset(["A", "B", "C"]), frozenset([("B", "A")]))
 
 def build(tasks, edges, cands, interfaces, taxonomy=TAX):
     """cands: task -> [(sid, utility)]; interfaces: sid -> (inputs, outputs)."""
+    return build_with_registry(tasks, edges, cands, interfaces, taxonomy)[:2]
+
+
+def build_with_registry(tasks, edges, cands, interfaces, taxonomy=TAX):
+    """`build`'s graph and composite, plus the registry the graph was built from."""
     plan = CompositionPlan(frozenset(tasks), frozenset(edges))
     eligible = {
         t: [ScoredService(s, NormalizedQoSVector(s, {}), 1, u) for s, u in rows]
@@ -83,7 +88,8 @@ def build(tasks, edges, cands, interfaces, taxonomy=TAX):
         for sid, _ in rows
         for ins, outs in [interfaces[sid]]
     ]
-    return build_search_graph(plan, eligible, taxonomy, Registry([], records))
+    registry = Registry([], records)
+    return (*build_search_graph(plan, eligible, taxonomy, registry), registry)
 
 
 def test_single_task_picks_highest_utility():
@@ -266,7 +272,7 @@ def test_alternative_reevaluates_downstream_links():
 
 
 def test_replacement_averages_both_sides():
-    graph, composite = build(
+    graph, composite, registry = build_with_registry(
         ["t1", "t2", "t3"],
         [("t1", "t2"), ("t2", "t3")],
         {
@@ -282,19 +288,7 @@ def test_replacement_averages_both_sides():
         },
     )
     assert composite.assignment["t2"] == "m1"
-    plan_registry = Registry(
-        [],
-        [
-            RegistryRecord(s, t, {}, ins, outs)
-            for s, t, ins, outs in [
-                ("p", "t1", (), ("A",)),
-                ("m1", "t2", ("A",), ("A",)),
-                ("m2", "t2", ("A",), ("B",)),
-                ("n", "t3", ("B",), ()),
-            ]
-        ],
-    )
-    replaced = replace_unavailable(graph, composite, ("t2", "m1"), TAX, plan_registry)
+    replaced = replace_unavailable(graph, composite, ("t2", "m1"), TAX, registry)
     # prev side p->m2 is Exact (1.0), next side m2->n is Exact via B (1.0)
     assert replaced.assignment == {"t1": "p", "t2": "m2", "t3": "n"}
     assert replaced.link_qualities["t2"] == (1.0 + 1.0) / 2
@@ -305,19 +299,11 @@ def test_replacement_averages_both_sides():
 
 
 def test_replacement_at_source_uses_next_side_only():
-    graph, composite = build(
+    graph, composite, registry = build_with_registry(
         ["t1", "t2"],
         [("t1", "t2")],
         {"t1": [("p1", 0.9), ("p2", 0.6)], "t2": [("d", 0.8)]},
         {"p1": ([], ["A"]), "p2": ([], ["B"]), "d": (["B"], [])},
-    )
-    registry = Registry(
-        [],
-        [
-            RegistryRecord("p1", "t1", {}, (), ("A",)),
-            RegistryRecord("p2", "t1", {}, (), ("B",)),
-            RegistryRecord("d", "t2", {}, ("B",), ()),
-        ],
     )
     replaced = replace_unavailable(graph, composite, ("t1", "p1"), TAX, registry)
     assert replaced.assignment["t1"] == "p2"
@@ -326,19 +312,40 @@ def test_replacement_at_source_uses_next_side_only():
 
 
 def test_replacement_guards():
-    graph, composite = build(
+    graph, composite, registry = build_with_registry(
         ["t1"],
         [],
         {"t1": [("only", 0.9)]},
         {"only": ([], ["A"])},
     )
-    registry = Registry([], [RegistryRecord("only", "t1", {}, (), ("A",))])
     with pytest.raises(NotSelectedService):
         replace_unavailable(graph, composite, ("t1", "ghost"), TAX, registry)
     with pytest.raises(UnknownTask):
         replace_unavailable(graph, composite, ("t9", "only"), TAX, registry)
     with pytest.raises(NoReplacementCandidate):
         replace_unavailable(graph, composite, ("t1", "only"), TAX, registry)
+
+
+def test_replacement_refuses_inputs_the_graph_was_not_built_from():
+    graph, composite, registry = build_with_registry(
+        ["t1", "t2"],
+        [("t1", "t2")],
+        {"t1": [("p1", 0.9), ("p2", 0.6)], "t2": [("d", 0.8)]},
+        {"p1": ([], ["A"]), "p2": ([], ["B"]), "d": (["B"], [])},
+    )
+    # equal to the graph's own, but other objects: their memos could disagree
+    twin_taxonomy = dc_replace(TAX)
+    twin_registry = Registry(registry.schema, list(registry.records))
+    assert twin_taxonomy == TAX and twin_registry == registry
+    for taxonomy, given, name in [
+        (twin_taxonomy, registry, "taxonomy"), (TAX, twin_registry, "registry"),
+    ]:
+        with pytest.raises(InvalidValue, match=f"the {name} is not the one") as exc:
+            replace_unavailable(graph, composite, ("t1", "p1"), taxonomy, given)
+        assert exc.value.exit_code == 18
+    assert "queues" not in vars(graph)
+    replaced = replace_unavailable(graph, composite, ("t1", "p1"), TAX, registry)
+    assert replaced.assignment["t1"] == "p2"
 
 
 def test_topological_order_is_lexicographic_kahn():
@@ -377,6 +384,13 @@ def test_plan_keeps_its_structure_outside_its_fields():
     assert graph.preds is plan.preds and graph.succs is plan.succs
 
 
+def engine_graph(inst):
+    """`build_search_graph` over `engine_inputs`, plus the taxonomy and registry
+    that replacement must be given with it."""
+    plan, eligible, taxonomy, registry = engine_inputs(inst)
+    return (*build_search_graph(plan, eligible, taxonomy, registry), taxonomy, registry)
+
+
 def outcome_views(inst):
     """Run engine and reference; normalize both to comparable tuples."""
     engine, engine_err = engine_outcome(inst)
@@ -404,6 +418,38 @@ def test_selection_matches_reference_on_random_instances():
                 for e in queue
             ]
             assert ref_rows == ref.queues[task], (inst, task)
+
+
+def test_heads_are_the_first_two_entries_of_the_queues_built_on_first_read():
+    """The one-pass head and runner-up against the sorted queues, on instances
+    with ties, shared input interfaces, inadmissible links, one-entry queues
+    and two-predecessor tasks; the queues against the reference's."""
+    rng = random.Random(1313)
+    seen = dict.fromkeys(["tied", "shared", "inadmissible", "one_entry", "two_preds"], 0)
+    for trial in range(400):
+        inst = shared_interface_instance(rng) if trial % 2 else random_instance(rng)
+        for rows in inst.candidates.values():
+            rng.shuffle(rows)  # so a tie is also met by a lower id coming later
+        ref = ref_select(inst)
+        if ref.error:
+            continue
+        graph, composite, _, _ = engine_graph(inst)
+        heads = {task: list(entries) for task, entries in graph.heads.items()}
+        assert "queues" not in vars(graph)
+        for task, queue in graph.queues.items():
+            assert heads[task] == queue[:2], (inst, task)
+            assert composite.assignment[task] == queue[0].service_id
+            rows = [(e.service_id, e.utility, e.final_utility, e.link_quality) for e in queue]
+            assert rows == ref.queues[task], (inst, task)
+            assert graph.entries[task] == {e.service_id: e for e in queue}
+            finals = [e.final_utility for e in queue[:3]]  # a tie the heads meet
+            inputs = [inst.interfaces[e.service_id][0] for e in queue]
+            seen["tied"] += len(set(finals)) < len(finals)
+            seen["shared"] += len(set(inputs)) < len(inputs)
+            seen["inadmissible"] += len(queue) < len(inst.candidates[task])
+            seen["one_entry"] += len(queue) == 1
+            seen["two_preds"] += len(graph.preds[task]) == 2
+    assert min(seen.values()) >= 40, seen
 
 
 def assert_alternative_links(graph, primary, alt):
@@ -498,11 +544,10 @@ def test_replacement_matches_reference():
     checked = 0
     while checked < 40:
         inst = random_instance(rng)
-        engine, engine_err, ref = outcome_views(inst)
+        ref = ref_select(inst)
         if ref.error:
             continue
-        graph, composite = engine
-        _, _, taxonomy, registry = engine_inputs(inst)
+        graph, composite, taxonomy, registry = engine_graph(inst)
         task = rng.choice(sorted(composite.assignment))
         failed = composite.assignment[task]
         ref_new = ref_replace(inst, ref, task, failed)
@@ -574,11 +619,10 @@ def test_replacement_matches_reference_on_shared_interfaces_and_ties():
     replaced = two_by_two = shared_dead = tied = failed_shares = 0
     for _ in range(300):
         inst = shared_interface_instance(rng)
-        engine, _, ref = outcome_views(inst)
+        ref = ref_select(inst)
         if ref.error:
             continue
-        graph, composite = engine
-        _, _, taxonomy, registry = engine_inputs(inst)
+        graph, composite, taxonomy, registry = engine_graph(inst)
         for task in graph.order:
             failed = composite.assignment[task]
             # the survivors the engine rescores, grouped by interface
@@ -859,6 +903,32 @@ def test_reused_registry_levels_and_selects_like_fresh_objects(fan_in):
             checked += 1
     assert checked >= 60
     assert registry._bases.keys() == {(bins, config.scheme) for bins in (3, 4, 5)}
+
+
+# ------------------------------------------------ queues built on first read
+
+@pytest.mark.parametrize("fan_in", [1, 2])
+def test_compose_and_its_reports_build_no_queue(fan_in):
+    plan, registry, taxonomy = dag_inputs(41 + fan_in, fan_in)
+    config = dc_replace(default_config(), threshold=0.0)
+    request = default_request(registry.schema)
+    graph, primary, alternative = compose_with_graph(request, plan, registry, taxonomy, config)
+    assert alternative is not None
+    reports = [composite_report(graph, c) for c in (primary, alternative)]
+    assert "queues" not in vars(graph) and "entries" not in vars(graph)
+    # a fresh build over fresh inputs, read in full
+    plan, registry, taxonomy = dag_inputs(41 + fan_in, fan_in)
+    eligible = rank_candidates(request, registry, config)
+    fresh, fresh_primary = build_search_graph(plan, eligible, taxonomy, registry)
+    assert fresh_primary == primary
+    assert graph.queues == fresh.queues
+    assert type(graph.queues) is dict and graph.queues is graph.queues
+    assert [composite_report(graph, c) for c in (primary, alternative)] == reports
+    assert "entries" not in vars(graph)
+    # a service outside the heads is looked up in the index, built on that read
+    task = next(t for t in graph.order if len(graph.queues[t]) >= 3)
+    third = graph.queues[task][2]
+    assert graph.entry(task, third.service_id) is graph.entries[task][third.service_id]
 
 
 # ------------------------------------------- the registry's ScoredService pool
