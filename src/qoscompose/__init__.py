@@ -26,7 +26,6 @@ from .composer import (
     compose_with_graph,
     composite_report,
     first_alternative,
-    rank_candidates,
     replace_unavailable,
 )
 from .data_io import (
@@ -44,6 +43,7 @@ from .leveling import (
     ScoredService,
     UserRequest,
     filter_eligible,
+    rank_candidates,
     score_candidates,
     synthesize_training_set,
 )

@@ -161,8 +161,6 @@ def mine_cars(
             # frequent (k-1)-subsets, so this pool loses nothing
             pool = sorted({it for items in per_class for it in items})
             for base in sorted(per_class):
-                if len(base) != level - 1:
-                    continue
                 used = {it.attribute for it in base}
                 for item in pool:
                     if item <= base[-1] or item.attribute in used:

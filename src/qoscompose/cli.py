@@ -12,13 +12,10 @@ import time
 from dataclasses import dataclass, replace as dc_replace
 
 from .composer import (
-    _request_training,
-    _stage,
     build_search_graph,
     compose_with_graph,
     composite_report,
     first_alternative,
-    rank_candidates,
     replace_unavailable,
 )
 from .data_io import (
@@ -38,8 +35,8 @@ from .data_io import (
     save_registry,
     save_taxonomy,
 )
-from .errors import EngineError, NoAlternative, NotSelectedService
-from .leveling import default_scheme
+from .errors import EngineError, NoAlternative, NotSelectedService, stage
+from .leveling import default_scheme, rank_candidates, request_training
 
 
 @dataclass
@@ -127,7 +124,7 @@ def cmd_replace(args: argparse.Namespace) -> int:
         if missing:
             raise NotSelectedService(f"saved composite assigns no service to {missing}")
         composite = saved
-    with _stage("replacement"):
+    with stage("replacement"):
         replaced = replace_unavailable(
             graph, composite, (args.task, args.service), taxonomy, registry
         )
@@ -139,7 +136,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     registry = load_registry(args.registry)
     config, request = load_config(args.config)
     config = _apply_overrides(args, config)
-    _emit(render_classifier(_request_training(request, registry, config)[0]), args.out)
+    _emit(render_classifier(request_training(request, registry, config)[0]), args.out)
     return 0
 
 
@@ -355,8 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except EngineError as err:
-        stage = err.stage or "load"
-        sys.stderr.write(f"error [{stage}]: {err}\n")
+        sys.stderr.write(f"error [{err.stage or 'load'}]: {err}\n")
         return err.exit_code
     except OSError as err:
         sys.stderr.write(f"error: {err}\n")

@@ -12,16 +12,13 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from .cba import Classifier, MiningConfig, predict, train_classifier
 from .errors import (
     CycleDetected,
-    EngineError,
     InvalidValue,
     NoAdmissibleLink,
     NoAlternative,
@@ -29,16 +26,9 @@ from .errors import (
     NoReplacementCandidate,
     NotSelectedService,
     UnknownTask,
+    stage,
 )
-from .leveling import (
-    ScoredService,
-    TrainingSignature,
-    UserRequest,
-    _training_rows,
-    _training_signature,
-    filter_eligible,
-    score_basis,
-)
+from .leveling import ScoredService, UserRequest, rank_candidates
 from .ontology import MatchType, Taxonomy, interface_quality, match_type
 
 if TYPE_CHECKING:
@@ -60,8 +50,9 @@ class CompositionPlan:
 
     Construction also keeps the plan's structure, read-only and outside the
     dataclass fields (so equality and repr see only the fields): `order`, the
-    tasks in `topological_order`, and `preds`/`succs`, each task's direct
-    predecessors and successors in sorted edge order.
+    tasks in topological order with ties broken lexicographically, and
+    `preds`/`succs`, each task's direct predecessors and successors in sorted
+    edge order. A cycle raises CycleDetected.
     """
 
     tasks: frozenset[str]
@@ -80,40 +71,28 @@ class CompositionPlan:
         for edge in self.link_pairs:
             if edge not in self.edges:
                 raise UnknownTask(f"link pairs declared for non-edge {edge!r}")
-        order = topological_order(self.tasks, self.edges)
-        preds: dict[str, list[str]] = {t: [] for t in order}
-        succs: dict[str, list[str]] = {t: [] for t in order}
+        preds: dict[str, list[str]] = {t: [] for t in sorted(self.tasks)}
+        succs: dict[str, list[str]] = {t: [] for t in preds}
         for a, b in sorted(self.edges):
             preds[b].append(a)
             succs[a].append(b)
+        # Kahn's algorithm; ready tasks leave in lexicographic order
+        indeg = {t: len(p) for t, p in preds.items()}
+        ready = [t for t, d in indeg.items() if d == 0]  # sorted, so a heap
+        order: list[str] = []
+        while ready:
+            task = heapq.heappop(ready)
+            order.append(task)
+            for nxt in succs[task]:
+                indeg[nxt] -= 1
+                if indeg[nxt] == 0:
+                    heapq.heappush(ready, nxt)
+        if len(order) != len(preds):
+            stuck = sorted(t for t, d in indeg.items() if d > 0)
+            raise CycleDetected(f"plan edges form a cycle through {stuck}")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "preds", preds)
         object.__setattr__(self, "succs", succs)
-
-
-def topological_order(
-    tasks: frozenset[str], edges: frozenset[tuple[str, str]]
-) -> list[str]:
-    """Kahn's algorithm; ready tasks leave in lexicographic order."""
-    indeg = {t: 0 for t in tasks}
-    succs: dict[str, list[str]] = {t: [] for t in tasks}
-    for a, b in sorted(edges):
-        indeg[b] += 1
-        succs[a].append(b)
-    ready = [t for t in sorted(tasks) if indeg[t] == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        task = heapq.heappop(ready)
-        order.append(task)
-        for nxt in succs[task]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                heapq.heappush(ready, nxt)
-    if len(order) != len(tasks):
-        stuck = sorted(t for t in tasks if indeg[t] > 0)
-        raise CycleDetected(f"plan edges form a cycle through {stuck}")
-    return order
 
 
 @dataclass(slots=True)
@@ -395,17 +374,6 @@ def replace_unavailable(
     return CompositeService(assignment, finals, links, _score(graph.order, finals))
 
 
-@contextmanager
-def _stage(name: str):
-    """Tag engine errors with the pipeline stage that raised them."""
-    try:
-        yield
-    except EngineError as err:
-        if err.stage is None:
-            err.stage = name
-        raise
-
-
 def _validate_registry(
     plan: CompositionPlan, registry: "Registry", taxonomy: Taxonomy
 ) -> None:
@@ -425,66 +393,6 @@ def _validate_registry(
             taxonomy.rep(concept)
 
 
-# Classifiers `_trained` keeps, least recently used first out: over twice the
-# 27 signatures that 1 000 distinct requests of the catalog benchmark have.
-TRAINING_MEMO_SIZE = 64
-
-
-@lru_cache(maxsize=TRAINING_MEMO_SIZE)
-def _trained(
-    signature: TrainingSignature, mining: MiningConfig
-) -> tuple[Classifier, tuple[int, ...]]:
-    """The classifier of one training signature and its level of every training
-    row, in row order; shared by every request that has the signature.
-
-    The rows are every label combination, so a registry candidate's level is
-    the entry at its `level_basis` code. Process-wide rather than on the
-    registry, so a reloaded registry still hits. What it returns must not be
-    mutated.
-    """
-    rows = _training_rows(signature)
-    classifier = train_classifier(rows, mining)
-    return classifier, tuple(int(predict(classifier, row.items)) for row in rows)
-
-
-def _request_training(
-    request: UserRequest, registry: "Registry", config: "EngineConfig"
-) -> tuple[Classifier, tuple[int, ...]]:
-    """The request's classifier and level table; errors carry the "training" stage.
-
-    Every request's signature is computed and checked; mining runs only the
-    first time a (signature, mining config) pair is met, see `_trained`.
-    """
-    with _stage("training"):
-        signature = _training_signature(
-            request, registry.envelope, config.scheme, config.bins, registry.schema
-        )
-        return _trained(signature, config.mining)
-
-
-def rank_candidates(
-    request: UserRequest, registry: "Registry", config: "EngineConfig"
-) -> dict[str, list[ScoredService]]:
-    """Scale, level, and threshold-filter every task's candidates.
-
-    Only training and the per-candidate level lookup depend on the request:
-    scaling, discretization, each candidate's mean and its `ScoredService`
-    at each level are kept on the registry (see `Registry.scaled` and
-    `Registry.level_bases`). The lists are new; the frozen services in them
-    are shared with every other request of the same bins and scheme. Levels
-    are read from the training signature's table, so a warm signature never
-    calls `predict`.
-    """
-    _, levels = _request_training(request, registry, config)
-    with _stage("scaling"):
-        registry.scaled  # computed here, so a scaling error carries this stage
-    with _stage("classification"):
-        return {
-            task: filter_eligible(score_basis(basis, levels, config.scheme), config.threshold)
-            for task, basis in registry.level_bases(config.bins, config.scheme).items()
-        }
-
-
 def compose_with_graph(
     request: UserRequest,
     plan: CompositionPlan,
@@ -493,12 +401,12 @@ def compose_with_graph(
     config: "EngineConfig",
 ) -> tuple[SearchGraph, CompositeService, CompositeService | None]:
     """Full pipeline, also exposing the search graph for reporting/replacement."""
-    with _stage("validation"):
+    with stage("validation"):
         _validate_registry(plan, registry, taxonomy)
     eligible = rank_candidates(request, registry, config)
-    with _stage("selection"):
+    with stage("selection"):
         graph, primary = build_search_graph(plan, eligible, taxonomy, registry)
-    with _stage("alternative"):
+    with stage("alternative"):
         try:
             alternative: CompositeService | None = first_alternative(graph, primary)
         except NoAlternative:

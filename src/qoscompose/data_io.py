@@ -553,9 +553,8 @@ def generate_synthetic(
     off_backbone = concepts[len(backbone) :]
     disjointness: set[tuple[str, str]] = set()
     tree = Taxonomy(frozenset(concepts), frozenset(edges))
+    # the loop runs only when n_concepts >= 8, so off_backbone holds at least 2
     for _ in range(n_concepts // 8):
-        if len(off_backbone) < 2:
-            break
         a, b = rng.sample(off_backbone, 2)
         if match_type(tree, a, b) in (MatchType.PLUGIN, MatchType.SUBSUME):
             continue

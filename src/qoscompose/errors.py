@@ -1,12 +1,15 @@
 """Exception types shared across the engine.
 
 Every error raised by the engine derives from ``EngineError``.  The pipeline
-attaches the failing stage name to ``EngineError.stage`` when it propagates an
-error, so callers (notably the CLI) can report where things went wrong. Each
-error class carries the CLI's process exit code for it in ``exit_code``.
+runs each stage inside ``stage(name)``, which attaches the failing stage name
+to ``EngineError.stage``, so callers (notably the CLI) can report where things
+went wrong. Each error class carries the CLI's process exit code for it in
+``exit_code``.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 
 class EngineError(Exception):
@@ -14,6 +17,17 @@ class EngineError(Exception):
 
     stage: str | None = None
     exit_code = 1
+
+
+@contextmanager
+def stage(name: str):
+    """Tag engine errors with the pipeline stage that raised them."""
+    try:
+        yield
+    except EngineError as err:
+        if err.stage is None:
+            err.stage = name
+        raise
 
 
 # -- QoS scaling -------------------------------------------------------------

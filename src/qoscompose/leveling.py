@@ -2,7 +2,8 @@
 
 The classifier that assigns levels is trained on a synthesized set covering
 every discretized label combination, each labeled by how far its worst
-attribute falls short of the requested range.
+attribute falls short of the requested range. One classifier is kept per
+training signature, and `rank_candidates` levels a whole registry with it.
 """
 
 from __future__ import annotations
@@ -10,14 +11,20 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
-from .cba import Classifier, Item, TrainingInstance, discretize, predict
+from .cba import (
+    Classifier, Item, MiningConfig, TrainingInstance, discretize, predict, train_classifier,
+)
 from .errors import (
     DegenerateRequest, InvalidValue, LevelOutOfRange, SchemaMismatch, UnknownAttribute,
-    ValueOutOfRange,
+    ValueOutOfRange, stage,
 )
 from .qos import AttributeExtremes, NormalizedQoSVector, QoSAttribute, scale
+
+if TYPE_CHECKING:
+    from .data_io import EngineConfig, Registry
 
 # Largest training set synthesize_training_set builds: 8 attributes at 4 bins.
 # It holds bins ** attributes rows and mining cost grows with it, so a larger
@@ -276,3 +283,63 @@ def filter_eligible(
     A NaN utility is dropped: `NaN > threshold` is False.
     """
     return [s for s in scored if s.utility > threshold]
+
+
+# Classifiers `_trained` keeps, least recently used first out: over twice the
+# 27 signatures that 1 000 distinct requests of the catalog benchmark have.
+TRAINING_MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=TRAINING_MEMO_SIZE)
+def _trained(
+    signature: TrainingSignature, mining: MiningConfig
+) -> tuple[Classifier, tuple[int, ...]]:
+    """The classifier of one training signature and its level of every training
+    row, in row order; shared by every request that has the signature.
+
+    The rows are every label combination, so a registry candidate's level is
+    the entry at its `level_basis` code. Process-wide rather than on the
+    registry, so a reloaded registry still hits. What it returns must not be
+    mutated.
+    """
+    rows = _training_rows(signature)
+    classifier = train_classifier(rows, mining)
+    return classifier, tuple(int(predict(classifier, row.items)) for row in rows)
+
+
+def request_training(
+    request: UserRequest, registry: "Registry", config: "EngineConfig"
+) -> tuple[Classifier, tuple[int, ...]]:
+    """The request's classifier and level table; errors carry the "training" stage.
+
+    Every request's signature is computed and checked; mining runs only the
+    first time a (signature, mining config) pair is met, see `_trained`.
+    """
+    with stage("training"):
+        signature = _training_signature(
+            request, registry.envelope, config.scheme, config.bins, registry.schema
+        )
+        return _trained(signature, config.mining)
+
+
+def rank_candidates(
+    request: UserRequest, registry: "Registry", config: "EngineConfig"
+) -> dict[str, list[ScoredService]]:
+    """Scale, level, and threshold-filter every task's candidates.
+
+    Only training and the per-candidate level lookup depend on the request:
+    scaling, discretization, each candidate's mean and its `ScoredService`
+    at each level are kept on the registry (see `Registry.scaled` and
+    `Registry.level_bases`). The lists are new; the frozen services in them
+    are shared with every other request of the same bins and scheme. Levels
+    are read from the training signature's table, so a warm signature never
+    calls `predict`.
+    """
+    _, levels = request_training(request, registry, config)
+    with stage("scaling"):
+        registry.scaled  # computed here, so a scaling error carries this stage
+    with stage("classification"):
+        return {
+            task: filter_eligible(score_basis(basis, levels, config.scheme), config.threshold)
+            for task, basis in registry.level_bases(config.bins, config.scheme).items()
+        }

@@ -14,7 +14,7 @@ from qoscompose import (
     mine_cars,
     sort_rules,
 )
-from qoscompose.cba import discretize, predict
+from qoscompose.cba import discretize, instance_schema, predict
 from qoscompose.errors import EmptyTrainingSet, SchemaMismatch, ValueOutOfRange
 from reference import brute_force_cars, random_training_set, ref_build_classifier
 
@@ -70,6 +70,17 @@ def test_mine_cars_rejects_empty_and_mixed_schema():
         mine_cars([], MiningConfig())
     with pytest.raises(SchemaMismatch):
         mine_cars([inst("c1", A="lo"), inst("c1", B="lo")], MiningConfig())
+
+
+def test_instance_schema_rejects_two_items_for_one_attribute():
+    assert instance_schema(frozenset([Item("A", "lo"), Item("B", "hi")])) == {"A", "B"}
+    with pytest.raises(SchemaMismatch, match="more than one item"):
+        instance_schema(frozenset([Item("A", "lo"), Item("A", "hi")]))
+
+
+def test_build_classifier_rejects_empty_training_data():
+    with pytest.raises(EmptyTrainingSet):
+        build_classifier([], [rule(1.0, 0.5, [("A", "lo")], "c1")])
 
 
 def test_mine_cars_matches_brute_force_spot_checks():

@@ -11,7 +11,7 @@ import pytest
 
 from qoscompose import errors
 from qoscompose.cli import _parse_grid, main, run_bench
-from qoscompose.composer import _request_training
+from qoscompose.leveling import request_training
 from qoscompose.data_io import load_config, load_registry, render_classifier
 from qoscompose.errors import EngineError
 
@@ -579,7 +579,7 @@ def test_classify_writes_loadable_rules(tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 0
     config, request = load_config(str(FIXTURES / "config.json"))
     registry = load_registry(str(FIXTURES / "registry.csv"))
-    classifier, _ = _request_training(request, registry, config)
+    classifier, _ = request_training(request, registry, config)
     assert classifier.default_class == "2"
     assert len(classifier.rules) == 22
     perfect = [r for r in classifier.rules if r.confidence == 1.0]

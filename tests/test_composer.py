@@ -33,10 +33,9 @@ from qoscompose import composer, leveling
 from qoscompose.cba import (
     ClassAssociationRule, Classifier, Item, MiningConfig, discretize, predict, train_classifier,
 )
-from qoscompose.composer import _request_training, topological_order
 from qoscompose.data_io import default_config, default_request, generate_synthetic
 from qoscompose.leveling import (
-    _training_rows, filter_eligible, level_basis, score_candidates,
+    _training_rows, filter_eligible, level_basis, request_training, score_candidates,
 )
 from qoscompose.qos import QoSVector, compute_extremes, normalize
 from qoscompose.errors import (
@@ -351,9 +350,9 @@ def test_replacement_refuses_inputs_the_graph_was_not_built_from():
 def test_topological_order_is_lexicographic_kahn():
     tasks = frozenset(["b", "a", "c", "d"])
     edges = frozenset([("a", "d"), ("b", "d")])
-    assert topological_order(tasks, edges) == ["a", "b", "c", "d"]
+    assert CompositionPlan(tasks, edges).order == ["a", "b", "c", "d"]
     with pytest.raises(CycleDetected):
-        topological_order(frozenset(["a", "b"]), frozenset([("a", "b"), ("b", "a")]))
+        CompositionPlan(frozenset(["a", "b"]), frozenset([("a", "b"), ("b", "a")]))
 
 
 def test_plan_rejects_foreign_edge_endpoints():
@@ -567,6 +566,33 @@ def test_replacement_matches_reference():
         }
         assert changed == {task}, (inst, task)
         checked += 1
+
+
+def test_a_second_replacement_skips_what_the_patched_predecessor_cannot_feed():
+    # B and C are disjoint subclasses of A; m2 entered t2's queue behind p1's
+    # B output, and p2's C output cannot feed it
+    inst = RefInstance(
+        ["t1", "t2"],
+        [("t1", "t2")],
+        {"t1": [("p1", 0.9), ("p2", 0.6)], "t2": [("m1", 1.0), ("m2", 0.7), ("m3", 0.5)]},
+        {
+            "p1": ((), ("B",)), "p2": ((), ("C",)),
+            "m1": (("A",), ()), "m2": (("B",), ()), "m3": (("A",), ()),
+        },
+        RefTaxonomy({"A", "B", "C"}, {("B", "A"), ("C", "A")}, set(), {("B", "C")}),
+    )
+    ref = ref_select(inst)
+    graph, composite, taxonomy, registry = engine_graph(inst)
+    assert [e.service_id for e in graph.queues["t2"]] == ["m1", "m2", "m3"]
+    once = replace_unavailable(graph, composite, ("t1", "p1"), taxonomy, registry)
+    ref_once = ref_replace(inst, ref, "t1", "p1")
+    assert once.assignment == ref_once.assignment == {"t1": "p2", "t2": "m1"}
+    patched = dc_replace(ref, assignment=ref_once.assignment, finals=ref_once.finals)
+    twice = replace_unavailable(graph, once, ("t2", "m1"), taxonomy, registry)
+    ref_twice = ref_replace(inst, patched, "t2", "m1")
+    assert twice.assignment == ref_twice.assignment == {"t1": "p2", "t2": "m3"}
+    assert twice.final_utilities == ref_twice.finals
+    assert twice.score == ref_twice.score
 
 
 def shared_interface_instance(rng):
@@ -838,7 +864,7 @@ def test_replaced_objects_start_with_empty_caches():
 def dag_inputs(seed, fan_in):
     """A generated 10-task chain; fan-in 2 adds the skip edges t_i -> t_i+2."""
     registry, plan, taxonomy = generate_synthetic(10, 8, 3, seed)
-    order = topological_order(plan.tasks, plan.edges)
+    order = plan.order
     edges = set(plan.edges)
     if fan_in == 2:
         edges |= set(zip(order, order[2:]))
@@ -858,7 +884,7 @@ def random_request(rng, registry):
 def fresh_eligible(request, registry, config):
     """Per-request leveling from scratch: per-task scaling, score_candidates, filter."""
     fresh = Registry(registry.schema, list(registry.records))
-    classifier, _ = _request_training(request, fresh, config)
+    classifier, _ = request_training(request, fresh, config)
     by_task = {}
     for rec in fresh.records:
         by_task.setdefault(rec.task_id, []).append(QoSVector(rec.service_id, rec.values))
@@ -971,7 +997,7 @@ def test_rank_candidates_hands_out_pooled_copies_of_score_candidates():
     pooled = {}
     for _ in range(200):
         request = random_request(rng, registry)
-        classifier, _ = _request_training(request, registry, config)
+        classifier, _ = request_training(request, registry, config)
         got = rank_candidates(request, registry, config)
         assert got.keys() == registry.scaled.keys()
         for task, normalized in registry.scaled.items():
@@ -996,7 +1022,6 @@ def test_a_warm_signature_levels_without_predict(monkeypatch):
         calls.append(instance)
         return predict(classifier, instance)
 
-    monkeypatch.setattr(composer, "predict", counting_predict)
     monkeypatch.setattr(leveling, "predict", counting_predict)
     request = requests[0]
     cold = rank_candidates(request, registry, config)
@@ -1007,7 +1032,7 @@ def test_a_warm_signature_levels_without_predict(monkeypatch):
     for again in (request, twin):
         assert rank_candidates(again, registry, config) == cold
     assert calls == []
-    assert composer._trained.cache_info().misses == 1
+    assert leveling._trained.cache_info().misses == 1
 
 
 def test_trained_levels_equal_predict_at_each_candidates_level_code():
@@ -1021,7 +1046,7 @@ def test_trained_levels_equal_predict_at_each_candidates_level_code():
             min_confidence=rng.choice([0.0, 0.5, 0.9]),
             max_antecedent_size=rng.choice([None, 1, 2]),
         )
-        _, levels = composer._trained(signature, mining)
+        _, levels = leveling._trained(signature, mining)
         rows = _training_rows(signature)
         want = train_classifier(rows, mining)
         assert len(levels) == len(rows) == bins**n_attrs, trial
@@ -1068,7 +1093,7 @@ def test_level_out_of_range_names_the_first_service(monkeypatch):
                 config.bins,
             )
     monkeypatch.setattr(
-        composer, "train_classifier", lambda *_: out_of_range_classifier(registry.schema)
+        leveling, "train_classifier", lambda *_: out_of_range_classifier(registry.schema)
     )
     for _ in range(2):  # cold and warm basis
         with pytest.raises(LevelOutOfRange) as got:

@@ -1,7 +1,11 @@
-"""The package root: every name the benchmark and the oracles import from it is exported."""
+"""The package surface: the root exports every name the benchmark and the oracles import,
+the README's library example runs, and modules share no underscore names."""
 
 import ast
+import contextlib
+import io
 import pathlib
+import re
 
 import qoscompose
 
@@ -32,3 +36,32 @@ def test_every_root_export_resolves():
     assert len(set(qoscompose.__all__)) == len(qoscompose.__all__)
     for name in qoscompose.__all__:
         assert hasattr(qoscompose, name), name
+
+
+def test_the_readme_library_example_composes_the_fixtures(monkeypatch):
+    readme = (REPO / "README.md").read_text()
+    snippet = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(REPO)
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(snippet, namespace)
+    primary, alternative = namespace["primary"], namespace["alternative"]
+    assert primary.score == 0.5625
+    assert out.getvalue() == f"{primary.assignment} {primary.score}\n"
+    inputs = [namespace[k] for k in ("request", "plan", "registry", "taxonomy", "config")]
+    assert (primary, alternative) == qoscompose.compose_with_graph(*inputs)[1:]
+
+
+def test_no_module_imports_another_modules_private_name():
+    private = []
+    for path in sorted((REPO / "src" / "qoscompose").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        private += [
+            (path.name, node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "qoscompose")
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+    assert not private

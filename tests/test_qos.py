@@ -72,6 +72,12 @@ def test_normalize_rejects_schema_mismatch():
         normalize(QoSVector("a", {"response_time": 150.0}), ext, SCHEMA)
 
 
+def test_normalize_rejects_extremes_missing_a_schema_attribute():
+    ext = {"response_time": (100.0, 300.0)}
+    with pytest.raises(SchemaMismatch, match="extremes do not cover"):
+        normalize(vec("a", 150.0, 80.0), ext, SCHEMA)
+
+
 @given(
     st.lists(
         st.tuples(

@@ -20,9 +20,11 @@ from qoscompose import (
     train_classifier,
 )
 from qoscompose.cli import main
-from qoscompose.composer import TRAINING_MEMO_SIZE, _request_training, _trained
 from qoscompose.data_io import default_config, generate_synthetic
-from qoscompose.leveling import _training_signature, score_basis, score_candidates
+from qoscompose.leveling import (
+    TRAINING_MEMO_SIZE, _trained, _training_signature, request_training, score_basis,
+    score_candidates,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -82,7 +84,7 @@ def test_memoized_classifier_equals_fresh_training():
             random_scheme(rng, n_levels), rng.choice(minings), bins, rng.random()
         )
         request = random_request(rng, registry)
-        got, levels = _request_training(request, registry, config)
+        got, levels = request_training(request, registry, config)
         training = synthesize_training_set(
             request, registry.envelope, config.scheme, bins, registry.schema
         )
@@ -114,11 +116,11 @@ def test_coefficients_threshold_and_a_reloaded_registry_share_one_classifier():
     registry, _, _ = generate_synthetic(2, 3, 3, 4)
     request = random_request(random.Random(5), registry)
     config = EngineConfig(LevelScheme(3, (1.0, 0.75, 0.25)), MiningConfig())
-    first = _request_training(request, registry, config)
+    first = request_training(request, registry, config)
     other = EngineConfig(LevelScheme(3, (1.0, 0.5, 0.1)), MiningConfig(), threshold=0.9)
-    assert _request_training(request, registry, other) is first
+    assert request_training(request, registry, other) is first
     reloaded, _, _ = generate_synthetic(2, 3, 3, 4)
-    assert _request_training(request, reloaded, config) is first
+    assert request_training(request, reloaded, config) is first
     assert _trained.cache_info().misses == 1
 
 
