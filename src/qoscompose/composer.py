@@ -11,7 +11,7 @@ the same queues.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
@@ -28,7 +28,9 @@ from .errors import (
     UnknownTask,
     stage,
 )
-from .leveling import ScoredService, UserRequest, rank_candidates
+from .leveling import (
+    TRAINING_MEMO_SIZE, ScoredService, UserRequest, request_signature, signature_ranker,
+)
 from .ontology import MatchType, Taxonomy, interface_quality, match_type
 
 if TYPE_CHECKING:
@@ -105,8 +107,9 @@ class QueueEntry:
 
 @dataclass
 class SearchGraph:
-    """One request's selection: each queue's head and runner-up, and what the
-    full queues are built from on first read. Nothing it holds may be mutated."""
+    """One selection: each queue's head and runner-up, and what the full queues
+    are built from on first read. `compose_with_graph` shares it among the
+    requests of one training signature; nothing it holds may be mutated."""
 
     # order, preds and succs are the plan's own, read-only
     order: list[str]
@@ -114,11 +117,14 @@ class SearchGraph:
     succs: dict[str, list[str]]
     taxonomy: Taxonomy
     services: dict[str, "RegistryRecord"]
-    eligible: dict[str, list[ScoredService]]
+    # makes task -> eligible services for the first queue read, then is dropped
+    rank: Callable[[], dict[str, list[ScoredService]]] | None
     # task -> the first two entries of its queue (or its only one), head first
     heads: dict[str, list[QueueEntry]]
 
-    def _scored(self, task: str) -> Iterator[tuple[float, str, float, float]]:
+    def _scored(
+        self, task: str, eligible: list[ScoredService]
+    ) -> Iterator[tuple[float, str, float, float]]:
         """(F, service id, U, q) of each admissible candidate, in eligible order.
 
         The predecessors' selections are fixed for this task, so a candidate's
@@ -129,7 +135,7 @@ class SearchGraph:
         selected = {pred: self.heads[pred][0].service_id for pred in preds}
         outputs = services[selected[preds[0]]].outputs if len(preds) == 1 else None
         link_memo = {} if outputs is None else self.taxonomy.link_memo(outputs)
-        for cand in self.eligible[task]:
+        for cand in eligible:
             inputs = services[cand.service_id].inputs
             q = link_memo.get(inputs, ...)  # Ellipsis: not seen yet
             if q is ...:
@@ -141,12 +147,15 @@ class SearchGraph:
     @cached_property
     def queues(self) -> dict[str, list[QueueEntry]]:
         """task -> entries sorted by final utility desc, service_id asc; the last
-        reader of `eligible`, so it lets those lists go."""
+        caller of `rank`, so it lets it go."""
+        eligible = self.rank()
         queues = {
-            task: _rank_queue([QueueEntry(s, u, f, q) for f, s, u, q in self._scored(task)])
+            task: _rank_queue(
+                [QueueEntry(s, u, f, q) for f, s, u, q in self._scored(task, eligible[task])]
+            )
             for task in self.order
         }
-        self.eligible = {}
+        self.rank = None
         return queues
 
     @cached_property
@@ -223,7 +232,7 @@ def build_search_graph(
     A NaN utility has no rank, so it is refused with InvalidValue.
     """
     graph = SearchGraph(plan.order, plan.preds, plan.succs, taxonomy, registry.services,
-                        eligible_per_task, {})
+                        lambda: eligible_per_task, {})
     for task in plan.order:
         candidates = eligible_per_task.get(task, [])
         if not candidates:
@@ -233,7 +242,7 @@ def build_search_graph(
             raise InvalidValue(f"task {task!r}: service {nan[0]!r} has a NaN utility")
         # the first two rows in `_rank_queue`'s order; as in its sorts, ties keep the first
         head = second = None
-        for row in graph._scored(task):
+        for row in graph._scored(task, candidates):
             f, sid = row[0], row[1]
             if second is None or f > second[0] or (f == second[0] and sid < second[1]):
                 if head is None or f > head[0] or (f == head[0] and sid < head[1]):
@@ -243,13 +252,17 @@ def build_search_graph(
         if head is None:
             raise NoAdmissibleLink(task)
         graph.heads[task] = [QueueEntry(r[1], r[2], r[0], r[3]) for r in (head, second) if r]
+    return graph, _head_composite(graph)
+
+
+def _head_composite(graph: SearchGraph) -> CompositeService:
+    """The composite of every queue's head, new on each call."""
     heads = {task: entries[0] for task, entries in graph.heads.items()}
     finals = {task: head.final_utility for task, head in heads.items()}
-    composite = CompositeService(
+    return CompositeService(
         {task: head.service_id for task, head in heads.items()}, finals,
-        {task: head.link_quality for task, head in heads.items()}, _score(plan.order, finals),
+        {task: head.link_quality for task, head in heads.items()}, _score(graph.order, finals),
     )
-    return graph, composite
 
 
 def first_alternative(
@@ -400,17 +413,48 @@ def compose_with_graph(
     taxonomy: Taxonomy,
     config: "EngineConfig",
 ) -> tuple[SearchGraph, CompositeService, CompositeService | None]:
-    """Full pipeline, also exposing the search graph for reporting/replacement."""
+    """Full pipeline, also exposing the search graph for reporting/replacement.
+
+    With the inputs loaded, the result depends on the request only through
+    its training signature, so it is memoized per (signature, config) in
+    `registry.compose_memo`, keeping the `TRAINING_MEMO_SIZE` most recently
+    used. An entry is a hit only for the plan and taxonomy objects it was
+    built with; any other pair recomputes and overwrites it. Validation and
+    the signature's checks run first, so a refusal is never stored. The
+    graph is shared by every hit and re-ranks on its first queue read rather
+    than keep the eligible lists; the composites are new on every call.
+    """
     with stage("validation"):
         _validate_registry(plan, registry, taxonomy)
-    eligible = rank_candidates(request, registry, config)
-    with stage("selection"):
-        graph, primary = build_search_graph(plan, eligible, taxonomy, registry)
-    with stage("alternative"):
-        try:
-            alternative: CompositeService | None = first_alternative(graph, primary)
-        except NoAlternative:
-            alternative = None
+    signature = request_signature(request, registry, config)
+    memo, key = registry.compose_memo, (signature, config)
+    entry = memo.get(key)
+    if entry is None or entry[0] is not plan or entry[1] is not taxonomy:
+        rank = signature_ranker(signature, registry, config)
+        with stage("classification"):
+            eligible = rank()
+        with stage("selection"):
+            graph, primary = build_search_graph(plan, eligible, taxonomy, registry)
+        graph.rank = rank
+        with stage("alternative"):
+            try:
+                alternative: CompositeService | None = first_alternative(graph, primary)
+            except NoAlternative:
+                alternative = None
+        entry = (plan, taxonomy, graph, alternative)
+    else:
+        graph, alternative = entry[2], entry[3]
+        primary = _head_composite(graph)
+    # reinserted last, so the first key is the least recently used
+    memo.pop(key, None)
+    if len(memo) >= TRAINING_MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = entry
+    if alternative is not None:
+        alternative = CompositeService(
+            dict(alternative.assignment), dict(alternative.final_utilities),
+            dict(alternative.link_qualities), alternative.score,
+        )
     return graph, primary, alternative
 
 

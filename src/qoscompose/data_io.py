@@ -95,6 +95,12 @@ class Registry:
             }
         return bases
 
+    @cached_property
+    def compose_memo(self) -> dict[tuple, tuple]:
+        """`compose_with_graph`'s results: (training signature, `EngineConfig`) ->
+        (plan, taxonomy, graph, alternative), least recently used first."""
+        return {}
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -140,13 +146,17 @@ def _parse_header(columns: list[str]) -> list[QoSAttribute]:
     return schema
 
 
-def _parse_concepts(text: str, line: int) -> tuple[str, ...]:
-    if text == "":
-        return ()
-    parts = tuple(text.split(";"))
-    if any(p == "" for p in parts):
-        raise ParseError("empty concept in semicolon list", line=line)
-    return parts
+def _parse_concepts(
+    text: str, line: int, parsed: dict[str, tuple[str, ...]]
+) -> tuple[str, ...]:
+    """The `;`-separated concepts of `text`; equal texts share one tuple, kept in `parsed`."""
+    concepts = parsed.get(text)
+    if concepts is None:
+        concepts = tuple(text.split(";")) if text else ()
+        if "" in concepts:
+            raise ParseError("empty concept in semicolon list", line=line)
+        parsed[text] = concepts
+    return concepts
 
 
 @contextmanager
@@ -178,13 +188,16 @@ def load_registry(path: str) -> Registry:
         schema = _parse_header(header)
         records: list[RegistryRecord] = []
         seen: set[str] = set()
+        # services repeat task ids and interfaces; equal ones share one object
+        task_ids: dict[str, str] = {}
+        interfaces: dict[str, tuple[str, ...]] = {}
         for row in rows:
             line = reader.line_num
             if len(row) != len(schema) + 4:
                 raise ParseError(
                     f"expected {len(schema) + 4} columns, found {len(row)}", line=line
                 )
-            service_id, task_id = row[0], row[1]
+            service_id, task_id = row[0], task_ids.setdefault(row[1], row[1])
             if not service_id or not task_id:
                 raise ParseError("service_id and task_id must be non-empty", line=line)
             if service_id in seen:
@@ -208,8 +221,8 @@ def load_registry(path: str) -> Registry:
                     service_id,
                     task_id,
                     values,
-                    _parse_concepts(row[-2], line),
-                    _parse_concepts(row[-1], line),
+                    _parse_concepts(row[-2], line, interfaces),
+                    _parse_concepts(row[-1], line, interfaces),
                 )
             )
     if not records:
@@ -217,7 +230,58 @@ def load_registry(path: str) -> Registry:
     return Registry(schema, records)
 
 
+def _utf8(text: str) -> bool:
+    """Whether a UTF-8 file can hold `text`: a lone surrogate cannot be encoded."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _check_field(what: str, text: str) -> None:
+    """Refuse a registry CSV field that `load_registry` would not read back.
+
+    The writer leaves a carriage return unquoted, so it would split the row,
+    and Python 3.10's CSV reader refuses a NUL.
+    """
+    if "\r" in text or "\0" in text or not _utf8(text):
+        raise InvalidValue(f"{what} holds a character the registry file cannot store")
+
+
+def _check_registry(registry: Registry) -> None:
+    """Refuse, naming the id, what `load_registry` would refuse or read back changed."""
+    names = [attr.name for attr in registry.schema]
+    if not names or not registry.records:
+        raise InvalidValue("a registry file needs at least one attribute and one service")
+    for name in names:
+        if not name or names.count(name) > 1:
+            raise InvalidValue(f"attribute name {name!r} is empty or repeated")
+        _check_field(f"attribute name {name!r}", name)
+    seen: set[str] = set()
+    for rec in registry.records:
+        sid = rec.service_id
+        if not sid or not rec.task_id:
+            raise InvalidValue(f"service {sid!r} of task {rec.task_id!r} needs non-empty ids")
+        if sid in seen:
+            raise InvalidValue(f"service id {sid!r} is repeated")
+        seen.add(sid)
+        _check_field(f"service id {sid!r}", sid)
+        _check_field(f"task id {rec.task_id!r} of service {sid!r}", rec.task_id)
+        if rec.values.keys() != set(names) or not all(
+            math.isfinite(value) for value in rec.values.values()
+        ):
+            raise InvalidValue(f"service {sid!r} needs a finite value for each attribute")
+        for concept in rec.inputs + rec.outputs:
+            if not concept or ";" in concept:
+                raise InvalidValue(f"service {sid!r} has concept {concept!r}, empty or with ';'")
+            _check_field(f"concept {concept!r} of service {sid!r}", concept)
+
+
 def save_registry(registry: Registry, path: str) -> None:
+    """Write `registry` as CSV; InvalidValue, before the file is opened, for a
+    registry that `load_registry` would not read back equal."""
+    _check_registry(registry)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -290,6 +354,13 @@ def load_plan(path: str, taxonomy: Taxonomy | None = None) -> CompositionPlan:
 
 
 def save_plan(plan: CompositionPlan, path: str) -> None:
+    """Write `plan` as JSON; InvalidValue, before the file is opened, for a
+    link-pairs edge whose `from->to` key `load_plan` would split elsewhere."""
+    for a, b in sorted(plan.link_pairs):
+        if not a or not b or "->" in a:
+            raise InvalidValue(
+                f"link pairs edge ({a!r}, {b!r}) cannot be keyed as from->to"
+            )
     doc = {
         "tasks": sorted(plan.tasks),
         "edges": [list(e) for e in sorted(plan.edges)],
@@ -359,6 +430,11 @@ def load_taxonomy(path: str) -> Taxonomy:
 
 
 def save_taxonomy(taxonomy: Taxonomy, path: str) -> None:
+    """Write `taxonomy` as records; InvalidValue, before the file is opened, for
+    a concept that is empty or holds whitespace, which splits a record."""
+    for concept in sorted(taxonomy.concepts):
+        if not concept or any(ch.isspace() for ch in concept) or not _utf8(concept):
+            raise InvalidValue(f"concept {concept!r} cannot be written as a taxonomy record")
     with open(path, "w", encoding="utf-8") as fh:
         for concept in sorted(taxonomy.concepts):
             fh.write(f"concept {concept}\n")

@@ -9,7 +9,7 @@ training signature, and `rank_candidates` levels a whole registry with it.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
@@ -285,8 +285,9 @@ def filter_eligible(
     return [s for s in scored if s.utility > threshold]
 
 
-# Classifiers `_trained` keeps, least recently used first out: over twice the
-# 27 signatures that 1 000 distinct requests of the catalog benchmark have.
+# Classifiers `_trained` keeps, and compose results each registry keeps, least
+# recently used first out: over twice the 27 signatures that 1 000 distinct
+# requests of the catalog benchmark have.
 TRAINING_MEMO_SIZE = 64
 
 
@@ -307,19 +308,54 @@ def _trained(
     return classifier, tuple(int(predict(classifier, row.items)) for row in rows)
 
 
+def request_signature(
+    request: UserRequest, registry: "Registry", config: "EngineConfig"
+) -> TrainingSignature:
+    """The request's training signature; its checks' errors carry the "training" stage.
+
+    Every request computes it, so each refusal of `synthesize_training_set`
+    comes before any memo is read.
+    """
+    with stage("training"):
+        return _training_signature(
+            request, registry.envelope, config.scheme, config.bins, registry.schema
+        )
+
+
 def request_training(
     request: UserRequest, registry: "Registry", config: "EngineConfig"
 ) -> tuple[Classifier, tuple[int, ...]]:
     """The request's classifier and level table; errors carry the "training" stage.
 
-    Every request's signature is computed and checked; mining runs only the
-    first time a (signature, mining config) pair is met, see `_trained`.
+    Mining runs only the first time a (signature, mining config) pair is met,
+    see `_trained`.
+    """
+    signature = request_signature(request, registry, config)
+    with stage("training"):
+        return _trained(signature, config.mining)
+
+
+def signature_ranker(
+    signature: TrainingSignature, registry: "Registry", config: "EngineConfig"
+) -> Callable[[], dict[str, list[ScoredService]]]:
+    """`rank_candidates` for a request whose `request_signature` is `signature`,
+    up to the classification it returns.
+
+    Training and scaling run now. The returned function levels and filters
+    every task's candidates, equal on every call; it holds the signature's
+    level table and the registry's bases, not the registry.
     """
     with stage("training"):
-        signature = _training_signature(
-            request, registry.envelope, config.scheme, config.bins, registry.schema
-        )
-        return _trained(signature, config.mining)
+        _, levels = _trained(signature, config.mining)
+    with stage("scaling"):
+        registry.scaled  # computed here, so a scaling error carries this stage
+    with stage("classification"):
+        bases = registry.level_bases(config.bins, config.scheme)
+    scheme, threshold = config.scheme, config.threshold
+    return lambda: {
+        task: filter_eligible(score_basis(basis, levels, scheme), threshold)
+        for task, basis in bases.items()
+    }
 
 
 def rank_candidates(
@@ -335,11 +371,6 @@ def rank_candidates(
     are read from the training signature's table, so a warm signature never
     calls `predict`.
     """
-    _, levels = request_training(request, registry, config)
-    with stage("scaling"):
-        registry.scaled  # computed here, so a scaling error carries this stage
+    rank = signature_ranker(request_signature(request, registry, config), registry, config)
     with stage("classification"):
-        return {
-            task: filter_eligible(score_basis(basis, levels, config.scheme), config.threshold)
-            for task, basis in registry.level_bases(config.bins, config.scheme).items()
-        }
+        return rank()

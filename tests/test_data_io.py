@@ -1,6 +1,11 @@
 """On-disk formats: round-trips, parse errors, and the synthetic generator."""
 
+import os
+import tempfile
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qoscompose import (
     CompositionPlan,
@@ -31,6 +36,8 @@ from qoscompose.leveling import default_scheme
 from qoscompose.errors import (
     CycleDetected,
     EmptyRegistry,
+    EngineError,
+    InvalidValue,
     NonFiniteValue,
     ParseError,
     UnknownAttribute,
@@ -336,3 +343,121 @@ def test_engine_config_validation():
         EngineConfig(default_scheme(), MiningConfig(), bins=1)
     with pytest.raises(ValueError):
         EngineConfig(default_scheme(), MiningConfig(), threshold=1.5)
+
+
+def test_savers_refuse_what_their_loaders_refuse(tmp_path):
+    record = RECORDS[0]
+    cases = [
+        (save_taxonomy, Taxonomy(frozenset({"a b", "c"})), "concept 'a b'"),
+        (save_taxonomy, Taxonomy(frozenset({"", "c"})), "concept ''"),
+        (
+            save_plan,
+            CompositionPlan(
+                frozenset({"x->y", "z"}), frozenset({("x->y", "z")}), {("x->y", "z"): ()}
+            ),
+            "('x->y', 'z')",
+        ),
+        (save_registry, Registry(SCHEMA, [replace(record, service_id="")]), "service ''"),
+        (save_registry, Registry(SCHEMA, [replace(record, task_id="")]), "task ''"),
+        (save_registry, Registry(SCHEMA, [replace(record, inputs=("",))]), "concept ''"),
+        (save_registry, Registry(SCHEMA, [replace(record, outputs=("a;b",))]), "'a;b'"),
+        (save_registry, Registry(SCHEMA, [record, record]), "'svc_a' is repeated"),
+        (save_registry, Registry(SCHEMA, [replace(record, service_id="a\rb")]), "'a\\rb'"),
+        (
+            save_registry,
+            Registry(SCHEMA, [replace(record, values={"latency": float("inf"), "uptime": 1.0})]),
+            "'svc_a'",
+        ),
+    ]
+    for save, value, needle in cases:
+        path = tmp_path / "out"
+        with pytest.raises(InvalidValue) as exc:
+            save(value, str(path))
+        assert needle in str(exc.value)
+        assert not path.exists()  # refused before the file is opened
+
+
+# ids that stress each format: separators, quoting, line breaks, comment marks,
+# non-ASCII and a lone surrogate, alone or around random text
+ADVERSARIAL = st.sampled_from([
+    "", " ", "#", "#x", ",", ";", '"', "'", "->", "-", ">", "\n", "\r", "\r\n", "\t",
+    "\x00", "\x1c", "\x85", "\u2028", "\ufeff", "\ud800", "é", "日本", "concept", "a b",
+])
+IDS = st.lists(
+    st.one_of(ADVERSARIAL, st.text(min_size=1, max_size=3)), min_size=1, max_size=3
+).map("".join)
+
+
+@st.composite
+def registries(draw):
+    names = draw(st.lists(IDS, min_size=1, max_size=2))
+    schema = [QoSAttribute(name, draw(st.sampled_from(Polarity))) for name in names]
+    records = []
+    for _ in range(draw(st.integers(1, 2))):
+        values = {
+            name: draw(st.floats(allow_nan=False, allow_infinity=False)) for name in names
+        }
+        concepts = st.lists(IDS, max_size=2).map(tuple)
+        records.append(
+            RegistryRecord(draw(IDS), draw(IDS), values, draw(concepts), draw(concepts))
+        )
+    return Registry(schema, records)
+
+
+@st.composite
+def plans(draw):
+    tasks = draw(st.lists(IDS, min_size=1, max_size=4, unique=True))
+    # edges run forward in list order, so the plan is acyclic
+    forward = [(a, b) for i, a in enumerate(tasks) for b in tasks[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(forward), min_size=1, unique=True)) if forward else []
+    linked = draw(st.lists(st.sampled_from(edges), min_size=1, unique=True)) if edges else []
+    pairs = st.lists(st.tuples(IDS, IDS), max_size=2).map(tuple)
+    return CompositionPlan(
+        frozenset(tasks), frozenset(edges), {edge: draw(pairs) for edge in linked}
+    )
+
+
+@st.composite
+def taxonomies(draw):
+    concepts = draw(st.lists(IDS, min_size=1, max_size=5, unique=True))
+    # child -> parent edges run forward in list order, so subsumption is acyclic
+    forward = [(a, b) for i, a in enumerate(concepts) for b in concepts[i + 1:]]
+    pick = st.lists(st.sampled_from(forward), unique=True, max_size=3) if forward else st.just([])
+    edges, equivalences, disjointness = (frozenset(draw(pick)) for _ in range(3))
+    try:
+        return Taxonomy(frozenset(concepts), edges, equivalences, disjointness)
+    except EngineError:  # the axioms contradict each other
+        return Taxonomy(frozenset(concepts), edges)
+
+
+def _reload(save, load, value):
+    """`value` saved and loaded back, or None when the saver refuses it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "saved")
+        try:
+            save(value, path)
+        except InvalidValue:
+            assert not os.path.exists(path)  # refused before the file is opened
+            return None
+        return load(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(registries())
+def test_a_saved_registry_loads_back_equal_or_is_refused(registry):
+    loaded = _reload(save_registry, load_registry, registry)
+    assert loaded is None or loaded == registry
+
+
+@settings(max_examples=300, deadline=None)
+@given(plans())
+def test_a_saved_plan_loads_back_equal_or_is_refused(plan):
+    loaded = _reload(save_plan, load_plan, plan)
+    assert loaded is None or loaded == plan
+
+
+@settings(max_examples=300, deadline=None)
+@given(taxonomies())
+def test_a_saved_taxonomy_loads_back_equal_or_is_refused(taxonomy):
+    loaded = _reload(save_taxonomy, load_taxonomy, taxonomy)
+    assert loaded is None or loaded == taxonomy

@@ -1,6 +1,7 @@
-"""The process-wide classifier memo behind `compose`: equal to fresh training, bounded,
-and invisible in refusals and reports."""
+"""The process-wide classifier memo and the registry's compose memo behind `compose`:
+equal to fresh work, bounded, and invisible in refusals and reports."""
 
+import dataclasses
 import json
 import pathlib
 import random
@@ -21,6 +22,7 @@ from qoscompose import (
 )
 from qoscompose.cli import main
 from qoscompose.data_io import default_config, generate_synthetic
+from qoscompose.errors import EngineError
 from qoscompose.leveling import (
     TRAINING_MEMO_SIZE, _trained, _training_signature, request_training, score_basis,
     score_candidates,
@@ -244,3 +246,155 @@ def test_a_repeated_command_prints_the_golden_bytes(capsys, argv, golden):
         assert main(argv) == 0
         assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
         assert _trained.cache_info().hits == hits
+
+
+def _reports(graph, primary, alternative):
+    return [
+        json.dumps(composite_report(graph, c), indent=2) if c is not None else None
+        for c in (primary, alternative)
+    ]
+
+
+def _outcome(request, plan, registry, taxonomy, config):
+    """What `compose_with_graph` gives: its composites and report bytes, or its
+    refusal's type, stage and message; and the graph, None for a refusal."""
+    try:
+        graph, primary, alternative = compose_with_graph(
+            request, plan, registry, taxonomy, config
+        )
+    except EngineError as err:
+        return (type(err), err.stage, str(err)), None
+    return (primary, alternative, _reports(graph, primary, alternative)), graph
+
+
+def test_a_memo_hit_equals_compose_on_a_fresh_registry():
+    rng = random.Random(4242)
+    instances = [generate_synthetic(6, 8, rng.randint(2, 3), seed) for seed in range(3)]
+    configs = [
+        EngineConfig(random_scheme(rng, 3), MiningConfig(), rng.choice([3, 4]), threshold)
+        for threshold in (0.0, 0.25, 0.6)
+    ]
+    graphs = {}  # (instance, signature, config) -> the graph its last compose gave
+    hits = 0
+    for trial in range(150):
+        index = rng.randrange(len(instances))
+        registry, plan, taxonomy = instances[index]
+        config = rng.choice(configs)
+        request = random_request(rng, registry)
+        got, graph = _outcome(request, plan, registry, taxonomy, config)
+        fresh = dataclasses.replace(registry)
+        _trained.cache_clear()
+        want, fresh_graph = _outcome(request, plan, fresh, taxonomy, config)
+        assert got == want, trial
+        if graph is None:
+            continue
+        signature = _training_signature(
+            request, registry.envelope, config.scheme, config.bins, registry.schema
+        )
+        key = (index, signature, config)
+        hits += graphs.get(key) is graph
+        graphs[key] = graph
+        if trial % 3:
+            # the shared graph builds its queues from a re-ranking, on first read
+            assert graph.queues == fresh_graph.queues, trial
+    assert hits >= 40
+
+
+def test_a_different_plan_or_taxonomy_object_misses():
+    registry, plan, taxonomy = generate_synthetic(5, 6, 3, 8)
+    config = default_config()
+    request = random_request(random.Random(1), registry)
+    first, graph = _outcome(request, plan, registry, taxonomy, config)
+    assert _outcome(request, plan, registry, taxonomy, config)[1] is graph
+    same_plan = dataclasses.replace(plan)
+    same_taxonomy = dataclasses.replace(taxonomy)
+    assert (same_plan, same_taxonomy) == (plan, taxonomy)
+    seen = [graph]
+    for inputs in [(same_plan, taxonomy), (plan, same_taxonomy), (plan, taxonomy)]:
+        got, other = _outcome(request, inputs[0], registry, inputs[1], config)
+        assert got == first
+        assert all(other is not g for g in seen)  # a miss, which overwrote the entry
+        seen.append(other)
+        assert len(registry.compose_memo) == 1
+        assert registry.compose_memo[next(iter(registry.compose_memo))][2] is other
+    assert _outcome(request, plan, registry, taxonomy, config)[1] is other
+
+
+def test_mutating_a_returned_composite_leaves_the_next_hit_unchanged():
+    registry, plan, taxonomy = generate_synthetic(6, 8, 3, 2)
+    config = default_config()
+    request = random_request(random.Random(7), registry)
+    want, graph = _outcome(request, plan, registry, taxonomy, config)
+    assert want[1] is not None
+    for _ in range(2):
+        got_graph, primary, alternative = compose_with_graph(
+            request, plan, registry, taxonomy, config
+        )
+        assert got_graph is graph
+        assert (primary, alternative) == want[:2]
+        assert _reports(graph, primary, alternative) == want[2]
+        for composite in (primary, alternative):
+            task = next(iter(composite.assignment))
+            composite.assignment[task] = "mutated"
+            composite.final_utilities[task] = -1.0
+            composite.link_qualities.clear()
+            composite.score = 0.0
+
+
+def test_a_refusal_on_a_warm_memo_reraises_with_its_stage_and_message():
+    registry, plan, taxonomy = generate_synthetic(4, 5, 3, 6)
+    config = default_config()
+    request = random_request(random.Random(3), registry)
+    compose_with_graph(request, plan, registry, taxonomy, config)
+    name = registry.schema[0].name
+    lo, hi = registry.envelope[name]
+    outside = dataclasses.replace(
+        request, ranges={**request.ranges, name: (hi + 1.0, hi + 2.0)}
+    )
+    unknown = UserRequest(
+        {**request.ranges, "bogus": (0.0, 1.0)}, {**request.preferences, "bogus": 9}
+    )
+    strict = dataclasses.replace(config, threshold=1.0)
+    stray = dataclasses.replace(plan, tasks=plan.tasks - {sorted(plan.tasks)[-1]}, edges=frozenset())
+    cases = [
+        ((outside, plan, config), "training"),
+        ((unknown, plan, config), "training"),
+        ((request, plan, strict), "selection"),
+        ((request, stray, config), "validation"),
+    ]
+    warm = dict(registry.compose_memo)
+    for (req, pln, cfg), stage in cases:
+        cold = dataclasses.replace(registry)
+        want, _ = _outcome(req, pln, cold, taxonomy, cfg)
+        assert want[1] == stage
+        assert not cold.compose_memo  # a refusal is never stored
+        for _ in range(2):
+            assert _outcome(req, pln, registry, taxonomy, cfg) == (want, None)
+            assert registry.compose_memo == warm
+
+
+def test_the_compose_memo_keeps_the_most_recently_used_signatures():
+    rng = random.Random(31)
+    registry, plan, taxonomy = generate_synthetic(3, 6, 3, 12)
+    config = dataclasses.replace(default_config(), bins=6, threshold=0.0)
+    lru: OrderedDict = OrderedDict()
+    seen = set()
+    for trial in range(300):
+        ranges = {}
+        for name, (lo, hi) in registry.envelope.items():
+            ranges[name] = tuple(sorted(rng.uniform(lo, hi) for _ in range(2)))
+        request = UserRequest(ranges, {name: i + 1 for i, name in enumerate(ranges)})
+        compose_with_graph(request, plan, registry, taxonomy, config)
+        key = (
+            _training_signature(
+                request, registry.envelope, config.scheme, config.bins, registry.schema
+            ),
+            config,
+        )
+        seen.add(key)
+        lru[key] = None
+        lru.move_to_end(key)
+        if len(lru) > TRAINING_MEMO_SIZE:
+            lru.popitem(last=False)
+        assert list(registry.compose_memo) == list(lru), trial
+    assert len(registry.compose_memo) == TRAINING_MEMO_SIZE < len(seen)
