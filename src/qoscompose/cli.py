@@ -186,9 +186,11 @@ def run_bench(
 
     The classification pipeline runs once per grid point outside the timed
     region; pass include_classification to record its one-off cost as well.
-    The first repetition fills the taxonomy's match and link memos.
+    The repetitions go round-robin over the grid points, so a burst of host
+    contention spreads over every point rather than one run of them. The
+    first repetition fills the taxonomy's match and link memos.
     """
-    results: list[BenchResult] = []
+    points: list[tuple] = []  # (plan, eligible, taxonomy, registry, result)
     for tasks in task_sizes:
         for cands in candidate_sizes:
             point_seed = seed * 1_000_003 + tasks * 1000 + cands
@@ -200,34 +202,26 @@ def run_bench(
             t0 = time.perf_counter()
             eligible = rank_candidates(request, registry, config)
             classification_ms = (time.perf_counter() - t0) * 1000.0
-            ranking: list[float] = []
-            selection: list[float] = []
-            alternative: list[float] = []
-            gc.collect()  # so no garbage of earlier work is collected in the timed loop
-            for _ in range(repetitions):
-                t1 = time.perf_counter()
-                graph, primary = build_search_graph(plan, eligible, taxonomy, registry)
-                t2 = time.perf_counter()
-                try:
-                    first_alternative(graph, primary)
-                except NoAlternative:
-                    pass
-                t3 = time.perf_counter()
-                selection.append((t2 - t1) * 1000.0)
-                alternative.append((t3 - t2) * 1000.0)
-                ranking.append((t3 - t1) * 1000.0)
-            results.append(
-                BenchResult(
-                    tasks,
-                    cands,
-                    repetitions,
-                    ranking,
-                    selection,
-                    alternative,
-                    classification_ms if include_classification else None,
-                )
+            result = BenchResult(
+                tasks, cands, repetitions, [], [], [],
+                classification_ms if include_classification else None,
             )
-    return results
+            points.append((plan, eligible, taxonomy, registry, result))
+    gc.collect()  # so no garbage of earlier work is collected in the timed loop
+    for _ in range(repetitions):
+        for plan, eligible, taxonomy, registry, result in points:
+            t1 = time.perf_counter()
+            graph, primary = build_search_graph(plan, eligible, taxonomy, registry)
+            t2 = time.perf_counter()
+            try:
+                first_alternative(graph, primary)
+            except NoAlternative:
+                pass
+            t3 = time.perf_counter()
+            result.selection_ms.append((t2 - t1) * 1000.0)
+            result.alternative_ms.append((t3 - t2) * 1000.0)
+            result.ranking_ms.append((t3 - t1) * 1000.0)
+    return [point[-1] for point in points]
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

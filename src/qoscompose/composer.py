@@ -11,10 +11,9 @@ the same queues.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -31,7 +30,7 @@ from .errors import (
 from .leveling import (
     TRAINING_MEMO_SIZE, ScoredService, UserRequest, request_signature, signature_ranker,
 )
-from .ontology import MatchType, Taxonomy, interface_quality, match_type
+from .ontology import MatchType, Memo, Taxonomy
 
 if TYPE_CHECKING:
     from .data_io import EngineConfig, Registry, RegistryRecord
@@ -125,36 +124,28 @@ class SearchGraph:
     def _scored(
         self, task: str, eligible: list[ScoredService]
     ) -> Iterator[tuple[float, str, float, float]]:
-        """(F, service id, U, q) of each admissible candidate, in eligible order.
+        """(-F, service id, U, q) of each admissible candidate, in eligible order.
 
+        Rows sort in queue order: final utility descending, then service id.
         The predecessors' selections are fixed for this task, so a candidate's
-        link quality depends on its inputs alone; with one predecessor, the
-        taxonomy's memo of its outputs is that map. A source task's q is 1.
+        link quality depends on its inputs alone. A source task's q is 1.
         """
-        services, preds = self.services, self.preds[task]
-        selected = {pred: self.heads[pred][0].service_id for pred in preds}
-        outputs = services[selected[preds[0]]].outputs if len(preds) == 1 else None
-        link_memo = {} if outputs is None else self.taxonomy.link_memo(outputs)
+        side = _side(self, [self.heads[pred][0].service_id for pred in self.preds[task]], True)
+        services = self.services
         for cand in eligible:
-            inputs = services[cand.service_id].inputs
-            q = link_memo.get(inputs, ...)  # Ellipsis: not seen yet
-            if q is ...:
-                links = ((selected[pred], cand.service_id) for pred in preds)
-                q = link_memo[inputs] = _mean_link(self.taxonomy, services, links)
+            q = side[services[cand.service_id].inputs]
             if q is not None:
-                yield cand.utility * q, cand.service_id, cand.utility, q
+                yield -cand.utility * q, cand.service_id, cand.utility, q
 
     @cached_property
     def queues(self) -> dict[str, list[QueueEntry]]:
         """task -> entries sorted by final utility desc, service_id asc; the last
         caller of `rank`, so it lets it go."""
         eligible = self.rank()
-        queues = {
-            task: _rank_queue(
-                [QueueEntry(s, u, f, q) for f, s, u, q in self._scored(task, eligible[task])]
-            )
-            for task in self.order
-        }
+        queues = {}
+        for task in self.order:
+            rows = sorted(self._scored(task, eligible[task]))
+            queues[task] = [QueueEntry(s, u, -f, q) for f, s, u, q in rows]
         self.rank = None
         return queues
 
@@ -179,38 +170,29 @@ class CompositeService:
     score: float
 
 
-def _mean_link(
-    taxonomy: Taxonomy,
-    services: dict[str, "RegistryRecord"],
-    links: Iterable[tuple[str, str]],
-) -> float | None:
-    """Mean quality over one side's (from_service, to_service) links.
+def _side(graph: SearchGraph, neighbours: list[str], downstream: bool) -> dict:
+    """Mean link quality between a candidate and the fixed `neighbours` services,
+    keyed by the candidate's inputs when it is `downstream` of them, else by its outputs.
 
-    Each link's quality comes from the taxonomy's memo over the two services'
-    interfaces. None as soon as one link is inadmissible; 1.0 when there are
-    no links.
+    None as soon as one link is inadmissible; 1.0 with no neighbours. A single
+    upstream neighbour's map is the taxonomy's memo of its outputs; any other
+    side is memoized for this call only.
     """
-    qualities: list[float] = []
-    for from_service, to_service in links:
-        quality = interface_quality(
-            taxonomy, services[from_service].outputs, services[to_service].inputs
-        )
-        if quality is None:
-            return None
-        qualities.append(quality)
-    return sum(qualities) / len(qualities) if qualities else 1.0
+    links, services = graph.taxonomy.links, graph.services
+    if downstream and len(neighbours) == 1:
+        return links[services[neighbours[0]].outputs]
 
+    def mean(interface: tuple[str, ...]) -> float | None:
+        qualities = []
+        for neighbour in neighbours:
+            record = services[neighbour]
+            q = links[record.outputs][interface] if downstream else links[interface][record.inputs]
+            if q is None:
+                return None
+            qualities.append(q)
+        return sum(qualities) / len(qualities) if qualities else 1.0
 
-def _rank_queue(entries: list[QueueEntry]) -> list[QueueEntry]:
-    """Sort by final utility descending, then service id ascending, in place.
-
-    Two stable passes on plain attributes; a reversed sort keeps the order of
-    equal keys, so entries with equal final utilities stay in service id
-    order, whatever order they came in.
-    """
-    entries.sort(key=attrgetter("service_id"))
-    entries.sort(key=attrgetter("final_utility"), reverse=True)
-    return entries
+    return Memo(mean)
 
 
 def _score(order: list[str], final_utilities: dict[str, float]) -> float:
@@ -240,18 +222,10 @@ def build_search_graph(
         nan = [cand.service_id for cand in candidates if cand.utility != cand.utility]
         if nan:
             raise InvalidValue(f"task {task!r}: service {nan[0]!r} has a NaN utility")
-        # the first two rows in `_rank_queue`'s order; as in its sorts, ties keep the first
-        head = second = None
-        for row in graph._scored(task, candidates):
-            f, sid = row[0], row[1]
-            if second is None or f > second[0] or (f == second[0] and sid < second[1]):
-                if head is None or f > head[0] or (f == head[0] and sid < head[1]):
-                    head, second = row, head
-                else:
-                    second = row
-        if head is None:
+        rows = heapq.nsmallest(2, graph._scored(task, candidates))
+        if not rows:
             raise NoAdmissibleLink(task)
-        graph.heads[task] = [QueueEntry(r[1], r[2], r[0], r[3]) for r in (head, second) if r]
+        graph.heads[task] = [QueueEntry(s, u, -f, q) for f, s, u, q in rows]
     return graph, _head_composite(graph)
 
 
@@ -284,16 +258,16 @@ def first_alternative(
     prefix = [1.0]
     for task in order:
         prefix.append(prefix[-1] * finals[task])
-    best = None
+    variants = []  # (-score, position, service id, new finals, new links); positions differ
     for position, task in swappable:
         second = graph.heads[task][1]
         # the F and link qualities where the variant differs from the primary
         new_finals = {task: second.final_utility}
         new_links = {task: second.link_quality}
         for succ in graph.succs[task]:
-            links = [(second.service_id if pred == task else chosen[pred], chosen[succ])
-                     for pred in graph.preds[succ]]
-            q = _mean_link(graph.taxonomy, graph.services, links)
+            neighbours = [second.service_id if pred == task else chosen[pred]
+                          for pred in graph.preds[succ]]
+            q = _side(graph, neighbours, True)[graph.services[chosen[succ]].inputs]
             if q is None:
                 break
             new_finals[succ] = graph.entry(succ, chosen[succ]).utility * q
@@ -302,17 +276,15 @@ def first_alternative(
             score = prefix[position]
             for later in order[position:]:
                 score *= new_finals.get(later, finals[later])
-            key = (-score, position, second.service_id)
-            if best is None or key < best[0]:
-                best = (key, score, task, second.service_id, new_finals, new_links)
-    if best is None:
+            variants.append((-score, position, second.service_id, new_finals, new_links))
+    if not variants:
         raise NoAlternative("every one-swap variant breaks a semantic link")
-    _, score, task, service_id, new_finals, new_links = best
+    score, position, service_id, new_finals, new_links = min(variants)
     return CompositeService(
-        {**chosen, task: service_id},
+        {**chosen, order[position]: service_id},
         {**finals, **new_finals},
         {**primary.link_qualities, **new_links},
-        score,
+        -score,
     )
 
 
@@ -330,8 +302,8 @@ def replace_unavailable(
     side and an isolated node falls back to q = 1. Every neighbor's selection
     stays fixed, so the prev side is probed once per distinct input interface
     and the next side once per distinct output interface. No rescored queue
-    is built: one pass over the task's queue keeps the head in `_rank_queue`'s
-    order. `taxonomy` and `registry` must be the graph's own (InvalidValue).
+    is built: the head is the least row in queue order. `taxonomy` and
+    `registry` must be the graph's own (InvalidValue).
     """
     if taxonomy is not graph.taxonomy:
         raise InvalidValue("the taxonomy is not the one the search graph was built from")
@@ -344,45 +316,31 @@ def replace_unavailable(
         raise NotSelectedService(
             f"{service_id!r} is not the selected service of task {task!r}"
         )
-    services = graph.services
-    selected = composite.assignment
+    services, selected = graph.services, composite.assignment
     preds, succs = graph.preds[task], graph.succs[task]
-    # interface tuple -> that side's mean; None when inadmissible
-    prev_memo: dict[tuple[str, ...], float | None] = {}
-    next_memo: dict[tuple[str, ...], float | None] = {}
-    head: tuple[float, str, float] | None = None  # (final, service id, q)
+    sides = []  # (side memo, the candidate interface that keys it) of each side with neighbours
+    if preds:
+        sides.append((_side(graph, [selected[pred] for pred in preds], True), "inputs"))
+    if succs:
+        sides.append((_side(graph, [selected[succ] for succ in succs], False), "outputs"))
+    rows = []  # (-F, service id, q), so the least row heads the rescored queue
     for entry in graph.queues[task]:
-        candidate = entry.service_id
-        if candidate == service_id:
+        if entry.service_id == service_id:
             continue
-        sides: list[float] = []
-        if preds:
-            inputs = services[candidate].inputs
-            prev_side = prev_memo.get(inputs, ...)  # Ellipsis: not seen yet
-            if prev_side is ...:
-                links = ((selected[pred], candidate) for pred in preds)
-                prev_side = prev_memo[inputs] = _mean_link(taxonomy, services, links)
-            if prev_side is None:
-                continue
-            sides.append(prev_side)
-        if succs:
-            outputs = services[candidate].outputs
-            next_side = next_memo.get(outputs, ...)
-            if next_side is ...:
-                links = ((candidate, selected[succ]) for succ in succs)
-                next_side = next_memo[outputs] = _mean_link(taxonomy, services, links)
-            if next_side is None:
-                continue
-            sides.append(next_side)
-        q = sum(sides) / len(sides) if sides else 1.0
-        final = entry.utility * q
-        if head is None or final > head[0] or (final == head[0] and candidate < head[1]):
-            head = (final, candidate, q)
-    if head is None:
+        record, qualities = services[entry.service_id], []
+        for side, key in sides:
+            q = side[getattr(record, key)]
+            if q is None:
+                break
+            qualities.append(q)
+        else:
+            q = sum(qualities) / len(qualities) if qualities else 1.0
+            rows.append((-entry.utility * q, entry.service_id, q))
+    if not rows:
         raise NoReplacementCandidate(task)
-    final, candidate, q = head
+    final, candidate, q = min(rows)
     assignment = {**composite.assignment, task: candidate}
-    finals = {**composite.final_utilities, task: final}
+    finals = {**composite.final_utilities, task: -final}
     links = {**composite.link_qualities, task: q}
     return CompositeService(assignment, finals, links, _score(graph.order, finals))
 
@@ -486,7 +444,7 @@ def composite_report(graph: SearchGraph, composite: CompositeService) -> dict:
                         {
                             "out": out,
                             "in": inp,
-                            "match": MATCH_LABELS[match_type(taxonomy, out, inp)],
+                            "match": MATCH_LABELS[taxonomy.matches[out, inp]],
                         }
                         for out in services[from_service].outputs
                         for inp in services[service_id].inputs

@@ -301,12 +301,13 @@ def save_registry(registry: Registry, path: str) -> None:
 
 def _json_load(path: str) -> dict:
     with _open_text(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path} is not valid JSON: {exc}", line=exc.lineno)
-        except RecursionError:
-            raise ParseError(f"{path} nests JSON too deeply to parse") from None
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # also an integer past Python's digit limit
+        raise ParseError(f"{path} is not valid JSON: {exc}", getattr(exc, "lineno", None))
+    except RecursionError:
+        raise ParseError(f"{path} nests JSON too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path} must hold a JSON object")
     return doc
@@ -458,10 +459,14 @@ def config_field(name: str):
 
 
 def _number(value, convert=float):
-    """`convert(value)`, refusing a JSON boolean, which Python counts as 0 or 1."""
+    """`convert(value)`, refusing a JSON boolean, which Python counts as 0 or 1, and
+    an integer too large for a float (ValueError)."""
     if isinstance(value, bool):
         raise TypeError(f"{value!r} is not a number")
-    return convert(value)
+    try:
+        return convert(value)
+    except OverflowError:
+        raise ValueError("the number is too large for a float") from None
 
 
 def _text(value) -> str:
@@ -500,7 +505,7 @@ def load_config(path: str) -> tuple[EngineConfig, UserRequest]:
         prefs = {name: i + 1 for i, name in enumerate(ranges)}
     elif isinstance(prefs_doc, dict):
         with config_field("request.preferences"):
-            prefs = {name: _number(rank, int) for name, rank in prefs_doc.items()}
+            prefs = {name: _whole(rank) for name, rank in prefs_doc.items()}
     else:
         raise ParseError("request.preferences must map attributes to ranks")
     with config_field("request"):

@@ -54,8 +54,9 @@ class LevelScheme:
     coefficients: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.n_levels < 2 or len(self.coefficients) != self.n_levels:
-            raise InvalidValue("scheme needs one coefficient per level, n_levels >= 2")
+        _check_level_count(self.n_levels)
+        if len(self.coefficients) != self.n_levels:
+            raise InvalidValue("scheme needs one coefficient per level")
         if self.coefficients[0] != 1.0:
             raise InvalidValue("the first (best) level must carry coefficient 1")
         for prev, cur in itertools.pairwise(self.coefficients):
@@ -63,7 +64,17 @@ class LevelScheme:
                 raise InvalidValue("coefficients must descend strictly within (0, 1]")
 
 
+def _check_level_count(n_levels: int) -> None:
+    """Refuse fewer than 2 levels, or more than MAX_TRAINING_ROWS: a request levels
+    into at most `bins` distinct levels, and no training set has more bins."""
+    if not 2 <= n_levels <= MAX_TRAINING_ROWS:
+        raise InvalidValue(f"a scheme needs 2 to {MAX_TRAINING_ROWS} levels")
+
+
 def default_scheme(n_levels: int = 3) -> LevelScheme:
+    """Coefficients 1 - i / n_levels, or 1, 0.75, 0.25 for 3 levels; the count is
+    checked before any coefficient is built."""
+    _check_level_count(n_levels)
     if n_levels == 3:
         return LevelScheme(3, (1.0, 0.75, 0.25))
     return LevelScheme(n_levels, tuple(1.0 - i / n_levels for i in range(n_levels)))

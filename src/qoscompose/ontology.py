@@ -2,14 +2,17 @@
 
 The taxonomy is a subsumption DAG with equivalence and disjointness axioms.
 Equivalent concepts are collapsed into one node up front, after which every
-match query is plain set reachability.
+match query is plain set reachability. Match types and link qualities are
+read from two `Memo`s on the taxonomy, which compute each answer on its
+first read and keep it.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import partial
 from graphlib import CycleError, TopologicalSorter
 
 from .errors import CycleDetected, InconsistentTaxonomy, UnknownConcept
@@ -33,6 +36,22 @@ MATCH_QUALITY: dict[MatchType, float] = {
 }
 
 
+class Memo(dict):
+    """A dict that fills a missing key with `fill(key)` and keeps the value.
+
+    When `fill` raises, nothing is stored."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill: Callable) -> None:
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 @dataclass
 class Taxonomy:
     concepts: frozenset[str]
@@ -53,17 +72,17 @@ class Taxonomy:
         self._rep = self._collapse_equivalences()
         self._ancestors, self._descendants = self._close_subsumption()
         self._disjoint_reps = self._index_disjointness()
-        self._match_cache: dict[tuple[str, str], MatchType] = {}
-        # upstream outputs -> downstream inputs -> link quality, None when inadmissible
-        self._link_cache: defaultdict[tuple[str, ...], dict] = defaultdict(dict)
+        # (out concept, in concept) -> MatchType, and upstream outputs -> downstream
+        # inputs -> link quality; the fill functions hold the derived maps but not the
+        # taxonomy, so no reference cycle keeps a dropped taxonomy alive
+        matches = self.matches = Memo(partial(
+            _match, self._rep, self._ancestors, self._descendants, self._disjoint_reps
+        ))
+        self.links = Memo(lambda outputs: Memo(partial(_link_quality, matches, outputs)))
 
     def _require(self, concept: str) -> None:
         if concept not in self.concepts:
             raise UnknownConcept(f"concept {concept!r} is not declared")
-
-    def link_memo(self, outputs: tuple[str, ...]) -> dict:
-        """Link qualities from `outputs`, keyed by downstream inputs; None when inadmissible."""
-        return self._link_cache[outputs]
 
     def rep(self, concept: str) -> str:
         """Canonical representative of a concept's equivalence class."""
@@ -127,28 +146,42 @@ class Taxonomy:
         return disjoint_reps
 
 
+def _match(rep, ancestors, descendants, disjoint_reps, pair: tuple[str, str]) -> MatchType:
+    """`Taxonomy.matches`' fill, over the taxonomy's derived maps."""
+    for concept in pair:
+        if concept not in rep:
+            raise UnknownConcept(f"concept {concept!r} is not declared")
+    ro, ri = rep[pair[0]], rep[pair[1]]
+    if ro == ri:
+        return MatchType.EXACT
+    if ri in ancestors[ro]:
+        return MatchType.PLUGIN
+    if ro in ancestors[ri]:
+        return MatchType.SUBSUME
+    if frozenset((ro, ri)) in disjoint_reps or not descendants[ro] & descendants[ri]:
+        return MatchType.DISJOINT
+    return MatchType.INTERSECTION
+
+
+def _link_quality(matches: Memo, outputs: tuple, inputs: tuple) -> float | None:
+    """The fill of each memo in `Taxonomy.links`; see `interface_quality`."""
+    if not (outputs and inputs):
+        return None
+    # outputs outer, inputs inner, added left to right; the walk stops at the
+    # first disjoint pair
+    total = 0.0
+    for out_concept in outputs:
+        for in_concept in inputs:
+            match = matches[out_concept, in_concept]
+            if match is MatchType.DISJOINT:
+                return None
+            total += MATCH_QUALITY[match]
+    return total / (len(outputs) * len(inputs))
+
+
 def match_type(taxonomy: Taxonomy, out_concept: str, in_concept: str) -> MatchType:
     """Semantic relation of an output concept feeding an input concept."""
-    key = (out_concept, in_concept)
-    cached = taxonomy._match_cache.get(key)
-    if cached is not None:
-        return cached
-    ro = taxonomy.rep(out_concept)
-    ri = taxonomy.rep(in_concept)
-    if ro == ri:
-        result = MatchType.EXACT
-    elif ri in taxonomy._ancestors[ro]:
-        result = MatchType.PLUGIN
-    elif ro in taxonomy._ancestors[ri]:
-        result = MatchType.SUBSUME
-    elif frozenset((ro, ri)) in taxonomy._disjoint_reps:
-        result = MatchType.DISJOINT
-    elif taxonomy._descendants[ro] & taxonomy._descendants[ri]:
-        result = MatchType.INTERSECTION
-    else:
-        result = MatchType.DISJOINT
-    taxonomy._match_cache[key] = result
-    return result
+    return taxonomy.matches[out_concept, in_concept]
 
 
 def interface_quality(
@@ -158,23 +191,6 @@ def interface_quality(
 
     None when the link is inadmissible: it has no pair, or a pair is
     disjoint. The two interfaces fully determine the value, so it is
-    memoized on the taxonomy by them: `taxonomy.link_memo(outputs)[inputs]`.
+    memoized on the taxonomy by them: `taxonomy.links[outputs][inputs]`.
     """
-    memo = taxonomy.link_memo(outputs)
-    try:
-        return memo[inputs]
-    except KeyError:
-        pass
-    quality: float | None = None
-    if outputs and inputs:
-        # outputs outer, inputs inner, added left to right; lazily, so the
-        # walk stops at the first disjoint pair
-        total = 0.0
-        for match in (match_type(taxonomy, o, i) for o in outputs for i in inputs):
-            if match is MatchType.DISJOINT:
-                break
-            total += MATCH_QUALITY[match]
-        else:
-            quality = total / (len(outputs) * len(inputs))
-    memo[inputs] = quality
-    return quality
+    return taxonomy.links[outputs][inputs]

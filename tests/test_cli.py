@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from qoscompose import errors
+from qoscompose import build_search_graph, cli, errors
 from qoscompose.cli import _parse_grid, main, run_bench
 from qoscompose.leveling import request_training
 from qoscompose.data_io import load_config, load_registry, render_classifier
@@ -235,8 +235,9 @@ def test_bad_config_value_exits_10_naming_its_field(tmp_path, capsys, keys, valu
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("bins", 1), ("threshold", 2), ("levels", 1)],
-    ids=["bins-1", "threshold-2", "levels-1"],
+    "flag, value",
+    [("bins", 1), ("threshold", 2), ("levels", 1), ("levels", 65_537), ("levels", 10**6)],
+    ids=["bins-1", "threshold-2", "levels-1", "levels-65537", "levels-1e6"],
 )
 def test_bad_override_exits_10_naming_its_flag(capsys, flag, value):
     assert main(fixture_args("compose", **{flag: value})) == 10
@@ -272,6 +273,74 @@ def test_fractional_whole_number_exits_10(tmp_path, capsys, keys, value, field):
     assert main(argv) == 10
     assert capsys.readouterr().err.startswith(f"error [load]: bad value for {field}: ")
 
+
+
+HUGE = "9" * 400  # an integer too large for a float
+TOO_MANY_DIGITS = "1" * 5000  # past Python's integer string conversion limit
+
+
+def _with_literal(doc, keys, literal):
+    """`doc` as JSON text with the value at `keys` written as the raw `literal`."""
+    section = doc
+    for key in keys[:-1]:
+        section = section[key]
+    section[keys[-1]] = "@LITERAL@"
+    return json.dumps(doc).replace('"@LITERAL@"', literal)
+
+
+@pytest.mark.parametrize(
+    "keys, literal, field",
+    [
+        (["threshold"], HUGE, "threshold"),
+        (["request", "ranges", "availability", 0], HUGE, "request.ranges.availability"),
+        (["request", "ranges", "availability", 1], HUGE, "request.ranges.availability"),
+        (["levels", "coefficients", 1], HUGE, "levels"),
+        (["mining", "min_support"], HUGE, "mining"),
+        (["mining", "min_confidence"], HUGE, "mining"),
+        (["request", "preferences", "availability"], "1e999", "request.preferences"),
+        (["request", "preferences", "availability"], "1.5", "request.preferences"),
+    ],
+    ids=["threshold", "range-lo", "range-hi", "coefficient", "min_support",
+         "min_confidence", "preference-1e999", "preference-1.5"],
+)
+def test_an_unreadable_config_number_exits_10_naming_its_field(
+    tmp_path, capsys, keys, literal, field
+):
+    path = tmp_path / "config.json"
+    config = json.loads((FIXTURES / "config.json").read_text())
+    path.write_text(_with_literal(config, keys, literal))
+    assert main(fixture_args("compose", config=path)) == 10
+    assert capsys.readouterr().err.startswith(f"error [load]: bad value for {field}: ")
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        ["primary", "score"],
+        ["primary", "tasks", 1, "final_utility"],
+        ["primary", "tasks", 1, "link_quality"],
+    ],
+    ids=["score", "final_utility", "link_quality"],
+)
+def test_a_composite_number_too_large_for_a_float_exits_10(tmp_path, capsys, keys):
+    path = tmp_path / "composite.json"
+    path.write_text(_with_literal(json.loads(GOLDEN_COMPOSE.read_text()), keys, HUGE))
+    argv = fixture_args("replace") + [
+        "--task", "plan_route", "--service", "pr_city", "--composite", str(path),
+    ]
+    assert main(argv) == 10
+    assert capsys.readouterr().err.startswith(
+        f"error [load]: {path} does not hold a composite report: ValueError"
+    )
+
+
+@pytest.mark.parametrize("option", ["config", "plan", "composite"])
+def test_an_integer_past_the_digit_limit_exits_10_naming_its_file(tmp_path, capsys, option):
+    path = tmp_path / "too_many_digits.json"
+    path.write_text(f'{{"x": {TOO_MANY_DIGITS}}}')
+    argv = fixture_args("replace", task="plan_route", service="pr_city", **{option: path})
+    assert main(argv) == 10
+    assert capsys.readouterr().err.startswith(f"error [load]: {path} is not valid JSON: ")
 
 
 def _edited_config(tmp_path, edit):
@@ -650,6 +719,20 @@ def test_run_bench_returns_all_grid_points():
     for res in results:
         assert len(res.selection_ms) == 2
         assert res.mean_ranking_ms >= res.mean_selection_ms
+
+
+def test_run_bench_repeats_round_robin_over_the_grid(monkeypatch):
+    """One repetition of every point, then the next, so a burst of host
+    contention is shared by all points."""
+    built = []
+
+    def recording(plan, *args):
+        built.append(len(plan.tasks))
+        return build_search_graph(plan, *args)
+
+    monkeypatch.setattr(cli, "build_search_graph", recording)
+    run_bench([2, 3], [2], attributes=2, repetitions=3, seed=3)
+    assert built == [2, 3] * 3
 
 
 def test_parse_grid_forms():

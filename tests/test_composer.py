@@ -1,8 +1,10 @@
 """Greedy selection, one-swap alternative, and replacement against the naive reference."""
 
+import gc
 import itertools
 import pathlib
 import random
+import weakref
 from dataclasses import FrozenInstanceError, fields, replace as dc_replace
 
 import pytest
@@ -29,7 +31,7 @@ from qoscompose import (
     rank_candidates,
     replace_unavailable,
 )
-from qoscompose import composer, leveling
+from qoscompose import leveling
 from qoscompose.cba import (
     ClassAssociationRule, Classifier, Item, MiningConfig, discretize, predict, train_classifier,
 )
@@ -37,6 +39,7 @@ from qoscompose.data_io import default_config, default_request, generate_synthet
 from qoscompose.leveling import (
     _training_rows, filter_eligible, level_basis, request_training, score_candidates,
 )
+from qoscompose.ontology import interface_quality
 from qoscompose.qos import QoSVector, compute_extremes, normalize
 from qoscompose.errors import (
     CycleDetected,
@@ -452,15 +455,24 @@ def test_heads_are_the_first_two_entries_of_the_queues_built_on_first_read():
 
 
 def assert_alternative_links(graph, primary, alt):
-    """Link qualities: the second entry's at the swapped task, a fresh `_mean_link`
-    at each successor, the primary's elsewhere; every F is U times its q."""
+    """Link qualities: the second entry's at the swapped task, the mean of each
+    incoming link's `interface_quality` at each successor, the primary's
+    elsewhere; every F is U times its q."""
     [swapped] = [t for t in graph.order if alt.assignment[t] != primary.assignment[t]]
+    services = graph.services
     for task in graph.order:
         if task == swapped:
             want = graph.queues[task][1].link_quality
         elif task in graph.succs[swapped]:
-            links = [(alt.assignment[p], alt.assignment[task]) for p in graph.preds[task]]
-            want = composer._mean_link(graph.taxonomy, graph.services, links)
+            qualities = [
+                interface_quality(
+                    graph.taxonomy,
+                    services[alt.assignment[pred]].outputs,
+                    services[alt.assignment[task]].inputs,
+                )
+                for pred in graph.preds[task]
+            ]
+            want = sum(qualities) / len(qualities)
         else:
             want = primary.link_qualities[task]
         assert alt.link_qualities[task] == want, task
@@ -788,7 +800,7 @@ def test_warm_caches_compose_like_fresh_inputs(make_inputs):
     # the two requests level differently, so a cached request result would show
     assert results[0] != results[1]
     assert {"envelope", "scaled", "_bases"} <= vars(registry).keys()
-    assert any(taxonomy._link_cache.values())
+    assert any(taxonomy.links.values())
 
 
 def test_failed_scaling_repeats_its_error_and_caches_no_scaling():
@@ -852,7 +864,7 @@ def test_replaced_objects_start_with_empty_caches():
     })] + rest)
     assert vars(changed).keys() == {"schema", "records"}
     assert changed.services[first.service_id] is not first
-    assert any(taxonomy._link_cache.values()) and not dc_replace(taxonomy)._link_cache
+    assert any(taxonomy.links.values()) and not dc_replace(taxonomy).links
     fresh = Registry(registry.schema, changed.records)
     assert composed(requests[0], plan, changed, taxonomy, config) == composed(
         requests[0], plan, fresh, taxonomy, config
@@ -929,6 +941,31 @@ def test_reused_registry_levels_and_selects_like_fresh_objects(fan_in):
             checked += 1
     assert checked >= 60
     assert registry._bases.keys() == {(bins, config.scheme) for bins in (3, 4, 5)}
+
+
+@pytest.mark.parametrize("fan_in", [1, 2])
+def test_inputs_and_graph_are_freed_by_reference_counting(fan_in):
+    """No reference cycle holds a used taxonomy, registry or search graph: with
+    the cycle collector off, each goes as soon as its last name is deleted."""
+    plan, registry, taxonomy = dag_inputs(61 + fan_in, fan_in)
+    config = dc_replace(default_config(), threshold=0.0)
+    request = default_request(registry.schema)
+    gc.disable()
+    try:
+        graph, primary, alternative = compose_with_graph(
+            request, plan, registry, taxonomy, config
+        )
+        task = next(t for t in graph.order if graph.preds[t] and graph.succs[t])
+        replaced = replace_unavailable(
+            graph, primary, (task, primary.assignment[task]), taxonomy, registry
+        )
+        composite_report(graph, replaced)
+        assert alternative is not None and taxonomy.links and graph.queues
+        refs = [weakref.ref(obj) for obj in (taxonomy, registry, graph)]
+        del taxonomy, registry, graph
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------ queues built on first read

@@ -31,6 +31,7 @@ from qoscompose.cba import discretize, predict
 from qoscompose.leveling import default_scheme
 from qoscompose.errors import (
     DegenerateRequest,
+    InvalidValue,
     LevelOutOfRange,
     SchemaMismatch,
     ValueOutOfRange,
@@ -76,6 +77,18 @@ def test_training_set_size_guard(monkeypatch):
     assert len(synthesized(bins=4)) == 16
     with pytest.raises(ValueOutOfRange):
         synthesized(bins=5)
+
+
+def test_a_scheme_has_at_most_max_training_rows_levels():
+    """A request levels into at most `bins` distinct levels, and bins never exceed
+    MAX_TRAINING_ROWS; a larger count is refused before its coefficients exist."""
+    most = leveling.MAX_TRAINING_ROWS
+    assert default_scheme(most).n_levels == most
+    with pytest.raises(InvalidValue, match=f"2 to {most} levels"):
+        default_scheme(most + 1)
+    coefficients = tuple(1.0 - i / (most + 1) for i in range(most + 1))
+    with pytest.raises(InvalidValue):
+        LevelScheme(most + 1, coefficients)
 
 
 def random_request(rng, schema, extremes):

@@ -112,10 +112,10 @@ def test_link_quality_rejects_disjoint_and_empty():
     assert interface_quality(isolated, ("A", "A"), ("A", "B")) is None
     for outputs, inputs in [((), ()), (("A",), ()), ((), ("B",))]:
         assert interface_quality(isolated, outputs, inputs) is None
-    # an unknown concept raises and leaves the memo empty
+    # an unknown concept raises and leaves both memos without the failed key
     with pytest.raises(UnknownConcept):
         interface_quality(isolated, ("A",), ("Z",))
-    assert ("Z",) not in isolated.link_memo(("A",))
+    assert ("Z",) not in isolated.links[("A",)] and ("A", "Z") not in isolated.matches
 
 
 def test_match_type_agrees_with_raw_axiom_walks():
