@@ -150,6 +150,12 @@ class SearchGraph:
         return queues
 
     @cached_property
+    def by_utility(self) -> dict[str, list[QueueEntry]]:
+        """task -> its queue's entries by utility desc, service_id asc."""
+        return {task: sorted(q, key=lambda e: (-e.utility, e.service_id))
+                for task, q in self.queues.items()}
+
+    @cached_property
     def entries(self) -> dict[str, dict[str, QueueEntry]]:
         """task -> service_id -> its queue entry."""
         return {task: {e.service_id: e for e in q} for task, q in self.queues.items()}
@@ -297,13 +303,18 @@ def replace_unavailable(
 ) -> CompositeService:
     """Swap out a failed selected service using two-sided neighbor link quality.
 
-    Remaining candidates at the failed task are re-scored with
+    Remaining candidates at the failed task are re-scored on F = U * q with
     q = mean(prev-side mean, next-side mean); a boundary node keeps its single
     side and an isolated node falls back to q = 1. Every neighbor's selection
     stays fixed, so the prev side is probed once per distinct input interface
     and the next side once per distinct output interface. No rescored queue
-    is built: the head is the least row in queue order. `taxonomy` and
-    `registry` must be the graph's own (InvalidValue).
+    is built: the head is the least (-F, service id) row. Candidates are
+    visited by utility, highest first, and the scan stops at the first whose
+    U is below a positive best F so far. That stop is exact: q is a mean of
+    `MATCH_QUALITY` values, so 0 < q <= 1 and F <= max(U, 0) under rounding.
+    It is strict, since a candidate with U equal to the best F and q = 1 ties
+    on F and wins with a smaller service id. `taxonomy` and `registry` must be
+    the graph's own (InvalidValue).
     """
     if taxonomy is not graph.taxonomy:
         raise InvalidValue("the taxonomy is not the one the search graph was built from")
@@ -323,8 +334,10 @@ def replace_unavailable(
         sides.append((_side(graph, [selected[pred] for pred in preds], True), "inputs"))
     if succs:
         sides.append((_side(graph, [selected[succ] for succ in succs], False), "outputs"))
-    rows = []  # (-F, service id, q), so the least row heads the rescored queue
-    for entry in graph.queues[task]:
+    best = None  # the least (-F, service id, q) so far heads the rescored queue
+    for entry in graph.by_utility[task]:
+        if best is not None and entry.utility < -best[0] > 0:  # F <= max(U, 0) < best F
+            break
         if entry.service_id == service_id:
             continue
         record, qualities = services[entry.service_id], []
@@ -335,10 +348,12 @@ def replace_unavailable(
             qualities.append(q)
         else:
             q = sum(qualities) / len(qualities) if qualities else 1.0
-            rows.append((-entry.utility * q, entry.service_id, q))
-    if not rows:
+            row = (-entry.utility * q, entry.service_id, q)
+            if best is None or row < best:
+                best = row
+    if best is None:
         raise NoReplacementCandidate(task)
-    final, candidate, q = min(rows)
+    final, candidate, q = best
     assignment = {**composite.assignment, task: candidate}
     finals = {**composite.final_utilities, task: -final}
     links = {**composite.link_qualities, task: q}

@@ -459,10 +459,13 @@ def config_field(name: str):
 
 
 def _number(value, convert=float):
-    """`convert(value)`, refusing a JSON boolean, which Python counts as 0 or 1, and
-    an integer too large for a float (ValueError)."""
+    """`convert(value)`, refusing a JSON boolean, which Python counts as 0 or 1, a
+    JSON string, which `convert` would parse, and an integer too large for a
+    float (ValueError)."""
     if isinstance(value, bool):
         raise TypeError(f"{value!r} is not a number")
+    if isinstance(value, str):
+        raise ValueError(f"{value!r} is not a number")
     try:
         return convert(value)
     except OverflowError:

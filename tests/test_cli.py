@@ -299,9 +299,16 @@ def _with_literal(doc, keys, literal):
         (["mining", "min_confidence"], HUGE, "mining"),
         (["request", "preferences", "availability"], "1e999", "request.preferences"),
         (["request", "preferences", "availability"], "1.5", "request.preferences"),
+        # a number given as a JSON string, which float() or int() would parse
+        (["threshold"], '"0.3"', "threshold"),
+        (["bins"], '"4"', "bins"),
+        (["levels", "coefficients", 1], '"0.5"', "levels"),
+        (["request", "ranges", "availability", 0], '"93"', "request.ranges.availability"),
+        (["request", "preferences", "availability"], '"1"', "request.preferences"),
     ],
     ids=["threshold", "range-lo", "range-hi", "coefficient", "min_support",
-         "min_confidence", "preference-1e999", "preference-1.5"],
+         "min_confidence", "preference-1e999", "preference-1.5", "threshold-string",
+         "bins-string", "coefficient-string", "range-lo-string", "preference-string"],
 )
 def test_an_unreadable_config_number_exits_10_naming_its_field(
     tmp_path, capsys, keys, literal, field
@@ -325,6 +332,22 @@ def test_an_unreadable_config_number_exits_10_naming_its_field(
 def test_a_composite_number_too_large_for_a_float_exits_10(tmp_path, capsys, keys):
     path = tmp_path / "composite.json"
     path.write_text(_with_literal(json.loads(GOLDEN_COMPOSE.read_text()), keys, HUGE))
+    argv = fixture_args("replace") + [
+        "--task", "plan_route", "--service", "pr_city", "--composite", str(path),
+    ]
+    assert main(argv) == 10
+    assert capsys.readouterr().err.startswith(
+        f"error [load]: {path} does not hold a composite report: ValueError"
+    )
+
+
+@pytest.mark.parametrize("key", ["score", "final_utility", "link_quality"])
+def test_a_composite_number_given_as_a_string_exits_10(tmp_path, capsys, key):
+    doc = json.loads(GOLDEN_COMPOSE.read_text())
+    section = doc["primary"] if key == "score" else doc["primary"]["tasks"][1]
+    section[key] = str(section[key])
+    path = tmp_path / "composite.json"
+    path.write_text(json.dumps(doc))
     argv = fixture_args("replace") + [
         "--task", "plan_route", "--service", "pr_city", "--composite", str(path),
     ]

@@ -708,6 +708,192 @@ def test_replacement_matches_reference_on_shared_interfaces_and_ties():
     assert tied >= 150 and failed_shares >= 300, counts
 
 
+# ---------------------------------- replacement's scan stops once none can win
+
+# B and C are disjoint subclasses of A: out A -> in B is Subsume (0.5), out B ->
+# in C is inadmissible, every concept feeds itself Exactly (1.0)
+STOP_TAX = RefTaxonomy({"A", "B", "C"}, {("B", "A"), ("C", "A")}, set(), {("B", "C")})
+
+
+class ReadLog(list):
+    """A queue view that records the service id of every entry it hands out."""
+
+    def __init__(self, entries, read):
+        super().__init__(entries)
+        self.read = read
+
+    def __iter__(self):
+        for entry in super().__iter__():
+            self.read.append(entry.service_id)
+            yield entry
+
+
+def log_reads(graph):
+    """Route every task's utility-ordered view through a ReadLog; returns the log."""
+    read = []
+    for task in graph.order:
+        graph.by_utility[task] = ReadLog(graph.by_utility[task], read)
+    return read
+
+
+def replace_like_reference(inst, task):
+    """Replace `task`'s selected service in engine and reference and check they
+    agree; the engine's composite (None when no candidate is left) and the ids
+    its scan read."""
+    ref = ref_select(inst)
+    graph, composite, taxonomy, registry = engine_graph(inst)
+    read = log_reads(graph)
+    failed = composite.assignment[task]
+    ref_new = ref_replace(inst, ref, task, failed)
+    try:
+        new = replace_unavailable(graph, composite, (task, failed), taxonomy, registry)
+    except NoReplacementCandidate:
+        assert ref_new.error == "no-replacement"
+        return None, read
+    assert ref_new.error is None
+    assert new.assignment == ref_new.assignment
+    assert new.final_utilities == ref_new.finals
+    assert new.score == ref_new.score
+    return new, read
+
+
+def one_edge_instance(downstream):
+    """t1 -> t2; p feeds A, and t2's candidates are (service id, U, input concept)."""
+    return RefInstance(
+        ["t1", "t2"],
+        [("t1", "t2")],
+        {"t1": [("p", 0.9)], "t2": [(sid, u) for sid, u, _ in downstream]},
+        {"p": ((), ("A",)), **{sid: ((concept,), ()) for sid, _, concept in downstream}},
+        STOP_TAX,
+    )
+
+
+def test_the_scan_skips_the_failed_highest_utility_entry_and_stops():
+    inst = one_edge_instance(
+        [("m0", 1.0, "A"), ("m1", 0.8, "A"), ("m2", 0.7, "A"), ("m3", 0.6, "A")]
+    )
+    new, read = replace_like_reference(inst, "t2")
+    assert new.assignment["t2"] == "m1"
+    assert read == ["m0", "m1", "m2"]
+
+
+def test_a_later_entry_whose_utility_equals_the_best_final_utility_can_still_win():
+    # m2 reaches F = 0.9 * 0.5 first; m1 has U equal to that F, q = 1 and the
+    # smaller id, so a scan stopping at U <= best F would keep m2
+    assert 0.9 * 0.5 == 0.45
+    inst = one_edge_instance(
+        [("m0", 1.0, "A"), ("m2", 0.9, "B"), ("m1", 0.45, "A"), ("m3", 0.4, "A"),
+         ("m4", 0.3, "A")]
+    )
+    new, read = replace_like_reference(inst, "t2")
+    assert new.assignment["t2"] == "m1" and new.final_utilities["t2"] == 0.45
+    assert read == ["m0", "m2", "m1", "m3"]
+
+
+def test_equal_utilities_are_all_rescored_whatever_their_link_quality():
+    # by utility m1 comes before m2, but its Subsume link halves its F
+    inst = one_edge_instance(
+        [("m0", 1.0, "A"), ("m1", 0.8, "B"), ("m2", 0.8, "A"), ("m3", 0.5, "A")]
+    )
+    new, read = replace_like_reference(inst, "t2")
+    assert new.assignment["t2"] == "m2" and new.link_qualities["t2"] == 1.0
+    assert read == ["m0", "m1", "m2", "m3"]
+
+
+def test_negative_utilities_never_stop_the_scan():
+    # a direct caller may pass U < 0, where F = U * q rises as q falls: m2's U is
+    # below m1's F, yet its Subsume link lifts its F above m1's
+    inst = one_edge_instance(
+        [("m0", 1.0, "A"), ("m1", -0.1, "A"), ("m2", -0.15, "B"), ("m3", -0.4, "A")]
+    )
+    new, read = replace_like_reference(inst, "t2")
+    assert new.assignment["t2"] == "m2"
+    assert read == ["m0", "m1", "m2", "m3"]
+
+
+def test_no_candidate_is_left_when_every_survivor_breaks_a_link():
+    # m2 and m3 output B, which cannot feed n's C input
+    inst = RefInstance(
+        ["t1", "t2", "t3"],
+        [("t1", "t2"), ("t2", "t3")],
+        {"t1": [("p", 0.9)], "t2": [("m1", 0.9), ("m2", 0.8), ("m3", 0.6)],
+         "t3": [("n", 0.7)]},
+        {"p": ((), ("A",)), "m1": (("A",), ("C",)), "m2": (("A",), ("B",)),
+         "m3": (("A",), ("B",)), "n": (("C",), ())},
+        STOP_TAX,
+    )
+    new, read = replace_like_reference(inst, "t2")
+    assert new is None and read == ["m1", "m2", "m3"]
+
+
+def test_an_isolated_task_rescores_on_utility_alone():
+    inst = RefInstance(
+        ["t1", "t2", "t3"],
+        [("t1", "t2")],
+        {"t1": [("p", 0.9)], "t2": [("m", 0.8)],
+         "t3": [("a", 0.9), ("c", 0.7), ("b", 0.7), ("d", 0.5), ("e", 0.4)]},
+        {"p": ((), ("A",)), "m": (("A",), ()), **{s: (("A",), ("A",)) for s in "abcde"}},
+        STOP_TAX,
+    )
+    new, read = replace_like_reference(inst, "t3")
+    assert new.assignment["t3"] == "b" and new.link_qualities["t3"] == 1.0
+    assert read == ["a", "b", "c", "d"]
+
+
+def chain_with_skip_edges(rng):
+    """A chain of 4 to 8 tasks plus the skip edges t_i -> t_i+2 (fan-in 2, as in
+    perfbench's failover DAG), 5 to 25 candidates a task with utilities from a
+    few values and interfaces over one random taxonomy."""
+    inst = random_instance(rng, max_tasks=1)
+    concepts = sorted(inst.taxonomy.concepts)
+    tasks = [f"t{i:02d}" for i in range(rng.randint(4, 8))]
+    edges = sorted({*zip(tasks, tasks[1:]), *zip(tasks, tasks[2:])})
+    candidates, interfaces = {}, {}
+    for task in tasks:
+        rows = [(f"{task}_s{j:02d}", rng.choice([0.2, 0.35, 0.5, 0.75, 0.8, 1.0]))
+                for j in range(rng.randint(5, 25))]
+        candidates[task] = rows
+        for sid, _ in rows:
+            interfaces[sid] = tuple(tuple(rng.sample(concepts, rng.randint(1, 2)))
+                                    for _ in range(2))
+    return dc_replace(inst, tasks=tasks, edges=edges, candidates=candidates,
+                      interfaces=interfaces)
+
+
+def test_chained_replacements_on_chains_with_skip_edges_match_the_reference():
+    """Each step replaces a random task's selection in the composite the step
+    before left, checked against the reference on the patched outcome."""
+    rng = random.Random(2317)
+    steps = refused = stopped = 0
+    while steps < 600:
+        inst = chain_with_skip_edges(rng)
+        ref = ref_select(inst)
+        if ref.error:
+            continue
+        graph, current, taxonomy, registry = engine_graph(inst)
+        read = log_reads(graph)
+        for _ in range(20):
+            task = rng.choice(graph.order)
+            failed = current.assignment[task]
+            ref_new = ref_replace(inst, ref, task, failed)
+            read.clear()
+            try:
+                new = replace_unavailable(graph, current, (task, failed), taxonomy, registry)
+            except NoReplacementCandidate:
+                assert ref_new.error == "no-replacement", (inst, task)
+                refused += 1
+                continue
+            assert ref_new.error is None, (inst, task)
+            assert new.assignment == ref_new.assignment, (inst, task)
+            assert new.final_utilities == ref_new.finals, (inst, task)
+            assert new.score == ref_new.score, (inst, task)
+            stopped += len(read) < len(graph.queues[task])
+            steps += 1
+            current = new
+            ref = dc_replace(ref, assignment=ref_new.assignment, finals=ref_new.finals)
+    assert refused >= 30 and stopped >= 300, (refused, stopped)
+
+
 # ------------------------------------------- request-independent caches
 
 def fixture_inputs():
