@@ -1,9 +1,9 @@
-"""Associative classification: Apriori rule mining plus coverage-based rule selection.
+"""Associative classification: depth-first rule mining, coverage-based rule selection.
 
 Training instances hold discrete attribute=label items. Mining enumerates
-class association rules level-wise with support pruning; the classifier keeps
-the high-precedence rules that still cover something and falls back to a
-default class.
+class association rules depth-first, dropping a class from a subtree once its
+support falls below the threshold; the classifier keeps the high-precedence
+rules that still cover something and falls back to a default class.
 """
 
 from __future__ import annotations
@@ -104,14 +104,12 @@ def mine_cars(
 ) -> list[ClassAssociationRule]:
     """All class association rules passing the support/confidence thresholds.
 
-    Level-wise Apriori: a (k+1)-itemset is considered for a class only when
-    it extends a k-itemset frequent for that same class, which is sound
-    because support is anti-monotone in the antecedent for a fixed class.
-
-    Counting is vertical (Eclat-style): every item and every class holds the
-    set of rows it occurs in as an int bitmask, a candidate's row set is the
-    AND of its base's row set and the added item's, and a count is a
-    popcount. Rules come out ordered by candidate, then class.
+    One depth-first walk on an explicit stack. A node's rows are an int
+    bitmask (Eclat-style): its base's ANDed with the added item's, so a count
+    is a popcount. A node extends only with items of later attributes, up to
+    `max_antecedent_size`. A class whose hits fall to 0 or below `min_support`
+    is dropped for the node's whole subtree, exact because support is
+    anti-monotone. Rules come out sorted by size, sorted antecedent, class.
     """
     if not data:
         raise EmptyTrainingSet("cannot mine rules from an empty training set")
@@ -120,62 +118,34 @@ def mine_cars(
     for inst in data[1:]:
         if instance_schema(inst.items) != schema:
             raise SchemaMismatch("training instances do not share one attribute schema")
-    max_size = config.max_antecedent_size
-    if max_size is None:
-        max_size = len(schema)
+    max_size = config.max_antecedent_size or len(schema)
     item_masks, class_masks = _vertical(data)
-    classes = sorted(class_masks)
-
-    rules: list[ClassAssociationRule] = []
-    # candidate itemsets of the current level -> their row sets
-    masks: dict[tuple[Item, ...], int] = {(it,): m for it, m in item_masks.items()}
-    # per class: frequent itemsets of the current level
-    frequent: dict[str, set[tuple[Item, ...]]] = {}
-    level = 1
-    while masks and level <= max_size:
-        next_frequent: dict[str, set[tuple[Item, ...]]] = {}
-        for cand in sorted(masks):
-            mask = masks[cand]
+    items = sorted(item_masks)
+    # items sort by attribute: later attributes start where this one's run ends
+    run_end = {it.attribute: i + 1 for i, it in enumerate(items)}
+    found: list[tuple[int, tuple[Item, ...], str, float, float]] = []
+    # node: (itemset, its row set, classes still frequent, first extension)
+    stack = [((), (1 << n) - 1, sorted(class_masks), 0)]
+    while stack:
+        base, base_mask, live, start = stack.pop()
+        for item in items[start:]:
+            itemset = base + (item,)
+            mask = base_mask & item_masks[item]
             total = mask.bit_count()
-            for cls in classes:
+            kept = []
+            for cls in live:
                 hits = (mask & class_masks[cls]).bit_count()
-                if hits == 0:
+                if hits == 0 or hits / n < config.min_support:
                     continue
-                support = hits / n
-                if support < config.min_support:
-                    continue
-                next_frequent.setdefault(cls, set()).add(cand)
-                confidence = hits / total
-                if confidence >= config.min_confidence:
-                    rules.append(
-                        ClassAssociationRule(frozenset(cand), cls, support, confidence)
-                    )
-        frequent = next_frequent
-        level += 1
-        if level > max_size:
-            break
-        extended: dict[tuple[Item, ...], int] = {}
-        for cls in sorted(frequent):
-            per_class = frequent[cls]
-            # the max item of any frequent k-set already occurs in one of its
-            # frequent (k-1)-subsets, so this pool loses nothing
-            pool = sorted({it for items in per_class for it in items})
-            for base in sorted(per_class):
-                used = {it.attribute for it in base}
-                for item in pool:
-                    if item <= base[-1] or item.attribute in used:
-                        continue
-                    cand = base + (item,)
-                    if cand in extended:
-                        continue
-                    subsets_ok = all(
-                        cand[:i] + cand[i + 1 :] in per_class for i in range(level)
-                    )
-                    if not subsets_ok:
-                        continue
-                    extended[cand] = masks[base] & item_masks[item]
-        masks = extended
-    return rules
+                kept.append(cls)
+                if hits / total >= config.min_confidence:
+                    found.append((len(itemset), itemset, cls, hits / n, hits / total))
+            if kept and len(itemset) < max_size:
+                stack.append((itemset, mask, kept, run_end[item.attribute]))
+    return [
+        ClassAssociationRule(frozenset(itemset), cls, support, confidence)
+        for _, itemset, cls, support, confidence in sorted(found)
+    ]
 
 
 def sort_rules(rules: list[ClassAssociationRule]) -> list[ClassAssociationRule]:

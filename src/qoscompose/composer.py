@@ -189,14 +189,15 @@ def _side(graph: SearchGraph, neighbours: list[str], downstream: bool) -> dict:
         return links[services[neighbours[0]].outputs]
 
     def mean(interface: tuple[str, ...]) -> float | None:
-        qualities = []
+        # added left to right, as in `leveling._mean`
+        total = 0.0
         for neighbour in neighbours:
             record = services[neighbour]
             q = links[record.outputs][interface] if downstream else links[interface][record.inputs]
             if q is None:
                 return None
-            qualities.append(q)
-        return sum(qualities) / len(qualities) if qualities else 1.0
+            total += q
+        return total / len(neighbours) if neighbours else 1.0
 
     return Memo(mean)
 
@@ -340,14 +341,14 @@ def replace_unavailable(
             break
         if entry.service_id == service_id:
             continue
-        record, qualities = services[entry.service_id], []
+        record, total = services[entry.service_id], 0.0
         for side, key in sides:
             q = side[getattr(record, key)]
             if q is None:
                 break
-            qualities.append(q)
+            total += q
         else:
-            q = sum(qualities) / len(qualities) if qualities else 1.0
+            q = total / len(sides) if sides else 1.0
             row = (-entry.utility * q, entry.service_id, q)
             if best is None or row < best:
                 best = row

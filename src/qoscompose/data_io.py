@@ -596,6 +596,12 @@ SYNTHETIC_ATTRIBUTES: list[tuple[str, str, float, float]] = [
 ]
 
 
+# Most QoS values (tasks x candidates x attributes) one generated workload
+# holds: 100 000 four-attribute services took 61-74 MB and 1.4-1.7 s to generate
+# (Python 3.11), so a larger size is refused before any draw.
+MAX_GENERATED_VALUES = 400_000
+
+
 def _attribute_template(index: int) -> tuple[str, str, float, float]:
     name, polarity, lo, hi = SYNTHETIC_ATTRIBUTES[index % len(SYNTHETIC_ATTRIBUTES)]
     if index >= len(SYNTHETIC_ATTRIBUTES):
@@ -611,10 +617,17 @@ def generate_synthetic(
     The taxonomy is a random tree whose first few concepts form a subclass
     chain (the backbone); service interfaces draw only backbone concepts, so
     every candidate link stays admissible and selection pressure comes from
-    utilities and match depth, not accidental disjointness.
+    utilities and match depth, not accidental disjointness. A size below 1,
+    or more than `MAX_GENERATED_VALUES` QoS values in all, raises InvalidValue.
     """
     if tasks < 1 or candidates_per_task < 1 or attributes < 1:
         raise InvalidValue("generator sizes must all be >= 1")
+    values = tasks * candidates_per_task * attributes
+    if values > MAX_GENERATED_VALUES:
+        raise InvalidValue(
+            f"{tasks} tasks x {candidates_per_task} candidates x {attributes} attributes "
+            f"is {values} QoS values, more than the limit of {MAX_GENERATED_VALUES}"
+        )
     rng = random.Random(seed)
     schema = [
         QoSAttribute(name, Polarity(pol))

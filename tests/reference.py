@@ -278,6 +278,15 @@ def ref_link(inst: RefInstance, from_service: str, to_service: str) -> float | N
     return total / len(pairs)
 
 
+def ref_mean(values: list[float]) -> float:
+    """Arithmetic mean added left to right; from Python 3.12 on, sum() compensates
+    rounding error, so it can differ in the last bit between versions."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 def ref_select(inst: RefInstance) -> RefOutcome:
     order = ref_topological(inst.tasks, inst.edges)
     preds = {t: sorted(a for a, b in inst.edges if b == t) for t in order}
@@ -303,7 +312,7 @@ def ref_select(inst: RefInstance) -> RefOutcome:
                 qualities.append(quality)
             if dead:
                 continue
-            q = sum(qualities) / len(qualities)
+            q = ref_mean(qualities)
             scored.append((service_id, utility, utility * q, q))
         if not scored:
             return RefOutcome(error="no-admissible", error_task=task)
@@ -347,7 +356,7 @@ def ref_first_alternative(inst: RefInstance, primary: RefOutcome) -> RefOutcome:
                 qualities.append(quality)
             if not ok:
                 break
-            q = sum(qualities) / len(qualities)
+            q = ref_mean(qualities)
             utility = next(
                 row[1] for row in primary.queues[succ] if row[0] == assignment[succ]
             )
@@ -389,7 +398,7 @@ def ref_replace(
                 qualities.append(quality)
             if dead:
                 continue
-            sides.append(sum(qualities) / len(qualities))
+            sides.append(ref_mean(qualities))
         if succs:
             qualities = []
             for succ in succs:
@@ -400,8 +409,8 @@ def ref_replace(
                 qualities.append(quality)
             if dead:
                 continue
-            sides.append(sum(qualities) / len(qualities))
-        q = sum(sides) / len(sides) if sides else 1.0
+            sides.append(ref_mean(qualities))
+        q = ref_mean(sides) if sides else 1.0
         rescored.append((service_id, utility, utility * q, q))
     if not rescored:
         return RefOutcome(error="no-replacement", error_task=task)

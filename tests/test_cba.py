@@ -16,6 +16,7 @@ from qoscompose import (
 )
 from qoscompose.cba import discretize, instance_schema, predict
 from qoscompose.errors import EmptyTrainingSet, SchemaMismatch, ValueOutOfRange
+from qoscompose.leveling import _training_rows
 from reference import brute_force_cars, random_training_set, ref_build_classifier
 
 
@@ -107,17 +108,37 @@ def oracle_sets(seed, overrides, count=40):
         yield rng, data, replace(config, **overrides)
 
 
+def mined_order(rules):
+    """`mine_cars`'s order: antecedent size, then sorted antecedent, then class."""
+    return sorted(
+        rules, key=lambda r: (len(r.antecedent), sorted(r.antecedent), r.consequent_class)
+    )
+
+
 @pytest.mark.parametrize("overrides", ORACLE_OVERRIDES)
 def test_mine_cars_equals_brute_force_in_order_and_exact_floats(overrides):
     for _, data, config in oracle_sets(2718, overrides):
         mined = mine_cars(data, config)
         expected = list(brute_force_cars(data, config))
         assert sort_rules(mined) == sort_rules(expected)
-        # emitted level by level, each level by sorted antecedent, then class
-        assert mined == sorted(
-            expected,
-            key=lambda r: (len(r.antecedent), sorted(r.antecedent), r.consequent_class),
-        )
+        assert mined == mined_order(expected)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"min_support": 0.0}, {"max_antecedent_size": 1}, {"max_antecedent_size": 2}],
+)
+def test_mine_cars_equals_brute_force_on_synthesized_training_tables(overrides):
+    # the engine mines full-factorial tables, where every itemset of k items
+    # is frequent down to bins ** -k; random sets rarely get there
+    rng = random.Random(4099)
+    config = replace(MiningConfig(), **overrides)
+    for _ in range(12):
+        n_attrs, bins, n_levels = rng.randint(1, 4), rng.randint(2, 5), rng.randint(2, 5)
+        floors = tuple(rng.randrange(bins) for _ in range(n_attrs))
+        names = tuple(f"a{i}" for i in range(n_attrs))
+        data = _training_rows((names, floors, bins, n_levels))
+        assert mine_cars(data, config) == mined_order(brute_force_cars(data, config))
 
 
 @pytest.mark.parametrize("overrides", ORACLE_OVERRIDES)

@@ -35,6 +35,9 @@ GOLDEN_CHAIN_B5_L4 = DATA / "chain_compose_b5_l4.json"
 # `qoscompose replace --composite chain_replace.json --task t21 --service
 # t21_s15` stdout on that chain: its t20 and t21 services are not queue heads
 GOLDEN_CHAIN_REPLACE_TWICE = DATA / "chain_replace_twice.json"
+# `qoscompose classify --bins 4` stdout on `generate --tasks 2 --candidates 5
+# --attributes 8 --seed 1`: mines the largest training set, 4 ** 8 rows
+GOLDEN_LIMIT_CLASSIFY = DATA / "limit_classify.txt"
 
 
 def fixture_args(command, **extra):
@@ -122,6 +125,18 @@ def test_compose_at_5_bins_and_4_levels_matches_the_golden_chain_report(tmp_path
     args = chain_args(tmp_path, capsys, "compose") + ["--bins", "5", "--levels", "4"]
     assert main(args) == 0
     assert capsys.readouterr().out.encode() == GOLDEN_CHAIN_B5_L4.read_bytes()
+
+
+def test_classify_at_the_training_row_limit_matches_the_golden(tmp_path, capsys):
+    generate = ["generate", "--tasks", "2", "--candidates", "5", "--attributes", "8"]
+    assert main(generate + ["--seed", "1", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    classify = [
+        "classify", "--registry", str(tmp_path / "registry.csv"),
+        "--config", str(tmp_path / "config.json"), "--bins", "4",
+    ]
+    assert main(classify) == 0
+    assert capsys.readouterr().out.encode() == GOLDEN_LIMIT_CLASSIFY.read_bytes()
 
 
 def test_replace_matches_the_golden_chain_report(tmp_path, capsys):
@@ -463,6 +478,9 @@ DEEP_JSON = "error [load]: {tmp}/deep.json nests JSON too deeply to parse\n"
         (lambda tmp: ["bench", "--grid", "2", "--attributes", "0"], 18, "error [load]: "),
         (lambda tmp: ["bench", "--grid", "2", "--threshold", "2"], 18, "error [load]: "),
         (lambda tmp: ["bench", "--grid", "2", "--reps", "0"], 2, "error: --reps "),
+        (lambda tmp: ["generate", "--tasks", "1000000", "--candidates", "1000000",
+                      "--out", str(tmp)], 18, "error [load]: 1000000 tasks x 1000000 "),
+        (lambda tmp: ["bench", "--grid", "1000000"], 18, "error [load]: 1000000 tasks x "),
         (lambda tmp: _saved_composite(tmp, lambda text: "not json"),
          10, "error [load]: line 1: {tmp}/composite.json is not valid JSON: "),
         (lambda tmp: _saved_composite(tmp, _first_task(lambda t: t.pop("service"))),
@@ -495,6 +513,7 @@ DEEP_JSON = "error [load]: {tmp}/deep.json nests JSON too deeply to parse\n"
     ids=[
         "nan-range", "bogus-attribute-compose", "bogus-attribute-classify",
         "generate-tasks-0", "bench-attributes-0", "bench-threshold-2", "bench-reps-0",
+        "generate-too-large", "bench-too-large",
         "composite-not-json", "composite-task-without-service",
         "composite-non-numeric-final-utility", "composite-missing-tasks",
         "not-utf8-registry", "not-utf8-plan", "not-utf8-taxonomy", "not-utf8-config",

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import pathlib
 import random
 import weakref
@@ -171,6 +172,43 @@ def test_multi_predecessor_quality_is_the_mean():
     # a->c is Exact (1.0), b->c is PlugIn (0.75)
     assert composite.link_qualities["c"] == (1.0 + 0.75) / 2
     assert composite.final_utilities["c"] == 1.0 * ((1.0 + 0.75) / 2)
+
+
+def test_a_three_predecessor_mean_adds_left_to_right():
+    # X1..X8 and Y sit under R and share the subclass Z, so Xi->Y is an
+    # Intersection (0.25) and R->Y a Subsume (0.5)
+    xs = [f"X{i}" for i in range(1, 9)]
+    taxonomy = Taxonomy(
+        frozenset([*xs, "R", "Y", "Z"]),
+        frozenset([(x, "R") for x in xs] + [("Y", "R")] + [("Z", c) for c in [*xs, "Y"]]),
+    )
+    graph, composite, registry = build_with_registry(
+        ["p1", "p2", "p3", "t"],
+        [("p1", "t"), ("p2", "t"), ("p3", "t")],
+        {
+            "p1": [("s1", 1.0)], "p2": [("s2", 1.0)], "p3": [("s3", 1.0)],
+            "t": [("ta", 1.0), ("tb", 0.9)],
+        },
+        {
+            "s1": ([], xs[:1]),
+            "s2": ([], [*xs[:5], "R"]),
+            "s3": ([], [*xs, "R"]),
+            "ta": (["Y"], []),
+            "tb": (["Y"], []),
+        },
+        taxonomy,
+    )
+    a, b, c = 0.25, 7 / 24, 5 / 18
+    assert interface_quality(taxonomy, tuple(xs[:1]), ("Y",)) == a
+    assert interface_quality(taxonomy, (*xs[:5], "R"), ("Y",)) == b
+    assert interface_quality(taxonomy, (*xs, "R"), ("Y",)) == c
+    # a compensated sum (Python 3.12+ sum()) rounds this mean differently
+    expected = ((a + b) + c) / 3
+    assert expected != math.fsum([a, b, c]) / 3
+    assert composite.link_qualities["t"] == expected
+    replaced = replace_unavailable(graph, composite, ("t", "ta"), taxonomy, registry)
+    assert replaced.link_qualities["t"] == expected
+    assert replaced.final_utilities["t"] == 0.9 * expected
 
 
 def test_missing_and_empty_candidate_sets_are_rejected():

@@ -23,7 +23,9 @@ from qoscompose import (
     load_registry,
     load_taxonomy,
 )
+from qoscompose import data_io
 from qoscompose.data_io import (
+    MAX_GENERATED_VALUES,
     default_config,
     default_request,
     generate_synthetic,
@@ -312,6 +314,18 @@ def test_generator_shapes():
             assert concept in taxonomy.concepts
     with pytest.raises(ValueError):
         generate_synthetic(0, 3, 4, seed=1)
+
+
+def test_generator_refuses_more_values_than_the_limit(monkeypatch):
+    for sizes in [(10**6, 10**6, 4), (MAX_GENERATED_VALUES + 1, 1, 1)]:
+        with pytest.raises(InvalidValue, match="more than the limit of 400000"):
+            generate_synthetic(*sizes, seed=1)
+    # the limit is inclusive; a small one keeps the test fast
+    monkeypatch.setattr(data_io, "MAX_GENERATED_VALUES", 24)
+    registry, _, _ = generate_synthetic(2, 3, 4, seed=1)
+    assert len(registry.records) == 6
+    with pytest.raises(InvalidValue, match="2 tasks x 13 candidates x 1 attributes"):
+        generate_synthetic(2, 13, 1, seed=1)
 
 
 def test_generator_minimal_and_round_trip(tmp_path):
