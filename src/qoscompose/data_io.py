@@ -24,7 +24,7 @@ from .errors import (
     UnknownConcept,
 )
 from .leveling import Basis, LevelScheme, UserRequest, default_scheme, level_basis
-from .ontology import MatchType, Taxonomy, match_type
+from .ontology import Taxonomy
 from .qos import (
     AttributeExtremes, NormalizedQoSVector, Polarity, QoSAttribute, QoSVector,
     compute_extremes, normalize,
@@ -380,13 +380,14 @@ def save_plan(plan: CompositionPlan, path: str) -> None:
 def load_composite(path: str) -> CompositeService:
     """A composite from a saved `compose` report (its primary) or `replace` report.
 
-    A file that holds no such report raises ParseError naming it.
+    A file that holds no such report raises ParseError naming it; a NaN or
+    infinite number in it, which Python's JSON reader accepts, NonFiniteValue.
     """
     doc = _json_load(path)
     section = doc.get("primary", doc)
     try:
         tasks = section["tasks"]
-        return CompositeService(
+        composite = CompositeService(
             {_text(t["task"]): _text(t["service"]) for t in tasks},
             {t["task"]: _number(t["final_utility"]) for t in tasks},
             {t["task"]: _number(t["link_quality"]) for t in tasks},
@@ -396,6 +397,16 @@ def load_composite(path: str) -> CompositeService:
         raise ParseError(
             f"{path} does not hold a composite report: {type(exc).__name__} {exc}"
         ) from None
+    for field, values in (
+        ("final_utility", composite.final_utilities),
+        ("link_quality", composite.link_qualities),
+    ):
+        for task, value in values.items():
+            if not math.isfinite(value):
+                raise NonFiniteValue(f"{path}: {field} of task {task!r} is {value!r}")
+    if not math.isfinite(composite.score):
+        raise NonFiniteValue(f"{path}: score is {composite.score!r}")
+    return composite
 
 
 # -------------------------------------------------------------- taxonomy records
@@ -601,6 +612,11 @@ SYNTHETIC_ATTRIBUTES: list[tuple[str, str, float, float]] = [
 # (Python 3.11), so a larger size is refused before any draw.
 MAX_GENERATED_VALUES = 400_000
 
+# Most tasks one generated workload holds: its taxonomy has 4 concepts per task,
+# and 6 000 x 1 x 4 took 65 MB and 1 s to generate (Python 3.11), about what the
+# values limit allows, so more tasks are refused before any draw.
+MAX_GENERATED_TASKS = 6_000
+
 
 def _attribute_template(index: int) -> tuple[str, str, float, float]:
     name, polarity, lo, hi = SYNTHETIC_ATTRIBUTES[index % len(SYNTHETIC_ATTRIBUTES)]
@@ -618,7 +634,8 @@ def generate_synthetic(
     chain (the backbone); service interfaces draw only backbone concepts, so
     every candidate link stays admissible and selection pressure comes from
     utilities and match depth, not accidental disjointness. A size below 1,
-    or more than `MAX_GENERATED_VALUES` QoS values in all, raises InvalidValue.
+    more than `MAX_GENERATED_VALUES` QoS values in all or more than
+    `MAX_GENERATED_TASKS` tasks raises InvalidValue.
     """
     if tasks < 1 or candidates_per_task < 1 or attributes < 1:
         raise InvalidValue("generator sizes must all be >= 1")
@@ -628,6 +645,8 @@ def generate_synthetic(
             f"{tasks} tasks x {candidates_per_task} candidates x {attributes} attributes "
             f"is {values} QoS values, more than the limit of {MAX_GENERATED_VALUES}"
         )
+    if tasks > MAX_GENERATED_TASKS:
+        raise InvalidValue(f"{tasks} tasks is more than the limit of {MAX_GENERATED_TASKS}")
     rng = random.Random(seed)
     schema = [
         QoSAttribute(name, Polarity(pol))
@@ -640,24 +659,28 @@ def generate_synthetic(
     n_concepts = 4 * tasks
     concepts = [f"C{i + 1:03d}" for i in range(n_concepts)]
     backbone = concepts[: min(6, n_concepts)]
-    edges: set[tuple[str, str]] = set()
-    for child, parent in zip(backbone[1:], backbone):
-        edges.add((child, parent))
+    parent = dict(zip(backbone[1:], backbone))  # the tree's child -> parent edges
     placed = list(backbone)
     for concept in concepts[len(backbone) :]:
-        edges.add((concept, rng.choice(placed)))
+        parent[concept] = rng.choice(placed)
         placed.append(concept)
+
+    def chain(concept: str):
+        while concept in parent:
+            concept = parent[concept]
+            yield concept
+
     off_backbone = concepts[len(backbone) :]
     disjointness: set[tuple[str, str]] = set()
-    tree = Taxonomy(frozenset(concepts), frozenset(edges))
     # the loop runs only when n_concepts >= 8, so off_backbone holds at least 2
     for _ in range(n_concepts // 8):
         a, b = rng.sample(off_backbone, 2)
-        if match_type(tree, a, b) in (MatchType.PLUGIN, MatchType.SUBSUME):
+        # a pair where one subsumes the other cannot be disjoint
+        if b in chain(a) or a in chain(b):
             continue
         disjointness.add((min(a, b), max(a, b)))
     taxonomy = Taxonomy(
-        frozenset(concepts), frozenset(edges), frozenset(), frozenset(disjointness)
+        frozenset(concepts), frozenset(parent.items()), frozenset(), frozenset(disjointness)
     )
 
     records: list[RegistryRecord] = []

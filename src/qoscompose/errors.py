@@ -156,7 +156,7 @@ class UnknownAttribute(EngineError):
 
 
 class NonFiniteValue(EngineError):
-    """A QoS value is NaN or infinite."""
+    """A number read from a file is NaN or infinite."""
     exit_code = 12
 
 

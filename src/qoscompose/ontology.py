@@ -3,8 +3,9 @@
 The taxonomy is a subsumption DAG with equivalence and disjointness axioms.
 Equivalent concepts are collapsed into one node up front, after which every
 match query is plain set reachability. Match types and link qualities are
-read from two `Memo`s on the taxonomy, which compute each answer on its
-first read and keep it.
+read only through the taxonomy's two `Memo`s, `matches[out, in]` and
+`links[outputs][inputs]`, which compute each answer on its first read and
+keep it.
 """
 
 from __future__ import annotations
@@ -119,20 +120,20 @@ class Taxonomy:
             order = list(sorter.static_order())
         except CycleError as exc:
             raise CycleDetected(f"subsumption hierarchy contains a cycle: {exc.args[1]}")
-        ancestors: dict[str, set[str]] = {}
+        # each ancestor set is frozen as soon as it is made and each descendant
+        # set once complete, so no second map of copies is ever held
+        ancestors: dict[str, frozenset[str]] = {}
+        descendants: dict[str, set[str]] = {r: {r} for r in reps}
         for rep_ in order:
             acc = {rep_}
             for p in parents[rep_]:
                 acc |= ancestors[p]
-            ancestors[rep_] = acc
-        descendants: dict[str, set[str]] = {r: {r} for r in reps}
-        for rep_, above in ancestors.items():
-            for a in above:
+            ancestors[rep_] = frozenset(acc)
+            for a in acc:
                 descendants[a].add(rep_)
-        return (
-            {r: frozenset(v) for r, v in ancestors.items()},
-            {r: frozenset(v) for r, v in descendants.items()},
-        )
+        for rep_, below in descendants.items():
+            descendants[rep_] = frozenset(below)
+        return ancestors, descendants
 
     def _index_disjointness(self) -> set[frozenset[str]]:
         disjoint_reps = set()
@@ -164,7 +165,13 @@ def _match(rep, ancestors, descendants, disjoint_reps, pair: tuple[str, str]) ->
 
 
 def _link_quality(matches: Memo, outputs: tuple, inputs: tuple) -> float | None:
-    """The fill of each memo in `Taxonomy.links`; see `interface_quality`."""
+    """The fill of each memo in `Taxonomy.links`: the mean `MATCH_QUALITY` over
+    every output x input pair of one link.
+
+    None when the link is inadmissible: it has no pair, or a pair is disjoint.
+    The two interfaces fully determine the value, so it is memoized on the
+    taxonomy by them: `taxonomy.links[outputs][inputs]`.
+    """
     if not (outputs and inputs):
         return None
     # outputs outer, inputs inner, added left to right; the walk stops at the
@@ -177,20 +184,3 @@ def _link_quality(matches: Memo, outputs: tuple, inputs: tuple) -> float | None:
                 return None
             total += MATCH_QUALITY[match]
     return total / (len(outputs) * len(inputs))
-
-
-def match_type(taxonomy: Taxonomy, out_concept: str, in_concept: str) -> MatchType:
-    """Semantic relation of an output concept feeding an input concept."""
-    return taxonomy.matches[out_concept, in_concept]
-
-
-def interface_quality(
-    taxonomy: Taxonomy, outputs: tuple[str, ...], inputs: tuple[str, ...]
-) -> float | None:
-    """Mean `MATCH_QUALITY` over every output x input pair of one link.
-
-    None when the link is inadmissible: it has no pair, or a pair is
-    disjoint. The two interfaces fully determine the value, so it is
-    memoized on the taxonomy by them: `taxonomy.links[outputs][inputs]`.
-    """
-    return taxonomy.links[outputs][inputs]

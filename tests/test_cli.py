@@ -458,6 +458,7 @@ def _deep_json(tmp):
     return path
 
 
+NAN = float("nan")  # json.dumps writes it as NaN
 NOT_UTF8 = "error [load]: {tmp}/not_utf8 is not UTF-8 text: "
 DEEP_JSON = "error [load]: {tmp}/deep.json nests JSON too deeply to parse\n"
 
@@ -481,6 +482,8 @@ DEEP_JSON = "error [load]: {tmp}/deep.json nests JSON too deeply to parse\n"
         (lambda tmp: ["generate", "--tasks", "1000000", "--candidates", "1000000",
                       "--out", str(tmp)], 18, "error [load]: 1000000 tasks x 1000000 "),
         (lambda tmp: ["bench", "--grid", "1000000"], 18, "error [load]: 1000000 tasks x "),
+        (lambda tmp: ["generate", "--tasks", "6001", "--candidates", "1", "--attributes", "1",
+                      "--out", str(tmp)], 18, "error [load]: 6001 tasks is more than the limit "),
         (lambda tmp: _saved_composite(tmp, lambda text: "not json"),
          10, "error [load]: line 1: {tmp}/composite.json is not valid JSON: "),
         (lambda tmp: _saved_composite(tmp, _first_task(lambda t: t.pop("service"))),
@@ -489,6 +492,8 @@ DEEP_JSON = "error [load]: {tmp}/deep.json nests JSON too deeply to parse\n"
          10, "error [load]: {tmp}/composite.json does not hold a composite report: ValueError"),
         (lambda tmp: _saved_composite(tmp, _only_plan_route),
          43, "error [load]: saved composite assigns no service to "),
+        (lambda tmp: _saved_composite(tmp, _first_task(lambda t: t.update(final_utility=NAN))),
+         12, "error [load]: {tmp}/composite.json: final_utility of task 'book_vehicle' is nan\n"),
         (lambda tmp: fixture_args("compose", registry=_not_utf8(tmp)), 10, NOT_UTF8),
         (lambda tmp: fixture_args("compose", plan=_not_utf8(tmp)), 10, NOT_UTF8),
         (lambda tmp: fixture_args("compose", taxonomy=_not_utf8(tmp)), 10, NOT_UTF8),
@@ -513,9 +518,10 @@ DEEP_JSON = "error [load]: {tmp}/deep.json nests JSON too deeply to parse\n"
     ids=[
         "nan-range", "bogus-attribute-compose", "bogus-attribute-classify",
         "generate-tasks-0", "bench-attributes-0", "bench-threshold-2", "bench-reps-0",
-        "generate-too-large", "bench-too-large",
+        "generate-too-large", "bench-too-large", "generate-too-many-tasks",
         "composite-not-json", "composite-task-without-service",
         "composite-non-numeric-final-utility", "composite-missing-tasks",
+        "composite-nan-final-utility",
         "not-utf8-registry", "not-utf8-plan", "not-utf8-taxonomy", "not-utf8-config",
         "not-utf8-composite", "repeated-attribute-column", "oversized-csv-field",
         "deep-json-plan", "deep-json-config", "deep-json-composite",

@@ -40,7 +40,6 @@ from qoscompose.data_io import default_config, default_request, generate_synthet
 from qoscompose.leveling import (
     _training_rows, filter_eligible, level_basis, request_training, score_candidates,
 )
-from qoscompose.ontology import interface_quality
 from qoscompose.qos import QoSVector, compute_extremes, normalize
 from qoscompose.errors import (
     CycleDetected,
@@ -199,9 +198,9 @@ def test_a_three_predecessor_mean_adds_left_to_right():
         taxonomy,
     )
     a, b, c = 0.25, 7 / 24, 5 / 18
-    assert interface_quality(taxonomy, tuple(xs[:1]), ("Y",)) == a
-    assert interface_quality(taxonomy, (*xs[:5], "R"), ("Y",)) == b
-    assert interface_quality(taxonomy, (*xs, "R"), ("Y",)) == c
+    assert taxonomy.links[tuple(xs[:1])][("Y",)] == a
+    assert taxonomy.links[(*xs[:5], "R")][("Y",)] == b
+    assert taxonomy.links[(*xs, "R")][("Y",)] == c
     # a compensated sum (Python 3.12+ sum()) rounds this mean differently
     expected = ((a + b) + c) / 3
     assert expected != math.fsum([a, b, c]) / 3
@@ -494,7 +493,7 @@ def test_heads_are_the_first_two_entries_of_the_queues_built_on_first_read():
 
 def assert_alternative_links(graph, primary, alt):
     """Link qualities: the second entry's at the swapped task, the mean of each
-    incoming link's `interface_quality` at each successor, the primary's
+    incoming link's quality in `taxonomy.links` at each successor, the primary's
     elsewhere; every F is U times its q."""
     [swapped] = [t for t in graph.order if alt.assignment[t] != primary.assignment[t]]
     services = graph.services
@@ -502,12 +501,9 @@ def assert_alternative_links(graph, primary, alt):
         if task == swapped:
             want = graph.queues[task][1].link_quality
         elif task in graph.succs[swapped]:
+            inputs = services[alt.assignment[task]].inputs
             qualities = [
-                interface_quality(
-                    graph.taxonomy,
-                    services[alt.assignment[pred]].outputs,
-                    services[alt.assignment[task]].inputs,
-                )
+                graph.taxonomy.links[services[alt.assignment[pred]].outputs][inputs]
                 for pred in graph.preds[task]
             ]
             want = sum(qualities) / len(qualities)

@@ -1,6 +1,10 @@
 """On-disk formats: round-trips, parse errors, and the synthetic generator."""
 
+import hashlib
+import json
 import os
+import pathlib
+import re
 import tempfile
 from dataclasses import replace
 
@@ -25,10 +29,12 @@ from qoscompose import (
 )
 from qoscompose import data_io
 from qoscompose.data_io import (
+    MAX_GENERATED_TASKS,
     MAX_GENERATED_VALUES,
     default_config,
     default_request,
     generate_synthetic,
+    load_composite,
     save_config,
     save_plan,
     save_registry,
@@ -45,6 +51,9 @@ from qoscompose.errors import (
     UnknownAttribute,
     UnknownConcept,
 )
+
+# a saved `replace` report on the fixtures
+REPLACE_REPORT = pathlib.Path(__file__).resolve().parent / "data" / "fixture_replace.json"
 
 # the CSV header stores each attribute's name and polarity
 SCHEMA = [
@@ -172,6 +181,21 @@ def test_taxonomy_round_trip(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_taxonomy(str(path))
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["final_utility", "link_quality", "score"])
+def test_a_saved_composite_refuses_a_non_finite_number(tmp_path, field, value):
+    # Python's JSON reader parses NaN, Infinity and -Infinity, which json.dumps writes
+    doc = json.loads(REPLACE_REPORT.read_text())
+    assert load_composite(str(REPLACE_REPORT)).score == doc["score"]
+    section = doc if field == "score" else doc["tasks"][1]
+    section[field] = value
+    path = tmp_path / "composite.json"
+    path.write_text(json.dumps(doc))
+    named = "score" if field == "score" else f"{field} of task {section['task']!r}"
+    with pytest.raises(NonFiniteValue, match=re.escape(f"{path}: {named} is {value!r}")):
+        load_composite(str(path))
 
 
 def test_config_round_trip(tmp_path):
@@ -316,6 +340,40 @@ def test_generator_shapes():
         generate_synthetic(0, 3, 4, seed=1)
 
 
+# sha256 of the written registry.csv, plan.json and taxonomy.txt, recorded when
+# the generator still asked a second, full Taxonomy whether one concept subsumes
+# another; each size draws disjointness pairs that lie on one parent chain (a
+# PlugIn or Subsume pair), which must be skipped and no other pair
+GENERATED_DIGESTS = {
+    (50, 2, 2, 5): (  # one PlugIn and one Subsume pair skipped
+        "07688cb4ee8fe1b20790f39b8097d71df4351f8a36a75068d34b8195e0524c4b",
+        "d715c7dbac67ff7ae27ed00f7583a24e62ffbb7dc035a64cab6caa755c4f30ec",
+        "8339cf35c440556e4b6b1838bcabce3f3108936af31b004d65de264086589d0a",
+    ),
+    (300, 2, 1, 4): (  # one Subsume pair skipped
+        "b3af57f5d5d3325586f79dd9034d07b4c09ea3d4e55e50b74ea35471550766b6",
+        "f9a4c74db2d5f9381e70e4149d2398c78b81a2a046b181aacb6127de25fd9412",
+        "41f57743f2d7d1f45018abf8214ecb1b105884cb31748eb15047004ee01d01e1",
+    ),
+    (500, 1, 1, 2): (  # two PlugIn and one Subsume pair skipped
+        "975d1973a82427b1104b5e7383aa9f166269f91e73c564b64048459e3d71cd96",
+        "7be62282f726e4e6d71b5fbdb492d28ff5993f04b5aecd8e75640d01579b3128",
+        "8836158bcfd9fcb8f59fd182bc4a94c2570e9f3dfdbf773f5613306bfeb6caaf",
+    ),
+}
+
+
+@pytest.mark.parametrize("sizes", GENERATED_DIGESTS, ids=lambda sizes: "{}x{}x{}-seed{}".format(*sizes))
+def test_generated_files_keep_their_bytes(tmp_path, sizes):
+    registry, plan, taxonomy = generate_synthetic(*sizes)
+    paths = [tmp_path / name for name in ("registry.csv", "plan.json", "taxonomy.txt")]
+    saves = (save_registry, save_plan, save_taxonomy)
+    for save, value, path in zip(saves, (registry, plan, taxonomy), paths):
+        save(value, str(path))
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths)
+    assert digests == GENERATED_DIGESTS[sizes]
+
+
 def test_generator_refuses_more_values_than_the_limit(monkeypatch):
     for sizes in [(10**6, 10**6, 4), (MAX_GENERATED_VALUES + 1, 1, 1)]:
         with pytest.raises(InvalidValue, match="more than the limit of 400000"):
@@ -326,6 +384,18 @@ def test_generator_refuses_more_values_than_the_limit(monkeypatch):
     assert len(registry.records) == 6
     with pytest.raises(InvalidValue, match="2 tasks x 13 candidates x 1 attributes"):
         generate_synthetic(2, 13, 1, seed=1)
+
+
+def test_generator_refuses_more_tasks_than_the_limit(monkeypatch):
+    # inside the values limit, so only the task count refuses it, before any draw
+    with pytest.raises(InvalidValue, match="^6001 tasks is more than the limit of 6000$"):
+        generate_synthetic(MAX_GENERATED_TASKS + 1, 1, 1, seed=1)
+    # the limit is inclusive; a small one keeps the test fast
+    monkeypatch.setattr(data_io, "MAX_GENERATED_TASKS", 3)
+    _, plan, _ = generate_synthetic(3, 2, 1, seed=1)
+    assert len(plan.tasks) == 3
+    with pytest.raises(InvalidValue, match="^4 tasks is more than the limit of 3$"):
+        generate_synthetic(4, 2, 1, seed=1)
 
 
 def test_generator_minimal_and_round_trip(tmp_path):

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from qoscompose import MatchType, Taxonomy
-from qoscompose.ontology import interface_quality, match_type
 from qoscompose.errors import CycleDetected, InconsistentTaxonomy, UnknownConcept
 from reference import REF_QUALITY, RefTaxonomy, engine_inputs, random_instance, ref_match
 
@@ -26,21 +25,21 @@ VEHICLES = tax(
 
 
 def test_exact_same_and_equivalent_concepts():
-    assert match_type(VEHICLES, "Car", "Car") is MatchType.EXACT
-    assert match_type(VEHICLES, "Auto", "Car") is MatchType.EXACT
-    assert match_type(VEHICLES, "Car", "Auto") is MatchType.EXACT
+    assert VEHICLES.matches["Car", "Car"] is MatchType.EXACT
+    assert VEHICLES.matches["Auto", "Car"] is MatchType.EXACT
+    assert VEHICLES.matches["Car", "Auto"] is MatchType.EXACT
 
 
 def test_plugin_and_subsume_are_mirror_images():
-    assert match_type(VEHICLES, "Car", "Vehicle") is MatchType.PLUGIN
-    assert match_type(VEHICLES, "Vehicle", "Car") is MatchType.SUBSUME
+    assert VEHICLES.matches["Car", "Vehicle"] is MatchType.PLUGIN
+    assert VEHICLES.matches["Vehicle", "Car"] is MatchType.SUBSUME
     # transitively as well
-    assert match_type(VEHICLES, "AmphibiousCar", "Vehicle") is MatchType.PLUGIN
+    assert VEHICLES.matches["AmphibiousCar", "Vehicle"] is MatchType.PLUGIN
 
 
 def test_intersection_via_common_descendant():
-    assert match_type(VEHICLES, "Car", "Boat") is MatchType.INTERSECTION
-    assert match_type(VEHICLES, "Boat", "Auto") is MatchType.INTERSECTION
+    assert VEHICLES.matches["Car", "Boat"] is MatchType.INTERSECTION
+    assert VEHICLES.matches["Boat", "Auto"] is MatchType.INTERSECTION
 
 
 def test_declared_disjointness_dominates_intersection():
@@ -50,18 +49,18 @@ def test_declared_disjointness_dominates_intersection():
                ("AmphibiousCar", "Car"), ("AmphibiousCar", "Boat")],
         disjoint=[("Car", "Boat")],
     )
-    assert match_type(separated, "Car", "Boat") is MatchType.DISJOINT
-    assert match_type(separated, "Boat", "Car") is MatchType.DISJOINT
+    assert separated.matches["Car", "Boat"] is MatchType.DISJOINT
+    assert separated.matches["Boat", "Car"] is MatchType.DISJOINT
 
 
 def test_unrelated_concepts_are_disjoint():
     isolated = tax(["A", "B"])
-    assert match_type(isolated, "A", "B") is MatchType.DISJOINT
+    assert isolated.matches["A", "B"] is MatchType.DISJOINT
 
 
 def test_unknown_concept_rejected():
     with pytest.raises(UnknownConcept):
-        match_type(VEHICLES, "Car", "Spaceship")
+        VEHICLES.matches["Car", "Spaceship"]
     with pytest.raises(UnknownConcept):
         tax(["A"], edges=[("A", "B")])
 
@@ -82,39 +81,39 @@ def test_subsumed_disjoint_pair_is_inconsistent():
 
 def test_equivalence_self_loop_edge_tolerated():
     t = tax(["A", "B"], edges=[("A", "B")], equiv=[("A", "B")])
-    assert match_type(t, "A", "B") is MatchType.EXACT
+    assert t.matches["A", "B"] is MatchType.EXACT
 
 
 def test_matching_quality_constants():
     # a one-pair link's quality is its match kind's constant
-    assert interface_quality(VEHICLES, ("Car",), ("Car",)) == 1.0
-    assert interface_quality(VEHICLES, ("Car",), ("Vehicle",)) == 0.75
-    assert interface_quality(VEHICLES, ("Vehicle",), ("Car",)) == 0.5
-    assert interface_quality(VEHICLES, ("Car",), ("Boat",)) == 0.25
-    assert interface_quality(tax(["A", "B"]), ("A",), ("B",)) is None
+    assert VEHICLES.links[("Car",)][("Car",)] == 1.0
+    assert VEHICLES.links[("Car",)][("Vehicle",)] == 0.75
+    assert VEHICLES.links[("Vehicle",)][("Car",)] == 0.5
+    assert VEHICLES.links[("Car",)][("Boat",)] == 0.25
+    assert tax(["A", "B"]).links[("A",)][("B",)] is None
 
 
 def test_link_quality_averages_pairs():
     # outputs x inputs: (Car, Car)
-    assert interface_quality(VEHICLES, ("Car",), ("Car",)) == 1.0
+    assert VEHICLES.links[("Car",)][("Car",)] == 1.0
     # (Car, Car), (Vehicle, Car)
-    assert interface_quality(VEHICLES, ("Car", "Vehicle"), ("Car",)) == (1.0 + 0.5) / 2
+    assert VEHICLES.links[("Car", "Vehicle")][("Car",)] == (1.0 + 0.5) / 2
     # (Car, Vehicle), (Car, Vehicle), (Car, Boat)
-    three = interface_quality(VEHICLES, ("Car",), ("Vehicle", "Vehicle", "Boat"))
+    three = VEHICLES.links[("Car",)][("Vehicle", "Vehicle", "Boat")]
     assert three == (0.75 + 0.75 + 0.25) / 3
 
 
 def test_link_quality_rejects_disjoint_and_empty():
     isolated = tax(["A", "B"])
-    assert interface_quality(isolated, ("A",), ("B",)) is None
+    assert isolated.links[("A",)][("B",)] is None
     # a disjoint pair makes the whole link inadmissible, wherever it stands
-    assert interface_quality(isolated, ("A", "B"), ("A",)) is None
-    assert interface_quality(isolated, ("A", "A"), ("A", "B")) is None
+    assert isolated.links[("A", "B")][("A",)] is None
+    assert isolated.links[("A", "A")][("A", "B")] is None
     for outputs, inputs in [((), ()), (("A",), ()), ((), ("B",))]:
-        assert interface_quality(isolated, outputs, inputs) is None
+        assert isolated.links[outputs][inputs] is None
     # an unknown concept raises and leaves both memos without the failed key
     with pytest.raises(UnknownConcept):
-        interface_quality(isolated, ("A",), ("Z",))
+        isolated.links[("A",)][("Z",)]
     assert ("Z",) not in isolated.links[("A",)] and ("A", "Z") not in isolated.matches
 
 
@@ -127,38 +126,44 @@ def test_match_type_agrees_with_raw_axiom_walks():
         MatchType.INTERSECTION: "intersection",
         MatchType.DISJOINT: "disjoint",
     }
-    for _ in range(60):
+    seen = {"plain": 0, "equivalences": 0, CycleDetected: 0, InconsistentTaxonomy: 0}
+    for _ in range(120):
         n = rng.randint(3, 12)
         concepts = [f"K{i}" for i in range(n)]
         edges = set()
         for i in range(1, n):
             for j in rng.sample(range(i), rng.randint(0, min(2, i))):
                 edges.add((concepts[i], concepts[j]))
-
-        def reaches(a, b):
-            frontier, seen = [a], {a}
-            while frontier:
-                cur = frontier.pop()
-                if cur == b:
-                    return True
-                for child, parent in edges:
-                    if child == cur and parent not in seen:
-                        seen.add(parent)
-                        frontier.append(parent)
-            return False
-
+        tree = RefTaxonomy(set(concepts), edges)
         disjoint = set()
         for _ in range(rng.randint(0, 2)):
             a, b = rng.sample(concepts, 2)
-            if not reaches(a, b) and not reaches(b, a):
+            if b not in tree.upward(a) and a not in tree.upward(b):
                 disjoint.add((a, b))
-        engine = tax(concepts, edges=edges, disjoint=disjoint)
-        raw = RefTaxonomy(set(concepts), edges, set(), disjoint)
-        for a in concepts:
-            for b in concepts:
-                assert label[match_type(engine, a, b)] == ref_match(raw, a, b), (
-                    a, b, edges, disjoint
-                )
+        equiv = {tuple(rng.sample(concepts, 2)) for _ in range(rng.randint(0, 2))}
+        raw = RefTaxonomy(set(concepts), edges, equiv, disjoint)
+        axioms = (concepts, edges, equiv, disjoint)
+        # collapsing equivalences can close a cycle through two classes, or put
+        # a disjoint pair into one class or onto one chain; the engine refuses both
+        if any(
+            b in raw.upward(a) and a in raw.upward(b) and b not in raw.eq_class(a)
+            for a in concepts
+            for b in concepts
+        ):
+            refusal = CycleDetected
+        elif any(b in raw.upward(a) or a in raw.upward(b) for a, b in disjoint):
+            refusal = InconsistentTaxonomy
+        else:
+            engine = tax(concepts, edges=edges, equiv=equiv, disjoint=disjoint)
+            for a in concepts:
+                for b in concepts:
+                    assert label[engine.matches[a, b]] == ref_match(raw, a, b), (a, b, axioms)
+            seen["equivalences" if equiv else "plain"] += 1
+            continue
+        with pytest.raises(refusal):
+            tax(concepts, edges=edges, equiv=equiv, disjoint=disjoint)
+        seen[refusal] += 1
+    assert min(seen.values()) > 0, seen
 
 
 def uncached_quality(taxonomy, outputs, inputs):
@@ -190,7 +195,7 @@ def test_memoized_interface_quality_equals_link_quality():
         }
         for _ in range(2):  # cold memo, then warm
             for (outputs, inputs), want in expected.items():
-                got = interface_quality(memoized, outputs, inputs)
+                got = memoized.links[outputs][inputs]
                 assert got == want, (outputs, inputs)
                 if got is not None:
                     kinds["quality"] += 1
@@ -206,7 +211,7 @@ def test_replace_copy_builds_its_own_index_and_leaves_the_original():
     edges = [("B", "A"), ("C", "A"), ("D", "B"), ("D", "C")]
 
     def answers(taxonomy):
-        return {(x, y): match_type(taxonomy, x, y) for x in concepts for y in concepts}
+        return {(x, y): taxonomy.matches[x, y] for x in concepts for y in concepts}
 
     changes = [
         {"disjointness": frozenset({("B", "C")})},
@@ -219,5 +224,5 @@ def test_replace_copy_builds_its_own_index_and_leaves_the_original():
         fresh = Taxonomy(**{"concepts": frozenset(concepts), "edges": frozenset(edges), **change})
         assert answers(copy) == answers(fresh), change
         assert answers(original) == answers(tax(concepts, edges)), change
-    assert match_type(original, "B", "C") is MatchType.INTERSECTION
-    assert match_type(original, "D", "A") is MatchType.PLUGIN
+    assert original.matches["B", "C"] is MatchType.INTERSECTION
+    assert original.matches["D", "A"] is MatchType.PLUGIN
