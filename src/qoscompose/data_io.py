@@ -9,8 +9,7 @@ import csv
 import json
 import math
 import random
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from .cba import Classifier, MiningConfig, render_items
@@ -20,14 +19,15 @@ from .errors import (
     InvalidValue,
     NonFiniteValue,
     ParseError,
+    SchemaMismatch,
     UnknownAttribute,
     UnknownConcept,
 )
 from .leveling import Basis, LevelScheme, UserRequest, default_scheme, level_basis
 from .ontology import Taxonomy
 from .qos import (
-    AttributeExtremes, NormalizedQoSVector, Polarity, QoSAttribute, QoSVector,
-    compute_extremes, normalize,
+    AttributeExtremes, NormalizedQoSVector, Polarity, QoSAttribute, compute_extremes,
+    scale_values,
 )
 
 
@@ -66,19 +66,34 @@ class Registry:
 
     @cached_property
     def envelope(self) -> AttributeExtremes:
-        """Extremes across the whole registry, so demand bands cover every task."""
-        return compute_extremes([QoSVector(r.service_id, r.values) for r in self.records])
+        """Extremes across the whole registry, so demand bands cover every task:
+        `compute_extremes` over the records themselves, in record order."""
+        return compute_extremes(self.records)
 
     @cached_property
     def scaled(self) -> dict[str, list[NormalizedQoSVector]]:
-        """Every task's candidates normalized against their own task's extremes."""
-        by_task: dict[str, list[QoSVector]] = {}
-        for r in self.records:
-            by_task.setdefault(r.task_id, []).append(QoSVector(r.service_id, r.values))
+        """Every task's candidates normalized against their own task's extremes.
+
+        One sweep per task over its records, in record order: the task's
+        extremes, then each record's values through `scale_values`, with the
+        checks of `normalize` and no copy of any record.
+        """
+        schema = self.schema
+        names = {attr.name for attr in schema}
+        by_task: dict[str, list[RegistryRecord]] = {}
+        for rec in self.records:
+            if rec.values.keys() != names:
+                raise SchemaMismatch(
+                    f"candidate {rec.service_id!r} does not match the declared schema"
+                )
+            by_task.setdefault(rec.task_id, []).append(rec)
         scaled = {}
-        for task, cands in by_task.items():
-            extremes = compute_extremes(cands)
-            scaled[task] = [normalize(c, extremes, self.schema) for c in cands]
+        for task, recs in by_task.items():
+            extremes = compute_extremes(recs)
+            scaled[task] = [
+                NormalizedQoSVector(rec.service_id, scale_values(rec, extremes, schema))
+                for rec in recs
+            ]
         return scaled
 
     @cached_property
@@ -110,10 +125,20 @@ class EngineConfig:
     threshold: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.bins < 2:
-            raise InvalidValue("discretization needs at least 2 bins")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise InvalidValue("eligibility threshold must lie in [0, 1]")
+        _check_bins(self.bins)
+        _check_threshold(self.threshold)
+
+
+def _check_bins(bins: int) -> int:
+    if bins < 2:
+        raise InvalidValue("discretization needs at least 2 bins")
+    return bins
+
+
+def _check_threshold(threshold: float) -> float:
+    if not 0.0 <= threshold <= 1.0:
+        raise InvalidValue("eligibility threshold must lie in [0, 1]")
+    return threshold
 
 
 def default_config() -> EngineConfig:
@@ -159,14 +184,22 @@ def _parse_concepts(
     return concepts
 
 
-@contextmanager
-def _open_text(path: str, newline: str | None = None):
+class _open_text:
     """`path` opened as UTF-8 text; undecodable bytes raise ParseError naming it."""
-    try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
-            yield fh
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+
+    __slots__ = ("path", "newline", "fh")
+
+    def __init__(self, path: str, newline: str | None = None) -> None:
+        self.path, self.newline = path, newline
+
+    def __enter__(self):
+        self.fh = open(self.path, encoding="utf-8", newline=self.newline)
+        return self.fh
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        self.fh.close()
+        if isinstance(exc, UnicodeDecodeError):
+            raise ParseError(f"{self.path} is not UTF-8 text: {exc}") from None
 
 
 def _csv_rows(reader):
@@ -460,13 +493,20 @@ def save_taxonomy(taxonomy: Taxonomy, path: str) -> None:
 
 # ------------------------------------------------------------------- config JSON
 
-@contextmanager
-def config_field(name: str):
+class config_field:
     """Report a bad config value (ValueError, TypeError) as a ParseError naming `name`."""
-    try:
-        yield
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"bad value for {name}: {exc}") from None
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, (ValueError, TypeError)):
+            raise ParseError(f"bad value for {self.name}: {exc}") from None
 
 
 def _number(value, convert=float):
@@ -549,15 +589,12 @@ def load_config(path: str) -> tuple[EngineConfig, UserRequest]:
                 else None
             ),
         )
-    # one field at a time from valid defaults, so an error names its field
-    config = EngineConfig(scheme, mining)
+    # each field read and checked before the next, so an error names its field
     with config_field("bins"):
-        config = replace(config, bins=_whole(doc.get("bins", config.bins)))
+        bins = _check_bins(_whole(doc.get("bins", EngineConfig.bins)))
     with config_field("threshold"):
-        config = replace(
-            config, threshold=_number(doc.get("threshold", config.threshold))
-        )
-    return config, request
+        threshold = _check_threshold(_number(doc.get("threshold", EngineConfig.threshold)))
+    return EngineConfig(scheme, mining, bins, threshold), request
 
 
 def save_config(config: EngineConfig, request: UserRequest, path: str) -> None:

@@ -9,8 +9,6 @@ went wrong. Each error class carries the CLI's process exit code for it in
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 
 class EngineError(Exception):
     """Base class for all engine errors."""
@@ -19,15 +17,21 @@ class EngineError(Exception):
     exit_code = 1
 
 
-@contextmanager
-def stage(name: str):
-    """Tag engine errors with the pipeline stage that raised them."""
-    try:
-        yield
-    except EngineError as err:
-        if err.stage is None:
-            err.stage = name
-        raise
+class stage:
+    """Tag engine errors with the pipeline stage that raised them; any other
+    exception passes through untouched."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, err, traceback) -> None:
+        if isinstance(err, EngineError) and err.stage is None:
+            err.stage = self.name
 
 
 # -- QoS scaling -------------------------------------------------------------

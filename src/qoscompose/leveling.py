@@ -134,13 +134,16 @@ def _training_signature(
 ) -> TrainingSignature:
     """The checks of `synthesize_training_set` and the key its rows follow from."""
     names = [a.name for a in schema]
-    extra = set(request.ranges) - set(names)
+    known = set(names)
+    extra = request.ranges.keys() - known
     if extra:
         raise UnknownAttribute(
             f"request names attributes absent from the schema: {sorted(extra)}"
         )
-    if set(request.ranges) != set(names):
+    if request.ranges.keys() != known:
         raise SchemaMismatch("request attributes do not match the declared schema")
+    if not extremes.keys() >= known:
+        raise SchemaMismatch("extremes do not cover the declared schema")
     rows = bins ** len(names)
     if rows > MAX_TRAINING_ROWS:
         raise ValueOutOfRange(
@@ -183,21 +186,12 @@ def synthesize_training_set(
 
     Each (attribute, label) pair gets one `Item` and one shortfall level,
     shared by every row that holds it. Raises UnknownAttribute when the
-    request names an attribute outside the schema, SchemaMismatch when it
-    lacks one, ValueOutOfRange when the bins ** attributes rows would
-    exceed MAX_TRAINING_ROWS, and DegenerateRequest when a requested range
-    lies outside the observed values.
+    request names an attribute outside the schema, SchemaMismatch when it or
+    the extremes lack one, ValueOutOfRange when the bins ** attributes rows
+    would exceed MAX_TRAINING_ROWS, and DegenerateRequest when a requested
+    range lies outside the observed values.
     """
     return _training_rows(_training_signature(request, extremes, scheme, bins, schema))
-
-
-def _level_code(candidate: NormalizedQoSVector, bins: int) -> int:
-    """The candidate's labels as a base-`bins` number, first attribute most significant:
-    its row in `_training_rows` when its values are in schema order."""
-    code = 0
-    for value in candidate.values.values():
-        code = code * bins + discretize(value, bins)
-    return code
 
 
 def _mean(candidate: NormalizedQoSVector) -> float:
@@ -249,10 +243,19 @@ def level_basis(
 ) -> Basis:
     """The request-independent half of `score_candidates`, with an empty pool.
 
-    A candidate's row is its `_level_code`, so its values must be in schema
-    order, as `normalize` makes them.
+    A candidate's row in the level table is its labels read as a base-`bins`
+    number, first attribute most significant: its row in `_training_rows`
+    when its values are in schema order, as `normalize` makes them. One walk
+    over its values gives that code and its mean.
     """
-    rows = [(cand, _level_code(cand, bins), _mean(cand)) for cand in candidates]
+    rows = []
+    for cand in candidates:
+        code, total = 0, 0.0
+        # added left to right, as `_mean` adds
+        for value in cand.values.values():
+            code = code * bins + discretize(value, bins)
+            total += value
+        rows.append((cand, code, total / len(cand.values)))
     return Basis(rows, [None] * (len(rows) * n_levels))
 
 

@@ -14,7 +14,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import partial
-from graphlib import CycleError, TopologicalSorter
 
 from .errors import CycleDetected, InconsistentTaxonomy, UnknownConcept
 
@@ -71,13 +70,14 @@ class Taxonomy:
         # derived from the axioms, plus the match and link memos: not fields, so
         # equality and repr ignore them and a dataclasses.replace copy builds its own
         self._rep = self._collapse_equivalences()
-        self._ancestors, self._descendants = self._close_subsumption()
+        self._ancestors = self._close_subsumption()
         self._disjoint_reps = self._index_disjointness()
         # (out concept, in concept) -> MatchType, and upstream outputs -> downstream
         # inputs -> link quality; the fill functions hold the derived maps but not the
-        # taxonomy, so no reference cycle keeps a dropped taxonomy alive
+        # taxonomy, so no reference cycle keeps a dropped taxonomy alive. Only the
+        # Intersection test reads descendant sets, so the first one fills them all.
         matches = self.matches = Memo(partial(
-            _match, self._rep, self._ancestors, self._descendants, self._disjoint_reps
+            _match, self._rep, self._ancestors, {}, self._disjoint_reps
         ))
         self.links = Memo(lambda outputs: Memo(partial(_link_quality, matches, outputs)))
 
@@ -107,7 +107,15 @@ class Taxonomy:
                 parent[hi] = lo
         return {c: find(c) for c in self.concepts}
 
-    def _close_subsumption(self) -> tuple[dict[str, frozenset[str]], ...]:
+    def _close_subsumption(self) -> dict[str, frozenset[str]]:
+        """Each representative's ancestors, itself included.
+
+        A depth-first walk down the children orders the representatives, each
+        after all its ancestors. It starts and steps in the order
+        `graphlib.TopologicalSorter` would search a graph given as each
+        representative's sorted parents, so a cycle raises CycleDetected
+        naming the same concepts that sorter's CycleError names.
+        """
         reps = sorted(set(self._rep.values()))
         parents: dict[str, set[str]] = {r: set() for r in reps}
         for child, parent in self.edges:
@@ -115,25 +123,42 @@ class Taxonomy:
             if rc != rp:
                 # self-loops collapse away when child and parent are equivalent
                 parents[rc].add(rp)
-        sorter = TopologicalSorter({r: sorted(parents[r]) for r in reps})
-        try:
-            order = list(sorter.static_order())
-        except CycleError as exc:
-            raise CycleDetected(f"subsumption hierarchy contains a cycle: {exc.args[1]}")
-        # each ancestor set is frozen as soon as it is made and each descendant
-        # set once complete, so no second map of copies is ever held
+        children: dict[str, list[str]] = {r: [] for r in reps}
+        starts: dict[str, None] = {}
+        for r in reps:
+            starts[r] = None
+            for p in sorted(parents[r]):
+                starts[p] = None
+                children[p].append(r)
+        # post-order: each representative after all of its descendants
+        order: list[str] = []
+        done: set[str] = set()
+        for start in starts:
+            if start in done:
+                continue
+            path, steps, on_path = [start], [iter(children[start])], {start: 0}
+            while path:
+                child = next(steps[-1], None)
+                if child is None:
+                    node = path.pop()
+                    steps.pop()
+                    del on_path[node]
+                    done.add(node)
+                    order.append(node)
+                elif child in on_path:
+                    cycle = path[on_path[child]:] + [child]
+                    raise CycleDetected(f"subsumption hierarchy contains a cycle: {cycle}")
+                elif child not in done:
+                    on_path[child] = len(path)
+                    path.append(child)
+                    steps.append(iter(children[child]))
         ancestors: dict[str, frozenset[str]] = {}
-        descendants: dict[str, set[str]] = {r: {r} for r in reps}
-        for rep_ in order:
+        for rep_ in reversed(order):
             acc = {rep_}
             for p in parents[rep_]:
                 acc |= ancestors[p]
             ancestors[rep_] = frozenset(acc)
-            for a in acc:
-                descendants[a].add(rep_)
-        for rep_, below in descendants.items():
-            descendants[rep_] = frozenset(below)
-        return ancestors, descendants
+        return ancestors
 
     def _index_disjointness(self) -> set[frozenset[str]]:
         disjoint_reps = set()
@@ -147,8 +172,18 @@ class Taxonomy:
         return disjoint_reps
 
 
+def _descendants(ancestors: dict[str, frozenset[str]]) -> dict[str, frozenset[str]]:
+    """Each representative's descendants, itself included: `ancestors` inverted."""
+    below: dict[str, list[str]] = {r: [] for r in ancestors}
+    for rep_, above in ancestors.items():
+        for a in above:
+            below[a].append(rep_)
+    return {r: frozenset(reps) for r, reps in below.items()}
+
+
 def _match(rep, ancestors, descendants, disjoint_reps, pair: tuple[str, str]) -> MatchType:
-    """`Taxonomy.matches`' fill, over the taxonomy's derived maps."""
+    """`Taxonomy.matches`' fill, over the taxonomy's derived maps; `descendants`
+    starts empty and is filled by the first Intersection test."""
     for concept in pair:
         if concept not in rep:
             raise UnknownConcept(f"concept {concept!r} is not declared")
@@ -159,7 +194,11 @@ def _match(rep, ancestors, descendants, disjoint_reps, pair: tuple[str, str]) ->
         return MatchType.PLUGIN
     if ro in ancestors[ri]:
         return MatchType.SUBSUME
-    if frozenset((ro, ri)) in disjoint_reps or not descendants[ro] & descendants[ri]:
+    if frozenset((ro, ri)) in disjoint_reps:
+        return MatchType.DISJOINT
+    if not descendants:
+        descendants.update(_descendants(ancestors))
+    if descendants[ro].isdisjoint(descendants[ri]):
         return MatchType.DISJOINT
     return MatchType.INTERSECTION
 

@@ -1,7 +1,10 @@
 """Match typing over the taxonomy lattice plus randomized raw-axiom cross-checks."""
 
 import dataclasses
+import gc
 import random
+import weakref
+from graphlib import CycleError, TopologicalSorter
 
 import pytest
 
@@ -226,3 +229,100 @@ def test_replace_copy_builds_its_own_index_and_leaves_the_original():
         assert answers(original) == answers(tax(concepts, edges)), change
     assert original.matches["B", "C"] is MatchType.INTERSECTION
     assert original.matches["D", "A"] is MatchType.PLUGIN
+
+
+def random_dag(rng, n):
+    concepts = [f"K{i}" for i in range(n)]
+    edges = set()
+    for i in range(1, n):
+        for j in rng.sample(range(i), rng.randint(0, min(2, i))):
+            edges.add((concepts[i], concepts[j]))
+    return concepts, edges
+
+
+def test_matches_agree_with_ref_match_with_intersection_and_disjoint_pairs():
+    rng = random.Random(20)
+    label = {kind: kind.name.lower() for kind in MatchType}
+    seen = {kind: 0 for kind in MatchType}
+    declared = 0
+    for _ in range(150):
+        concepts, edges = random_dag(rng, rng.randint(4, 14))
+        tree = RefTaxonomy(set(concepts), edges)
+        disjoint = set()
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.sample(concepts, 2)
+            if b not in tree.upward(a) and a not in tree.upward(b):
+                disjoint.add((a, b))
+        raw = RefTaxonomy(set(concepts), edges, disjoint=disjoint)
+        engine = tax(concepts, edges=edges, disjoint=disjoint)
+        for a in concepts:
+            for b in concepts:
+                got = engine.matches[a, b]
+                assert label[got] == ref_match(raw, a, b), (a, b, edges, disjoint)
+                seen[got] += 1
+                # a declared pair that would otherwise intersect
+                declared += got is MatchType.DISJOINT and any(
+                    a in tree.upward(c) and b in tree.upward(c) for c in concepts
+                )
+    assert min(seen.values()) > 0 and declared > 0, (seen, declared)
+
+
+def test_descendant_sets_are_built_by_the_first_intersection_test():
+    taxonomy = tax(
+        ["Top", "Car", "Boat", "Amphibian", "Rock"],
+        edges=[("Car", "Top"), ("Boat", "Top"), ("Amphibian", "Car"), ("Amphibian", "Boat")],
+        disjoint=[("Rock", "Top")],
+    )
+    descendants = taxonomy.matches.fill.args[2]
+    for pair, kind in [
+        (("Car", "Car"), MatchType.EXACT),
+        (("Car", "Top"), MatchType.PLUGIN),
+        (("Top", "Boat"), MatchType.SUBSUME),
+        (("Top", "Rock"), MatchType.DISJOINT),  # declared, so no descendant is read
+    ]:
+        assert taxonomy.matches[pair] is kind
+    assert descendants == {}
+    assert taxonomy.matches["Car", "Boat"] is MatchType.INTERSECTION
+    below_car = descendants["Car"]
+    assert below_car == {"Car", "Amphibian"} and len(descendants) == 5
+    assert taxonomy.matches["Boat", "Car"] is MatchType.INTERSECTION
+    assert descendants["Car"] is below_car  # built once, then reused
+
+
+def test_filled_memos_keep_no_dropped_taxonomy_alive():
+    taxonomy = tax(["A", "B", "C"], edges=[("C", "A"), ("C", "B")])
+    assert taxonomy.links[("A",)][("B",)] == 0.25  # reads the descendant sets
+    matches, links = taxonomy.matches, taxonomy.links
+    ref = weakref.ref(taxonomy)
+    gc.disable()
+    try:
+        del taxonomy
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert matches["A", "B"] is MatchType.INTERSECTION and links
+
+
+def test_a_cycle_names_what_graphlib_names():
+    rng = random.Random(7)
+    cycles = 0
+    for _ in range(400):
+        concepts = [f"K{i}" for i in rng.sample(range(12), rng.randint(2, 8))]
+        edges = {tuple(rng.sample(concepts, 2)) for _ in range(rng.randint(1, 10))}
+        equiv = {tuple(rng.sample(concepts, 2)) for _ in range(rng.randint(0, 1))}
+        rep = tax(concepts, equiv=equiv)._rep
+        parents = {r: set() for r in rep.values()}
+        for child, parent in edges:
+            if rep[child] != rep[parent]:
+                parents[rep[child]].add(rep[parent])
+        sorter = TopologicalSorter({r: sorted(parents[r]) for r in sorted(parents)})
+        try:
+            sorter.prepare()
+        except CycleError as exc:
+            cycles += 1
+            with pytest.raises(CycleDetected) as info:
+                tax(concepts, edges=edges, equiv=equiv)
+            assert str(info.value) == f"subsumption hierarchy contains a cycle: {exc.args[1]}"
+        else:
+            tax(concepts, edges=edges, equiv=equiv)
+    assert 50 < cycles < 350, cycles

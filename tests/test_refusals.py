@@ -1,0 +1,143 @@
+"""Refusals through the engine's error scopes: each keeps its type, text and stage.
+
+`errors.stage`, `data_io.config_field` and `data_io._open_text` are small
+context-manager classes; these cases pin what each one reports.
+"""
+
+import pytest
+
+from qoscompose import (
+    CompositionPlan, Polarity, QoSAttribute, Registry, RegistryRecord, Taxonomy,
+    UserRequest, compose_with_graph, load_config, load_registry, load_taxonomy,
+)
+from qoscompose.data_io import config_field, default_config
+from qoscompose.errors import (
+    CycleDetected, EmptyCandidateSet, EngineError, OutOfRangeValue, ParseError,
+    SchemaMismatch, UnknownTask, stage,
+)
+
+SCHEMA = [QoSAttribute("a", Polarity.POSITIVE)]
+PLAN = CompositionPlan(frozenset(["t1"]), frozenset())
+TAXONOMY = Taxonomy(frozenset(["A"]))
+REQUEST = UserRequest({"a": (1.0, 2.0)}, {"a": 1})
+
+
+def record(service_id, values):
+    return RegistryRecord(service_id, "t1", values, (), ("A",))
+
+
+@pytest.mark.parametrize(
+    "records, error, at, text",
+    [
+        pytest.param(
+            [record("s1", {"a": 1.0}), record("s2", {"a": float("nan")})],
+            OutOfRangeValue, "scaling", "a=nan of 's2' outside extremes (1.0, 1.0)",
+            id="nan-value",
+        ),
+        pytest.param(
+            [record("s1", {"a": 1.0}), record("s2", {"b": 1.0})],
+            SchemaMismatch, "training", "candidate 's2' does not share the attribute schema",
+            id="keys-differ-from-the-first-record",
+        ),
+        pytest.param(
+            [record("s1", {"b": 1.0}), record("s2", {"b": 2.0})],
+            SchemaMismatch, "training", "extremes do not cover the declared schema",
+            id="keys-lack-a-schema-attribute",
+        ),
+        pytest.param(
+            [record("s1", {"a": 1.0, "b": 1.0})],
+            SchemaMismatch, "scaling", "candidate 's1' does not match the declared schema",
+            id="keys-exceed-the-schema",
+        ),
+        pytest.param(
+            [], EmptyCandidateSet, "training",
+            "cannot compute extremes of an empty candidate set",
+            id="empty-registry",
+        ),
+    ],
+)
+def test_a_registry_built_in_code_is_refused_at_its_stage(records, error, at, text):
+    registry = Registry(SCHEMA, records)
+    for _ in range(2):  # nothing a refusal leaves behind changes the second one
+        with pytest.raises(error) as info:
+            compose_with_graph(REQUEST, PLAN, registry, TAXONOMY, default_config())
+        assert (info.value.stage, str(info.value)) == (at, text)
+    assert not {"scaled", "_bases"} & vars(registry).keys()
+
+
+def test_a_subsumption_cycle_names_its_concepts(tmp_path):
+    path = tmp_path / "taxonomy.txt"
+    path.write_text(
+        "concept A\nconcept B\nconcept C\nconcept D\n"
+        "subclass A B\nsubclass B C\nsubclass C A\nsubclass D A\n"
+    )
+    with pytest.raises(CycleDetected) as info:
+        load_taxonomy(str(path))
+    assert str(info.value) == "subsumption hierarchy contains a cycle: ['A', 'C', 'B', 'A']"
+    assert info.value.stage is None
+
+
+def test_a_file_that_is_not_utf8_is_named(tmp_path):
+    path = tmp_path / "registry.csv"
+    path.write_bytes(b"service_id,task_id,a:+,inputs,outputs\n\xff,t1,1.0,,\n")
+    with pytest.raises(ParseError) as info:
+        load_registry(str(path))
+    assert str(info.value) == (
+        f"{path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+        "position 38: invalid start byte"
+    )
+    assert info.value.stage is None
+
+
+@pytest.mark.parametrize(
+    "fields, text",
+    [
+        ('"bins": 1', "bad value for bins: discretization needs at least 2 bins"),
+        ('"threshold": "0.5"', "bad value for threshold: '0.5' is not a number"),
+        # bins is read and checked before threshold, so it is the one named
+        ('"bins": 1, "threshold": "0.5"',
+         "bad value for bins: discretization needs at least 2 bins"),
+        ('"threshold": 1.5', "bad value for threshold: eligibility threshold must lie in [0, 1]"),
+    ],
+)
+def test_a_bad_config_field_is_named(tmp_path, fields, text):
+    path = tmp_path / "config.json"
+    path.write_text('{"request": {"ranges": {"a": [0, 1]}}, ' + fields + "}")
+    with pytest.raises(ParseError) as info:
+        load_config(str(path))
+    assert (str(info.value), info.value.stage) == (text, None)
+
+
+def test_config_fills_a_missing_threshold_with_its_default(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"request": {"ranges": {"a": [0, 1]}}, "bins": 5}')
+    config, _ = load_config(str(path))
+    assert (config.bins, config.threshold) == (5, 0.25)
+
+
+def test_stage_tags_only_untagged_engine_errors():
+    with pytest.raises(UnknownTask) as info:
+        with stage("outer"):
+            with stage("inner"):
+                raise UnknownTask("t9")
+    assert info.value.stage == "inner"
+    # anything else passes through untouched, with no stage attribute added
+    failure = KeyError("k")
+    with pytest.raises(KeyError) as info:
+        with stage("selection"):
+            raise failure
+    assert info.value is failure and not hasattr(failure, "stage")
+    with stage("selection"):
+        pass
+
+
+def test_config_field_turns_only_value_and_type_errors_into_parse_errors():
+    with pytest.raises(ParseError, match="^bad value for x: boom$") as info:
+        with config_field("x"):
+            raise TypeError("boom")
+    assert info.value.__suppress_context__
+    for other in (KeyError("k"), EngineError("e")):
+        with pytest.raises(type(other)) as info:
+            with config_field("x"):
+                raise other
+        assert info.value is other

@@ -1,0 +1,158 @@
+"""The registry's one sweep against the route it replaced, bit for bit.
+
+The old route copied every record into a `QoSVector`, took `compute_extremes`
+over all of them for the envelope and over each task's for its scaling, ran
+`normalize` on every candidate and then `level_basis` on every task.
+"""
+
+import struct
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qoscompose import (
+    NormalizedQoSVector, Polarity, QoSAttribute, QoSVector, Registry, RegistryRecord,
+    compute_extremes, normalize,
+)
+from qoscompose.errors import EngineError, OutOfRangeValue
+from qoscompose.cba import discretize
+from qoscompose.leveling import Basis, default_scheme
+
+NAN = float("nan")
+
+
+def bits(value):
+    """`value` with every float as its IEEE bytes, so NaN and -0.0 compare exactly."""
+    if isinstance(value, float):
+        return struct.pack(">d", value)
+    if isinstance(value, NormalizedQoSVector):
+        return value.service_id, bits(list(value.values.items()))
+    if isinstance(value, Basis):
+        return bits(value.rows), len(value.pool), set(value.pool)
+    if isinstance(value, dict):
+        return bits(list(value.items()))
+    if isinstance(value, (list, tuple)):
+        return [bits(item) for item in value]
+    return value
+
+
+def outcome(compute):
+    """What `compute()` returns, in bits, or the type and text of its engine error."""
+    try:
+        return "ok", bits(compute())
+    except EngineError as err:
+        return "error", type(err), str(err)
+
+
+def generator_extremes(candidates):
+    """`compute_extremes` as it was written before, with a generator pass per end."""
+    names = list(candidates[0].values)
+    return {
+        name: (
+            min(c.values[name] for c in candidates),
+            max(c.values[name] for c in candidates),
+        )
+        for name in names
+    }
+
+
+def old_level_basis(candidates, bins, n_levels):
+    """`level_basis` as it was written before, with a walk for the code and one for the mean."""
+    rows = []
+    for cand in candidates:
+        code = 0
+        for value in cand.values.values():
+            code = code * bins + discretize(value, bins)
+        total = 0.0
+        for value in cand.values.values():
+            total += value
+        rows.append((cand, code, total / len(cand.values)))
+    return Basis(rows, [None] * (len(rows) * n_levels))
+
+
+def old_route(registry, bins, n_levels):
+    vectors = [QoSVector(r.service_id, r.values) for r in registry.records]
+    envelope = outcome(lambda: compute_extremes(vectors))
+    assert envelope == outcome(lambda: generator_extremes(vectors))
+
+    def scaled():
+        by_task = {}
+        for r in registry.records:
+            by_task.setdefault(r.task_id, []).append(QoSVector(r.service_id, r.values))
+        return {
+            task: [normalize(c, compute_extremes(cands), registry.schema) for c in cands]
+            for task, cands in by_task.items()
+        }
+
+    def bases():
+        return {task: old_level_basis(v, bins, n_levels) for task, v in scaled().items()}
+
+    return envelope, outcome(scaled), outcome(bases)
+
+
+def new_route(registry, bins, n_levels):
+    scheme = default_scheme(n_levels)
+    return (
+        outcome(lambda: registry.envelope),
+        outcome(lambda: registry.scaled),
+        outcome(lambda: registry.level_bases(bins, scheme)),
+    )
+
+
+# ties, signed zeros, both float ends (whose spread overflows to inf and scales
+# to NaN) and NaN; few values, so zero-spread columns and one-value tasks are common
+VALUES = [0.0, -0.0, 1.0, 2.5, 2.5, -3.0, 1e-300, 1.7e308, -1.7e308, NAN]
+
+
+@st.composite
+def registries(draw):
+    n_attrs = draw(st.integers(1, 4))
+    schema = [
+        QoSAttribute(f"a{i}", draw(st.sampled_from(list(Polarity)))) for i in range(n_attrs)
+    ]
+    names = [attr.name for attr in schema]
+    tasks = [f"t{i}" for i in range(draw(st.integers(1, 4)))]
+    records = []
+    for i in range(draw(st.integers(1, 12))):
+        # each record's values in its own key order, tasks interleaved
+        order = draw(st.permutations(names))
+        values = {name: draw(st.sampled_from(VALUES)) for name in order}
+        records.append(RegistryRecord(f"s{i}", draw(st.sampled_from(tasks)), values, (), ()))
+    return Registry(schema, records)
+
+
+@settings(max_examples=400, deadline=None)
+@given(registries(), st.integers(2, 5), st.integers(2, 4))
+def test_sweep_equals_the_old_route_bit_for_bit(registry, bins, n_levels):
+    assert new_route(registry, bins, n_levels) == old_route(registry, bins, n_levels)
+
+
+def test_envelope_keeps_record_order_with_a_nan():
+    """A min of per-task minima would read 5.0 here."""
+    schema = [QoSAttribute("a", Polarity.POSITIVE)]
+    records = [
+        RegistryRecord("s1", "t1", {"a": 5.0}, (), ()),
+        RegistryRecord("s2", "t2", {"a": NAN}, (), ()),
+        RegistryRecord("s3", "t2", {"a": 1.0}, (), ()),
+    ]
+    registry = Registry(schema, records)
+    assert registry.envelope == {"a": (1.0, 5.0)}
+    assert new_route(registry, 4, 3) == old_route(Registry(schema, records), 4, 3)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("polarity", list(Polarity))
+def test_a_nan_anywhere_in_a_task_fails_its_scaling_as_before(position, polarity):
+    schema = [QoSAttribute("b", polarity), QoSAttribute("a", polarity)]
+    column = [3.0, 1.0, 2.0]
+    column[position] = NAN
+    records = [RegistryRecord("s0", "t0", {"a": 7.0, "b": 7.0}, (), ())] + [
+        RegistryRecord(f"s{i + 1}", "t1", {"a": value, "b": 1.0}, (), ())
+        for i, value in enumerate(column)
+    ]
+    registry = Registry(schema, records)
+    got = new_route(registry, 4, 3)
+    assert got == old_route(Registry(schema, records), 4, 3)
+    assert got[1][:2] == ("error", OutOfRangeValue)
+    # the NaN is not the registry's first value, so the envelope skips it
+    assert registry.envelope["a"] == (min(v for v in column if v == v), 7.0)
