@@ -30,7 +30,7 @@ from .errors import (
 from .leveling import (
     TRAINING_MEMO_SIZE, ScoredService, UserRequest, request_signature, signature_ranker,
 )
-from .ontology import MatchType, Memo, Taxonomy
+from .ontology import MatchType, Memo, Taxonomy, topological_order
 
 if TYPE_CHECKING:
     from .data_io import EngineConfig, Registry, RegistryRecord
@@ -77,19 +77,9 @@ class CompositionPlan:
         for a, b in sorted(self.edges):
             preds[b].append(a)
             succs[a].append(b)
-        # Kahn's algorithm; ready tasks leave in lexicographic order
-        indeg = {t: len(p) for t, p in preds.items()}
-        ready = [t for t, d in indeg.items() if d == 0]  # sorted, so a heap
-        order: list[str] = []
-        while ready:
-            task = heapq.heappop(ready)
-            order.append(task)
-            for nxt in succs[task]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    heapq.heappush(ready, nxt)
+        order = topological_order(preds)
         if len(order) != len(preds):
-            stuck = sorted(t for t, d in indeg.items() if d > 0)
+            stuck = sorted(preds.keys() - set(order))
             raise CycleDetected(f"plan edges form a cycle through {stuck}")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "preds", preds)

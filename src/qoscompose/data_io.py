@@ -166,8 +166,6 @@ def _parse_header(columns: list[str]) -> list[QoSAttribute]:
         if any(attr.name == name for attr in schema):
             raise ParseError(f"attribute column {column!r} repeats {name!r}", line=1)
         schema.append(QoSAttribute(name, Polarity(polarity)))
-    if not schema:
-        raise ParseError("registry declares no QoS attributes", line=1)
     return schema
 
 
@@ -184,22 +182,26 @@ def _parse_concepts(
     return concepts
 
 
-class _open_text:
-    """`path` opened as UTF-8 text; undecodable bytes raise ParseError naming it."""
+class parse_errors:
+    """Report an exception of `kinds` raised in the scope as a ParseError whose
+    message is `prefix` followed by the exception's."""
 
-    __slots__ = ("path", "newline", "fh")
+    __slots__ = ("kinds", "prefix")
 
-    def __init__(self, path: str, newline: str | None = None) -> None:
-        self.path, self.newline = path, newline
+    def __init__(self, kinds: type | tuple[type, ...], prefix: str) -> None:
+        self.kinds, self.prefix = kinds, prefix
 
-    def __enter__(self):
-        self.fh = open(self.path, encoding="utf-8", newline=self.newline)
-        return self.fh
+    def __enter__(self) -> None:
+        pass
 
     def __exit__(self, kind, exc, traceback) -> None:
-        self.fh.close()
-        if isinstance(exc, UnicodeDecodeError):
-            raise ParseError(f"{self.path} is not UTF-8 text: {exc}") from None
+        if isinstance(exc, self.kinds):
+            raise ParseError(f"{self.prefix}{exc}") from None
+
+
+def _undecodable(path: str) -> parse_errors:
+    """Bytes of `path` that are not UTF-8 as a ParseError naming it."""
+    return parse_errors(UnicodeDecodeError, f"{path} is not UTF-8 text: ")
 
 
 def _csv_rows(reader):
@@ -211,7 +213,7 @@ def _csv_rows(reader):
 
 
 def load_registry(path: str) -> Registry:
-    with _open_text(path, newline="") as fh:
+    with _undecodable(path), open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         rows = _csv_rows(reader)
         try:
@@ -333,7 +335,7 @@ def save_registry(registry: Registry, path: str) -> None:
 # -------------------------------------------------------------------- plan JSON
 
 def _json_load(path: str) -> dict:
-    with _open_text(path) as fh:
+    with _undecodable(path), open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
         doc = json.loads(text)
@@ -449,7 +451,7 @@ def load_taxonomy(path: str) -> Taxonomy:
     edges: set[tuple[str, str]] = set()
     equivalences: set[tuple[str, str]] = set()
     disjointness: set[tuple[str, str]] = set()
-    with _open_text(path) as fh:
+    with _undecodable(path), open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -493,20 +495,9 @@ def save_taxonomy(taxonomy: Taxonomy, path: str) -> None:
 
 # ------------------------------------------------------------------- config JSON
 
-class config_field:
+def config_field(name: str) -> parse_errors:
     """Report a bad config value (ValueError, TypeError) as a ParseError naming `name`."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __enter__(self) -> None:
-        pass
-
-    def __exit__(self, kind, exc, traceback) -> None:
-        if isinstance(exc, (ValueError, TypeError)):
-            raise ParseError(f"bad value for {self.name}: {exc}") from None
+    return parse_errors((ValueError, TypeError), f"bad value for {name}: ")
 
 
 def _number(value, convert=float):

@@ -18,8 +18,8 @@ from .cba import (
     Classifier, Item, MiningConfig, TrainingInstance, discretize, predict, train_classifier,
 )
 from .errors import (
-    DegenerateRequest, InvalidValue, LevelOutOfRange, SchemaMismatch, UnknownAttribute,
-    ValueOutOfRange, stage,
+    DegenerateRequest, EmptyTrainingSet, InvalidValue, LevelOutOfRange, SchemaMismatch,
+    UnknownAttribute, ValueOutOfRange, stage,
 )
 from .qos import AttributeExtremes, NormalizedQoSVector, QoSAttribute, scale
 
@@ -134,6 +134,8 @@ def _training_signature(
 ) -> TrainingSignature:
     """The checks of `synthesize_training_set` and the key its rows follow from."""
     names = [a.name for a in schema]
+    if not names:
+        raise EmptyTrainingSet("cannot synthesize training rows from a schema with no attribute")
     known = set(names)
     extra = request.ranges.keys() - known
     if extra:
@@ -187,9 +189,10 @@ def synthesize_training_set(
     Each (attribute, label) pair gets one `Item` and one shortfall level,
     shared by every row that holds it. Raises UnknownAttribute when the
     request names an attribute outside the schema, SchemaMismatch when it or
-    the extremes lack one, ValueOutOfRange when the bins ** attributes rows
-    would exceed MAX_TRAINING_ROWS, and DegenerateRequest when a requested
-    range lies outside the observed values.
+    the extremes lack one, EmptyTrainingSet when the schema is empty,
+    ValueOutOfRange when the bins ** attributes rows would exceed
+    MAX_TRAINING_ROWS, and DegenerateRequest when a requested range lies
+    outside the observed values.
     """
     return _training_rows(_training_signature(request, extremes, scheme, bins, schema))
 

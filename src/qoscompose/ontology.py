@@ -10,7 +10,8 @@ keep it.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import heapq
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import partial
@@ -52,6 +53,30 @@ class Memo(dict):
         return value
 
 
+def topological_order(preds: dict[str, Collection[str]]) -> list[str]:
+    """The nodes of a graph given as each node's direct predecessors, each after
+    all of its predecessors (Kahn, CACM 1962); of the nodes ready at once the
+    least leaves first. A node on a cycle, or after one, is left out, so the
+    order of a cyclic graph is shorter than `preds`."""
+    succs: dict[str, list[str]] = {node: [] for node in preds}
+    waiting: dict[str, int] = {}
+    for node, before in preds.items():
+        waiting[node] = len(before)
+        for pred in before:
+            succs[pred].append(node)
+    ready = [node for node, count in waiting.items() if not count]
+    heapq.heapify(ready)
+    order: list[str] = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for nxt in succs[node]:
+            waiting[nxt] -= 1
+            if not waiting[nxt]:
+                heapq.heappush(ready, nxt)
+    return order
+
+
 @dataclass
 class Taxonomy:
     concepts: frozenset[str]
@@ -61,12 +86,10 @@ class Taxonomy:
     disjointness: frozenset[tuple[str, str]] = frozenset()
 
     def __post_init__(self) -> None:
-        for pair in self.equivalences | self.disjointness:
-            for concept in pair:
-                self._require(concept)
-        for child, parent in self.edges:
-            self._require(child)
-            self._require(parent)
+        named = {c for pair in self.edges | self.equivalences | self.disjointness for c in pair}
+        if not named <= self.concepts:
+            # the least, so the name does not follow the sets' hash order
+            self._require(min(named - self.concepts))
         # derived from the axioms, plus the match and link memos: not fields, so
         # equality and repr ignore them and a dataclasses.replace copy builds its own
         self._rep = self._collapse_equivalences()
@@ -108,13 +131,11 @@ class Taxonomy:
         return {c: find(c) for c in self.concepts}
 
     def _close_subsumption(self) -> dict[str, frozenset[str]]:
-        """Each representative's ancestors, itself included.
+        """Each representative's ancestors, itself included, built in
+        `topological_order` over the representatives' parents.
 
-        A depth-first walk down the children orders the representatives, each
-        after all its ancestors. It starts and steps in the order
-        `graphlib.TopologicalSorter` would search a graph given as each
-        representative's sorted parents, so a cycle raises CycleDetected
-        naming the same concepts that sorter's CycleError names.
+        A cycle leaves that order short; only then is `graphlib` imported, to
+        raise CycleDetected naming the cycle its sorter names.
         """
         reps = sorted(set(self._rep.values()))
         parents: dict[str, set[str]] = {r: set() for r in reps}
@@ -123,37 +144,16 @@ class Taxonomy:
             if rc != rp:
                 # self-loops collapse away when child and parent are equivalent
                 parents[rc].add(rp)
-        children: dict[str, list[str]] = {r: [] for r in reps}
-        starts: dict[str, None] = {}
-        for r in reps:
-            starts[r] = None
-            for p in sorted(parents[r]):
-                starts[p] = None
-                children[p].append(r)
-        # post-order: each representative after all of its descendants
-        order: list[str] = []
-        done: set[str] = set()
-        for start in starts:
-            if start in done:
-                continue
-            path, steps, on_path = [start], [iter(children[start])], {start: 0}
-            while path:
-                child = next(steps[-1], None)
-                if child is None:
-                    node = path.pop()
-                    steps.pop()
-                    del on_path[node]
-                    done.add(node)
-                    order.append(node)
-                elif child in on_path:
-                    cycle = path[on_path[child]:] + [child]
-                    raise CycleDetected(f"subsumption hierarchy contains a cycle: {cycle}")
-                elif child not in done:
-                    on_path[child] = len(path)
-                    path.append(child)
-                    steps.append(iter(children[child]))
+        order = topological_order(parents)
+        if len(order) != len(reps):
+            from graphlib import CycleError, TopologicalSorter
+
+            try:
+                TopologicalSorter({r: sorted(parents[r]) for r in reps}).prepare()
+            except CycleError as exc:
+                raise CycleDetected(f"subsumption hierarchy contains a cycle: {exc.args[1]}")
         ancestors: dict[str, frozenset[str]] = {}
-        for rep_ in reversed(order):
+        for rep_ in order:
             acc = {rep_}
             for p in parents[rep_]:
                 acc |= ancestors[p]

@@ -8,10 +8,11 @@ attribute's polarity.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import EmptyCandidateSet, OutOfRangeValue, SchemaMismatch
+from .errors import EmptyCandidateSet, OutOfRangeValue, SchemaMismatch, stage
 
 
 class Polarity(enum.Enum):
@@ -29,18 +30,14 @@ class QoSAttribute:
 
 @dataclass
 class QoSVector:
-    """Raw per-attribute values of one candidate service."""
+    """Per-attribute values of one candidate service: raw, or, named
+    `NormalizedQoSVector`, scaled into [0, 1] with higher = better."""
 
     service_id: str
     values: dict[str, float]
 
 
-@dataclass
-class NormalizedQoSVector:
-    """Scaled per-attribute values, each in [0, 1], higher = better."""
-
-    service_id: str
-    values: dict[str, float]
+NormalizedQoSVector = QoSVector
 
 
 # attribute name -> (min, max) observed over one candidate set
@@ -53,6 +50,8 @@ def compute_extremes(candidates: Sequence[QoSVector]) -> AttributeExtremes:
     A candidate is anything with `service_id` and `values`, such as a
     `RegistryRecord`. The builtin `min` and `max` keep the first of equal
     values and skip a NaN after the first value, so the order decides both.
+    A spread wider than a float holds raises OutOfRangeValue naming the
+    services at its ends.
     """
     if not candidates:
         raise EmptyCandidateSet("cannot compute extremes of an empty candidate set")
@@ -65,7 +64,16 @@ def compute_extremes(candidates: Sequence[QoSVector]) -> AttributeExtremes:
     extremes: AttributeExtremes = {}
     for name in names:
         column = [c.values[name] for c in candidates]
-        extremes[name] = (min(column), max(column))
+        lo, hi = extremes[name] = (min(column), max(column))
+        if hi - lo == math.inf:
+            low, high = (candidates[column.index(end)].service_id for end in (lo, hi))
+            # `scale` would divide by it: a scaling refusal, also where the
+            # envelope read for training meets it first
+            with stage("scaling"):
+                raise OutOfRangeValue(
+                    f"{name} spreads from {lo!r} of {low!r} to {hi!r} of {high!r}, "
+                    "wider than a float holds"
+                )
     return extremes
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -452,6 +453,24 @@ def _oversized_field(tmp):
     return path
 
 
+def _written(tmp, name, text):
+    path = tmp / name
+    path.write_text(text)
+    return path
+
+
+# a taxonomy that subclasses four undeclared concepts, iterated in hash order
+UNDECLARED = "concept A\nsubclass A X1\nsubclass A X2\nsubclass A X3\nsubclass A X4\n"
+
+
+def _overflowing_registry(tmp):
+    """The fixture registry with book_vehicle response times whose spread overflows."""
+    text = (FIXTURES / "registry.csv").read_text()
+    text = text.replace("bv_fast,book_vehicle,120.0,", "bv_fast,book_vehicle,-1.7e308,")
+    text = text.replace("bv_cheap,book_vehicle,800.0,", "bv_cheap,book_vehicle,1.7e308,")
+    return _written(tmp, "registry.csv", text)
+
+
 def _deep_json(tmp):
     path = tmp / "deep.json"
     path.write_text("[" * 200_000)
@@ -514,6 +533,21 @@ DEEP_JSON = "error [load]: {tmp}/deep.json nests JSON too deeply to parse\n"
          44, "error [replacement]: no replacement candidate left for task "),
         (lambda tmp: fixture_args("replace", task="nope", service="pay_card"),
          14, "error [replacement]: task 'nope' is not part of the search graph"),
+        (lambda tmp: fixture_args("compose", registry=_written(
+            tmp, "registry.csv", "service_id,task_id,a:+,outputs,inputs\ns,t,1,,\n"
+         )), 10, "error [load]: line 1: registry header must end with inputs,outputs\n"),
+        (lambda tmp: fixture_args("compose", plan=_written(
+            tmp, "plan.json", '{"tasks": ["a"], "edges": {}}'
+         )), 10, "error [load]: plan edges must be a list of [from, to] pairs\n"),
+        (lambda tmp: fixture_args("compose", plan=_written(
+            tmp, "plan.json", '{"tasks": ["a"], "edges": [], "link_pairs": []}'
+         )), 10, "error [load]: plan link_pairs must be an object keyed by from->to\n"),
+        (lambda tmp: _saved_composite(tmp, _first_task(lambda t: t.update(task=7))),
+         10, "error [load]: {tmp}/composite.json does not hold a composite report: "
+         "TypeError 7 is not a string\n"),
+        (lambda tmp: fixture_args("compose", registry=_overflowing_registry(tmp)),
+         21, "error [scaling]: response_time spreads from -1.7e+308 of 'bv_fast' to "
+         "1.7e+308 of 'bv_cheap', wider than a float holds\n"),
     ],
     ids=[
         "nan-range", "bogus-attribute-compose", "bogus-attribute-classify",
@@ -526,6 +560,9 @@ DEEP_JSON = "error [load]: {tmp}/deep.json nests JSON too deeply to parse\n"
         "not-utf8-composite", "repeated-attribute-column", "oversized-csv-field",
         "deep-json-plan", "deep-json-config", "deep-json-composite",
         "replace-no-candidate-stage", "replace-unknown-task-stage",
+        "header-not-ending-in-interfaces", "plan-edges-not-a-list",
+        "plan-link-pairs-not-an-object", "composite-task-not-a-string",
+        "overflowing-spread",
     ],
 )
 def test_bad_input_ends_in_an_error_line_not_a_traceback(tmp_path, argv, code, prefix):
@@ -539,6 +576,34 @@ def test_bad_input_ends_in_an_error_line_not_a_traceback(tmp_path, argv, code, p
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.startswith(prefix.format(tmp=tmp_path)), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_the_undeclared_concept_named_does_not_follow_hash_order(tmp_path):
+    """Under these four seeds, iterating the axiom sets named X2, X1, X3 and X4."""
+    argv = fixture_args("compose", taxonomy=_written(tmp_path, "taxonomy.txt", UNDECLARED))
+    for seed in "0123":
+        proc = subprocess.run(
+            [sys.executable, "-m", "qoscompose.cli"] + argv,
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert (proc.returncode, proc.stderr) == (
+            15, "error [load]: concept 'X1' is not declared\n"
+        ), seed
+
+
+def test_compose_on_the_fixtures_leaves_graphlib_unimported():
+    """Only a cyclic taxonomy imports `graphlib`, to name the cycle."""
+    check = (
+        "import sys\nfrom qoscompose.cli import main\n"
+        "assert main(sys.argv[1:]) == 0 and 'graphlib' not in sys.modules"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", check] + fixture_args("compose"),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == GOLDEN_COMPOSE.read_text()
 
 
 # every error family's process exit code

@@ -5,6 +5,7 @@ import itertools
 import math
 import pathlib
 import random
+import re
 import weakref
 from dataclasses import FrozenInstanceError, fields, replace as dc_replace
 
@@ -393,6 +394,10 @@ def test_topological_order_is_lexicographic_kahn():
     assert CompositionPlan(tasks, edges).order == ["a", "b", "c", "d"]
     with pytest.raises(CycleDetected):
         CompositionPlan(frozenset(["a", "b"]), frozenset([("a", "b"), ("b", "a")]))
+    # the order leaves out the cycle and what follows it, and the refusal names both
+    cyclic = frozenset([("a", "b"), ("b", "a"), ("b", "c"), ("d", "a")])
+    with pytest.raises(CycleDetected, match=re.escape("through ['a', 'b', 'c']")):
+        CompositionPlan(frozenset("abcd"), cyclic)
 
 
 def test_plan_rejects_foreign_edge_endpoints():

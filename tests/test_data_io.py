@@ -452,6 +452,8 @@ def test_savers_refuse_what_their_loaders_refuse(tmp_path):
             Registry(SCHEMA, [replace(record, values={"latency": float("inf"), "uptime": 1.0})]),
             "'svc_a'",
         ),
+        (save_registry, Registry([], [replace(record, values={})]), "at least one attribute"),
+        (save_registry, Registry(SCHEMA, []), "and one service"),
     ]
     for save, value, needle in cases:
         path = tmp_path / "out"

@@ -1,7 +1,8 @@
 """Refusals through the engine's error scopes: each keeps its type, text and stage.
 
-`errors.stage`, `data_io.config_field` and `data_io._open_text` are small
-context-manager classes; these cases pin what each one reports.
+`errors.stage` tags an engine error with its stage, and `data_io.parse_errors`
+turns other exceptions into a ParseError (`config_field` and the loaders'
+UTF-8 check are two of its uses); these cases pin what each one reports.
 """
 
 import pytest
@@ -9,12 +10,14 @@ import pytest
 from qoscompose import (
     CompositionPlan, Polarity, QoSAttribute, Registry, RegistryRecord, Taxonomy,
     UserRequest, compose_with_graph, load_config, load_registry, load_taxonomy,
+    synthesize_training_set,
 )
 from qoscompose.data_io import config_field, default_config
 from qoscompose.errors import (
-    CycleDetected, EmptyCandidateSet, EngineError, OutOfRangeValue, ParseError,
-    SchemaMismatch, UnknownTask, stage,
+    CycleDetected, EmptyCandidateSet, EmptyTrainingSet, EngineError, OutOfRangeValue,
+    ParseError, SchemaMismatch, UnknownTask, stage,
 )
+from qoscompose.leveling import default_scheme
 
 SCHEMA = [QoSAttribute("a", Polarity.POSITIVE)]
 PLAN = CompositionPlan(frozenset(["t1"]), frozenset())
@@ -54,6 +57,13 @@ def record(service_id, values):
             "cannot compute extremes of an empty candidate set",
             id="empty-registry",
         ),
+        # finite values whose spread overflows, which would scale to NaN
+        pytest.param(
+            [record("s1", {"a": -1.7e308}), record("s2", {"a": 1.7e308})],
+            OutOfRangeValue, "scaling",
+            "a spreads from -1.7e+308 of 's1' to 1.7e+308 of 's2', wider than a float holds",
+            id="spread-overflows",
+        ),
     ],
 )
 def test_a_registry_built_in_code_is_refused_at_its_stage(records, error, at, text):
@@ -63,6 +73,16 @@ def test_a_registry_built_in_code_is_refused_at_its_stage(records, error, at, te
             compose_with_graph(REQUEST, PLAN, registry, TAXONOMY, default_config())
         assert (info.value.stage, str(info.value)) == (at, text)
     assert not {"scaled", "_bases"} & vars(registry).keys()
+
+
+def test_an_empty_schema_built_in_code_is_refused_at_training():
+    registry = Registry([], [RegistryRecord("s", "t1", {}, (), ("A",))])
+    text = "cannot synthesize training rows from a schema with no attribute"
+    with pytest.raises(EmptyTrainingSet, match=f"^{text}$") as info:
+        compose_with_graph(UserRequest({}, {}), PLAN, registry, TAXONOMY, default_config())
+    assert info.value.stage == "training"
+    with pytest.raises(EmptyTrainingSet, match=f"^{text}$"):
+        synthesize_training_set(UserRequest({}, {}), {}, default_scheme(), 4, [])
 
 
 def test_a_subsumption_cycle_names_its_concepts(tmp_path):
@@ -98,6 +118,8 @@ def test_a_file_that_is_not_utf8_is_named(tmp_path):
         ('"bins": 1, "threshold": "0.5"',
          "bad value for bins: discretization needs at least 2 bins"),
         ('"threshold": 1.5', "bad value for threshold: eligibility threshold must lie in [0, 1]"),
+        ('"levels": {"n_levels": 3, "coefficients": [1.0, 0.5]}',
+         "bad value for levels: scheme needs one coefficient per level"),
     ],
 )
 def test_a_bad_config_field_is_named(tmp_path, fields, text):

@@ -45,15 +45,22 @@ def outcome(compute):
 
 
 def generator_extremes(candidates):
-    """`compute_extremes` as it was written before, with a generator pass per end."""
-    names = list(candidates[0].values)
-    return {
-        name: (
-            min(c.values[name] for c in candidates),
-            max(c.values[name] for c in candidates),
-        )
-        for name in names
-    }
+    """`compute_extremes` as it was written before, with a generator pass per end,
+    plus its refusal of a spread wider than a float holds."""
+    extremes = {}
+    for name in candidates[0].values:
+        lo = min(c.values[name] for c in candidates)
+        hi = max(c.values[name] for c in candidates)
+        if hi - lo == float("inf"):
+            # the first candidate holding each end
+            low, high = (next(c.service_id for c in candidates if c.values[name] == end)
+                         for end in (lo, hi))
+            raise OutOfRangeValue(
+                f"{name} spreads from {lo!r} of {low!r} to {hi!r} of {high!r}, "
+                "wider than a float holds"
+            )
+        extremes[name] = (lo, hi)
+    return extremes
 
 
 def old_level_basis(candidates, bins, n_levels):
@@ -99,8 +106,9 @@ def new_route(registry, bins, n_levels):
     )
 
 
-# ties, signed zeros, both float ends (whose spread overflows to inf and scales
-# to NaN) and NaN; few values, so zero-spread columns and one-value tasks are common
+# ties, signed zeros, both float ends (whose spread overflows to inf, which
+# both routes refuse) and NaN; few values, so zero-spread columns and one-value
+# tasks are common
 VALUES = [0.0, -0.0, 1.0, 2.5, 2.5, -3.0, 1e-300, 1.7e308, -1.7e308, NAN]
 
 
