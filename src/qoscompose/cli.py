@@ -5,8 +5,8 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
-import statistics
 import sys
 import time
 from dataclasses import dataclass, replace as dc_replace
@@ -49,17 +49,18 @@ class BenchResult:
     alternative_ms: list[float]
     classification_ms: float | None = None
 
+    # statistics.fmean's arithmetic, without importing statistics, fractions and decimal
     @property
     def mean_ranking_ms(self) -> float:
-        return statistics.fmean(self.ranking_ms)
+        return math.fsum(self.ranking_ms) / len(self.ranking_ms)
 
     @property
     def mean_selection_ms(self) -> float:
-        return statistics.fmean(self.selection_ms)
+        return math.fsum(self.selection_ms) / len(self.selection_ms)
 
     @property
     def mean_alternative_ms(self) -> float:
-        return statistics.fmean(self.alternative_ms)
+        return math.fsum(self.alternative_ms) / len(self.alternative_ms)
 
 
 def _apply_overrides(args: argparse.Namespace, base: EngineConfig) -> EngineConfig:

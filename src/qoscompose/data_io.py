@@ -97,16 +97,15 @@ class Registry:
         return scaled
 
     @cached_property
-    def _bases(self) -> dict[tuple[int, LevelScheme], dict[str, Basis]]:
+    def _bases(self) -> dict[int, dict[str, Basis]]:
         return {}
 
-    def level_bases(self, bins: int, scheme: LevelScheme) -> dict[str, Basis]:
-        """Each task's `level_basis`, kept per scheme, as pools are."""
-        bases = self._bases.get((bins, scheme))
+    def level_bases(self, bins: int) -> dict[str, Basis]:
+        """Each task's `level_basis`, kept per `bins`."""
+        bases = self._bases.get(bins)
         if bases is None:
-            bases = self._bases[bins, scheme] = {
-                task: level_basis(normalized, bins, scheme.n_levels)
-                for task, normalized in self.scaled.items()
+            bases = self._bases[bins] = {
+                task: level_basis(normalized, bins) for task, normalized in self.scaled.items()
             }
         return bases
 

@@ -12,7 +12,7 @@ import itertools
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .cba import (
     Classifier, Item, MiningConfig, TrainingInstance, discretize, predict, train_classifier,
@@ -21,7 +21,7 @@ from .errors import (
     DegenerateRequest, EmptyTrainingSet, InvalidValue, LevelOutOfRange, SchemaMismatch,
     UnknownAttribute, ValueOutOfRange, stage,
 )
-from .qos import AttributeExtremes, NormalizedQoSVector, QoSAttribute, scale
+from .qos import AttributeExtremes, NormalizedQoSVector, QoSAttribute, check_spread, scale
 
 if TYPE_CHECKING:
     from .data_io import EngineConfig, Registry
@@ -99,6 +99,7 @@ def _demand_floor_label(
     attr = next(a for a in schema if a.name == name)
     lo_raw, hi_raw = request.ranges[name]
     lo, hi = extremes[name]
+    check_spread(name, lo, hi)
     ends = (
         scale(lo_raw, lo, hi, attr.polarity),
         scale(hi_raw, lo, hi, attr.polarity),
@@ -191,8 +192,9 @@ def synthesize_training_set(
     request names an attribute outside the schema, SchemaMismatch when it or
     the extremes lack one, EmptyTrainingSet when the schema is empty,
     ValueOutOfRange when the bins ** attributes rows would exceed
-    MAX_TRAINING_ROWS, and DegenerateRequest when a requested range lies
-    outside the observed values.
+    MAX_TRAINING_ROWS, and, per attribute, OutOfRangeValue when its extremes
+    spread wider than a float holds and DegenerateRequest when its requested
+    range lies outside the observed values.
     """
     return _training_rows(_training_signature(request, extremes, scheme, bins, schema))
 
@@ -212,7 +214,7 @@ def score_candidates(
     scheme: LevelScheme,
     bins: int,
 ) -> list[ScoredService]:
-    """`score_basis` over a per-row level table, with an empty pool.
+    """`score_basis` over a per-row level table.
 
     Each value is discretized once and each distinct label set predicted
     once, and every level is read before any mean is taken, so a classifier
@@ -227,24 +229,18 @@ def score_candidates(
         if items not in level_of:
             level_of[items] = int(predict(classifier, items))
         levels.append(level_of[items])
-    rows = [(cand, i, _mean(cand)) for i, cand in enumerate(candidates)]
-    return score_basis(Basis(rows, [None] * (len(rows) * scheme.n_levels)), levels, scheme)
+    return score_basis(
+        [(cand, i, _mean(cand)) for i, cand in enumerate(candidates)], levels, scheme
+    )
 
 
-class Basis(NamedTuple):
-    """One task's leveling inputs under one `LevelScheme`: per candidate its
-    vector, its row in the level table and its mean normalized value (`rows`),
-    and row i's service at level l in pool[i * n_levels + l - 1], made the
-    first time it is met."""
-
-    rows: list[tuple[NormalizedQoSVector, int, float]]
-    pool: list[ScoredService | None]
+# One task's leveling inputs: per candidate its vector, its row in the level
+# table and its mean normalized value.
+Basis = list[tuple[NormalizedQoSVector, int, float]]
 
 
-def level_basis(
-    candidates: list[NormalizedQoSVector], bins: int, n_levels: int
-) -> Basis:
-    """The request-independent half of `score_candidates`, with an empty pool.
+def level_basis(candidates: list[NormalizedQoSVector], bins: int) -> Basis:
+    """The request-independent half of `score_candidates`.
 
     A candidate's row in the level table is its labels read as a base-`bins`
     number, first attribute most significant: its row in `_training_rows`
@@ -259,7 +255,7 @@ def level_basis(
             code = code * bins + discretize(value, bins)
             total += value
         rows.append((cand, code, total / len(cand.values)))
-    return Basis(rows, [None] * (len(rows) * n_levels))
+    return rows
 
 
 def score_basis(
@@ -269,26 +265,17 @@ def score_basis(
 
     Row i's level is `levels[code]` for its code, range-checked in row order,
     so the first out-of-range candidate is named. A utility is the level's
-    coefficient times the mean normalized value. A (row, level)'s service
-    comes from the pool, made on first use, so `basis` must have been built
-    for `scheme`.
+    coefficient times the mean normalized value.
     """
-    rows, pool = basis
     n_levels, coefficients = scheme.n_levels, scheme.coefficients
     scored: list[ScoredService] = []
-    for row, (cand, code, mean) in enumerate(rows):
+    for cand, code, mean in basis:
         level = levels[code]
         if not 1 <= level <= n_levels:
             raise LevelOutOfRange(
                 f"level {level} outside 1..{n_levels} for {cand.service_id!r}"
             )
-        slot = row * n_levels + level - 1
-        service = pool[slot]
-        if service is None:
-            service = pool[slot] = ScoredService(
-                cand.service_id, cand, level, coefficients[level - 1] * mean
-            )
-        scored.append(service)
+        scored.append(ScoredService(cand.service_id, cand, level, coefficients[level - 1] * mean))
     return scored
 
 
@@ -367,7 +354,7 @@ def signature_ranker(
     with stage("scaling"):
         registry.scaled  # computed here, so a scaling error carries this stage
     with stage("classification"):
-        bases = registry.level_bases(config.bins, config.scheme)
+        bases = registry.level_bases(config.bins)
     scheme, threshold = config.scheme, config.threshold
     return lambda: {
         task: filter_eligible(score_basis(basis, levels, scheme), threshold)
@@ -381,11 +368,9 @@ def rank_candidates(
     """Scale, level, and threshold-filter every task's candidates.
 
     Only training and the per-candidate level lookup depend on the request:
-    scaling, discretization, each candidate's mean and its `ScoredService`
-    at each level are kept on the registry (see `Registry.scaled` and
-    `Registry.level_bases`). The lists are new; the frozen services in them
-    are shared with every other request of the same bins and scheme. Levels
-    are read from the training signature's table, so a warm signature never
+    scaling, discretization and each candidate's mean are kept on the
+    registry (see `Registry.scaled` and `Registry.level_bases`). Levels are
+    read from the training signature's table, so a warm signature never
     calls `predict`.
     """
     rank = signature_ranker(request_signature(request, registry, config), registry, config)

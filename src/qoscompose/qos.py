@@ -77,6 +77,13 @@ def compute_extremes(candidates: Sequence[QoSVector]) -> AttributeExtremes:
     return extremes
 
 
+def check_spread(name: str, lo: float, hi: float) -> None:
+    """Refuse extremes a caller built whose spread overflows, which `scale`
+    would turn into NaN or 0; `compute_extremes` never returns them."""
+    if hi - lo == math.inf:
+        raise OutOfRangeValue(f"{name} spreads from {lo!r} to {hi!r}, wider than a float holds")
+
+
 # an enum member read through its class costs about 0.1 µs (Python 3.11), and
 # `scale` runs once per registry value
 _NEGATIVE = Polarity.NEGATIVE
@@ -119,7 +126,10 @@ def normalize(
     extremes: AttributeExtremes,
     schema: list[QoSAttribute],
 ) -> NormalizedQoSVector:
-    """Scale every attribute of one candidate into [0, 1] with uniform direction."""
+    """Scale every attribute of one candidate into [0, 1] with uniform direction.
+
+    Extremes whose spread overflows raise OutOfRangeValue naming the attribute.
+    """
     names = {attr.name for attr in schema}
     if set(candidate.values) != names:
         raise SchemaMismatch(
@@ -127,4 +137,6 @@ def normalize(
         )
     if not names <= set(extremes):
         raise SchemaMismatch("extremes do not cover the declared schema")
+    for attr in schema:
+        check_spread(attr.name, *extremes[attr.name])
     return NormalizedQoSVector(candidate.service_id, scale_values(candidate, extremes, schema))

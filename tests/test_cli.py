@@ -606,6 +606,17 @@ def test_compose_on_the_fixtures_leaves_graphlib_unimported():
     assert proc.stdout == GOLDEN_COMPOSE.read_text()
 
 
+def test_importing_the_cli_leaves_statistics_fractions_and_decimal_unimported():
+    check = (
+        "import sys\nimport qoscompose.cli\n"
+        "print(sorted({'statistics', 'fractions', 'decimal'} & sys.modules.keys()))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", check], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
 # every error family's process exit code
 EXIT_CODES = {
     errors.ParseError: 10,

@@ -1082,7 +1082,7 @@ def test_registry_validation_reports_the_first_fault_in_record_order():
 def test_replaced_objects_start_with_empty_caches():
     plan, registry, taxonomy, config, requests = synthetic_inputs(4)
     graph, primary, _ = compose_with_graph(requests[0], plan, registry, taxonomy, config)
-    assert (config.bins, config.scheme) in registry._bases
+    assert config.bins in registry._bases
     first, *rest = registry.records
     changed = dc_replace(registry, records=[dc_replace(first, values={
         name: value * 2 for name, value in first.values.items()
@@ -1165,7 +1165,7 @@ def test_reused_registry_levels_and_selects_like_fresh_objects(fan_in):
             )
             checked += 1
     assert checked >= 60
-    assert registry._bases.keys() == {(bins, config.scheme) for bins in (3, 4, 5)}
+    assert registry._bases.keys() == {3, 4, 5}
 
 
 @pytest.mark.parametrize("fan_in", [1, 2])
@@ -1219,9 +1219,9 @@ def test_compose_and_its_reports_build_no_queue(fan_in):
     assert graph.entry(task, third.service_id) is graph.entries[task][third.service_id]
 
 
-# ------------------------------------------- the registry's ScoredService pool
+# --------------------------------------- one leveling basis for every scheme
 
-def test_schemes_sharing_a_registry_never_read_each_others_pool():
+def test_schemes_sharing_a_registry_share_one_basis():
     rng = random.Random(515)
     plan, registry, taxonomy = dag_inputs(21, 2)
     base = dc_replace(default_config(), threshold=0.0)
@@ -1249,14 +1249,13 @@ def test_schemes_sharing_a_registry_never_read_each_others_pool():
         # equal levels under the two 3-level schemes, different utilities
         differ += got[0] != got[1]
     assert differ >= 40
-    assert registry._bases.keys() == {(base.bins, c.scheme) for c in configs}
+    assert registry._bases.keys() == {base.bins}
 
 
-def test_rank_candidates_hands_out_pooled_copies_of_score_candidates():
+def test_rank_candidates_equals_filtered_score_candidates():
     rng = random.Random(616)
     plan, registry, taxonomy = dag_inputs(31, 1)
     config = default_config()
-    pooled = {}
     for _ in range(200):
         request = random_request(rng, registry)
         classifier, _ = request_training(request, registry, config)
@@ -1268,12 +1267,6 @@ def test_rank_candidates_hands_out_pooled_copies_of_score_candidates():
                 config.threshold,
             )
             assert got[task] == want
-            for service, fresh in zip(got[task], want):
-                assert service is not fresh
-                # one object per (candidate, level), whichever request met it
-                key = (service.service_id, service.level)
-                assert pooled.setdefault(key, service) is service
-    assert len(pooled) > sum(map(len, registry.scaled.values()))
 
 
 def test_a_warm_signature_levels_without_predict(monkeypatch):
@@ -1322,8 +1315,8 @@ def test_trained_levels_equal_predict_at_each_candidates_level_code():
             })
             for i, combo in enumerate(combos)
         ]
-        basis = level_basis(candidates, bins, n_levels)
-        for combo, (_, code, _) in zip(combos, basis.rows):
+        basis = level_basis(candidates, bins)
+        for combo, (_, code, _) in zip(combos, basis):
             items = frozenset(Item(name, str(label)) for name, label in zip(names, combo))
             assert rows[code].items == items, trial
             assert levels[code] == int(predict(want, items)), trial

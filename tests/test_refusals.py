@@ -8,8 +8,8 @@ UTF-8 check are two of its uses); these cases pin what each one reports.
 import pytest
 
 from qoscompose import (
-    CompositionPlan, Polarity, QoSAttribute, Registry, RegistryRecord, Taxonomy,
-    UserRequest, compose_with_graph, load_config, load_registry, load_taxonomy,
+    CompositionPlan, Polarity, QoSAttribute, QoSVector, Registry, RegistryRecord, Taxonomy,
+    UserRequest, compose_with_graph, load_config, load_registry, load_taxonomy, normalize,
     synthesize_training_set,
 )
 from qoscompose.data_io import config_field, default_config
@@ -73,6 +73,31 @@ def test_a_registry_built_in_code_is_refused_at_its_stage(records, error, at, te
             compose_with_graph(REQUEST, PLAN, registry, TAXONOMY, default_config())
         assert (info.value.stage, str(info.value)) == (at, text)
     assert not {"scaled", "_bases"} & vars(registry).keys()
+
+
+WIDE = {"a": (-1.7e308, 1.7e308)}
+NEGATIVE = [QoSAttribute("a", Polarity.NEGATIVE)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(
+            lambda: synthesize_training_set(
+                UserRequest({"a": (-1.7e308, 0.0)}, {"a": 1}), WIDE, default_scheme(), 4,
+                NEGATIVE,
+            ),
+            id="training-set",
+        ),
+        pytest.param(lambda: normalize(QoSVector("s", {"a": 1.0}), WIDE, NEGATIVE),
+                     id="normalize"),
+    ],
+)
+def test_extremes_built_in_code_that_spread_too_wide_are_refused(call):
+    """Such a spread scales to NaN or 0; `compute_extremes` never makes one."""
+    with pytest.raises(OutOfRangeValue) as info:
+        call()
+    assert str(info.value) == "a spreads from -1.7e+308 to 1.7e+308, wider than a float holds"
 
 
 def test_an_empty_schema_built_in_code_is_refused_at_training():

@@ -16,7 +16,6 @@ from qoscompose import (
 )
 from qoscompose.errors import EngineError, OutOfRangeValue
 from qoscompose.cba import discretize
-from qoscompose.leveling import Basis, default_scheme
 
 NAN = float("nan")
 
@@ -27,8 +26,6 @@ def bits(value):
         return struct.pack(">d", value)
     if isinstance(value, NormalizedQoSVector):
         return value.service_id, bits(list(value.values.items()))
-    if isinstance(value, Basis):
-        return bits(value.rows), len(value.pool), set(value.pool)
     if isinstance(value, dict):
         return bits(list(value.items()))
     if isinstance(value, (list, tuple)):
@@ -63,7 +60,7 @@ def generator_extremes(candidates):
     return extremes
 
 
-def old_level_basis(candidates, bins, n_levels):
+def old_level_basis(candidates, bins):
     """`level_basis` as it was written before, with a walk for the code and one for the mean."""
     rows = []
     for cand in candidates:
@@ -74,10 +71,10 @@ def old_level_basis(candidates, bins, n_levels):
         for value in cand.values.values():
             total += value
         rows.append((cand, code, total / len(cand.values)))
-    return Basis(rows, [None] * (len(rows) * n_levels))
+    return rows
 
 
-def old_route(registry, bins, n_levels):
+def old_route(registry, bins):
     vectors = [QoSVector(r.service_id, r.values) for r in registry.records]
     envelope = outcome(lambda: compute_extremes(vectors))
     assert envelope == outcome(lambda: generator_extremes(vectors))
@@ -92,17 +89,16 @@ def old_route(registry, bins, n_levels):
         }
 
     def bases():
-        return {task: old_level_basis(v, bins, n_levels) for task, v in scaled().items()}
+        return {task: old_level_basis(v, bins) for task, v in scaled().items()}
 
     return envelope, outcome(scaled), outcome(bases)
 
 
-def new_route(registry, bins, n_levels):
-    scheme = default_scheme(n_levels)
+def new_route(registry, bins):
     return (
         outcome(lambda: registry.envelope),
         outcome(lambda: registry.scaled),
-        outcome(lambda: registry.level_bases(bins, scheme)),
+        outcome(lambda: registry.level_bases(bins)),
     )
 
 
@@ -130,9 +126,9 @@ def registries(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(registries(), st.integers(2, 5), st.integers(2, 4))
-def test_sweep_equals_the_old_route_bit_for_bit(registry, bins, n_levels):
-    assert new_route(registry, bins, n_levels) == old_route(registry, bins, n_levels)
+@given(registries(), st.integers(2, 5))
+def test_sweep_equals_the_old_route_bit_for_bit(registry, bins):
+    assert new_route(registry, bins) == old_route(registry, bins)
 
 
 def test_envelope_keeps_record_order_with_a_nan():
@@ -145,7 +141,7 @@ def test_envelope_keeps_record_order_with_a_nan():
     ]
     registry = Registry(schema, records)
     assert registry.envelope == {"a": (1.0, 5.0)}
-    assert new_route(registry, 4, 3) == old_route(Registry(schema, records), 4, 3)
+    assert new_route(registry, 4) == old_route(Registry(schema, records), 4)
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])
@@ -159,8 +155,8 @@ def test_a_nan_anywhere_in_a_task_fails_its_scaling_as_before(position, polarity
         for i, value in enumerate(column)
     ]
     registry = Registry(schema, records)
-    got = new_route(registry, 4, 3)
-    assert got == old_route(Registry(schema, records), 4, 3)
+    got = new_route(registry, 4)
+    assert got == old_route(Registry(schema, records), 4)
     assert got[1][:2] == ("error", OutOfRangeValue)
     # the NaN is not the registry's first value, so the envelope skips it
     assert registry.envelope["a"] == (min(v for v in column if v == v), 7.0)

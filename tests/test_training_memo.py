@@ -94,7 +94,7 @@ def test_memoized_classifier_equals_fresh_training():
         assert rule_bits(got) == rule_bits(want), trial
         assert got.default_class == want.default_class, trial
         assert got.attributes == want.attributes, trial
-        for task, basis in registry.level_bases(bins, config.scheme).items():
+        for task, basis in registry.level_bases(bins).items():
             normalized = registry.scaled[task]
             assert [s.level for s in score_basis(basis, levels, config.scheme)] == [
                 s.level for s in score_candidates(normalized, want, config.scheme, bins)
