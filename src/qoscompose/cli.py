@@ -20,6 +20,7 @@ from .composer import (
 )
 from .data_io import (
     EngineConfig,
+    better_half_request,
     config_field,
     default_config,
     default_request,
@@ -198,7 +199,9 @@ def run_bench(
             registry, plan, taxonomy = generate_synthetic(
                 tasks, cands, attributes, point_seed
             )
-            request = default_request(registry.schema)
+            # the better half of what this point's registry holds, which no
+            # training refuses as lying outside the observed values
+            request = better_half_request(registry.schema, registry.envelope)
             config = dc_replace(default_config(), threshold=threshold)
             t0 = time.perf_counter()
             eligible = rank_candidates(request, registry, config)

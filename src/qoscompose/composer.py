@@ -140,15 +140,12 @@ class SearchGraph:
         return queues
 
     @cached_property
-    def by_utility(self) -> dict[str, list[QueueEntry]]:
-        """task -> its queue's entries by utility desc, service_id asc."""
-        return {task: sorted(q, key=lambda e: (-e.utility, e.service_id))
-                for task, q in self.queues.items()}
-
-    @cached_property
     def entries(self) -> dict[str, dict[str, QueueEntry]]:
-        """task -> service_id -> its queue entry."""
-        return {task: {e.service_id: e for e in q} for task, q in self.queues.items()}
+        """task -> service_id -> its queue entry, by utility desc, service_id asc."""
+        return {
+            task: {e.service_id: e for e in sorted(q, key=lambda e: (-e.utility, e.service_id))}
+            for task, q in self.queues.items()
+        }
 
     def entry(self, task: str, service_id: str) -> QueueEntry:
         """A service's queue entry; only a service outside the heads reads `entries`."""
@@ -326,7 +323,7 @@ def replace_unavailable(
     if succs:
         sides.append((_side(graph, [selected[succ] for succ in succs], False), "outputs"))
     best = None  # the least (-F, service id, q) so far heads the rescored queue
-    for entry in graph.by_utility[task]:
+    for entry in graph.entries[task].values():
         if best is not None and entry.utility < -best[0] > 0:  # F <= max(U, 0) < best F
             break
         if entry.service_id == service_id:

@@ -25,10 +25,7 @@ from .errors import (
 )
 from .leveling import Basis, LevelScheme, UserRequest, default_scheme, level_basis
 from .ontology import Taxonomy
-from .qos import (
-    AttributeExtremes, NormalizedQoSVector, Polarity, QoSAttribute, compute_extremes,
-    scale_values,
-)
+from .qos import AttributeExtremes, Polarity, QoSAttribute, compute_extremes
 
 
 @dataclass(frozen=True)
@@ -71,41 +68,26 @@ class Registry:
         return compute_extremes(self.records)
 
     @cached_property
-    def scaled(self) -> dict[str, list[NormalizedQoSVector]]:
-        """Every task's candidates normalized against their own task's extremes.
-
-        One sweep per task over its records, in record order: the task's
-        extremes, then each record's values through `scale_values`, with the
-        checks of `normalize` and no copy of any record.
-        """
-        schema = self.schema
-        names = {attr.name for attr in schema}
-        by_task: dict[str, list[RegistryRecord]] = {}
-        for rec in self.records:
-            if rec.values.keys() != names:
-                raise SchemaMismatch(
-                    f"candidate {rec.service_id!r} does not match the declared schema"
-                )
-            by_task.setdefault(rec.task_id, []).append(rec)
-        scaled = {}
-        for task, recs in by_task.items():
-            extremes = compute_extremes(recs)
-            scaled[task] = [
-                NormalizedQoSVector(rec.service_id, scale_values(rec, extremes, schema))
-                for rec in recs
-            ]
-        return scaled
-
-    @cached_property
     def _bases(self) -> dict[int, dict[str, Basis]]:
         return {}
 
     def level_bases(self, bins: int) -> dict[str, Basis]:
-        """Each task's `level_basis`, kept per `bins`."""
+        """Each task's `level_basis` against its own extremes, kept per `bins`: one
+        sweep over the records in record order, keeping no scaled vector."""
         bases = self._bases.get(bins)
         if bases is None:
+            schema = self.schema
+            names = {attr.name for attr in schema}
+            by_task: dict[str, list[RegistryRecord]] = {}
+            for rec in self.records:
+                if rec.values.keys() != names:
+                    raise SchemaMismatch(
+                        f"candidate {rec.service_id!r} does not match the declared schema"
+                    )
+                by_task.setdefault(rec.task_id, []).append(rec)
             bases = self._bases[bins] = {
-                task: level_basis(normalized, bins) for task, normalized in self.scaled.items()
+                task: level_basis(recs, compute_extremes(recs), schema, bins)
+                for task, recs in by_task.items()
             }
         return bases
 
@@ -729,17 +711,22 @@ def generate_synthetic(
 
 def default_request(schema: list[QoSAttribute]) -> UserRequest:
     """Request asking for the better half of each synthetic attribute's range."""
-    ranges: dict[str, tuple[float, float]] = {}
+    extremes: AttributeExtremes = {}
     for i, attr in enumerate(schema):
         name, _, lo, hi = _attribute_template(i)
         if name != attr.name:
-            raise UnknownAttribute(
-                f"no synthetic value range is defined for {attr.name!r}"
-            )
+            raise UnknownAttribute(f"no synthetic value range is defined for {attr.name!r}")
+        extremes[name] = (lo, hi)
+    return better_half_request(schema, extremes)
+
+
+def better_half_request(schema: list[QoSAttribute], extremes: AttributeExtremes) -> UserRequest:
+    """Request asking for the better half of each attribute's (lo, hi) in
+    `extremes`, preferring the attributes in schema order."""
+    ranges: dict[str, tuple[float, float]] = {}
+    for attr in schema:
+        lo, hi = extremes[attr.name]
         mid = (lo + hi) / 2
-        if attr.polarity is Polarity.NEGATIVE:
-            ranges[attr.name] = (lo, mid)
-        else:
-            ranges[attr.name] = (mid, hi)
+        ranges[attr.name] = (lo, mid) if attr.polarity is Polarity.NEGATIVE else (mid, hi)
     prefs = {attr.name: i + 1 for i, attr in enumerate(schema)}
     return UserRequest(ranges, prefs)

@@ -21,10 +21,12 @@ from .errors import (
     DegenerateRequest, EmptyTrainingSet, InvalidValue, LevelOutOfRange, SchemaMismatch,
     UnknownAttribute, ValueOutOfRange, stage,
 )
-from .qos import AttributeExtremes, NormalizedQoSVector, QoSAttribute, check_spread, scale
+from .qos import (
+    AttributeExtremes, NormalizedQoSVector, QoSAttribute, check_spread, scale, scale_values,
+)
 
 if TYPE_CHECKING:
-    from .data_io import EngineConfig, Registry
+    from .data_io import EngineConfig, Registry, RegistryRecord
 
 # Largest training set synthesize_training_set builds: 8 attributes at 4 bins.
 # It holds bins ** attributes rows and mining cost grows with it, so a larger
@@ -83,7 +85,6 @@ def default_scheme(n_levels: int = 3) -> LevelScheme:
 @dataclass(frozen=True, slots=True)
 class ScoredService:
     service_id: str
-    normalized: NormalizedQoSVector
     level: int
     utility: float
 
@@ -230,31 +231,36 @@ def score_candidates(
             level_of[items] = int(predict(classifier, items))
         levels.append(level_of[items])
     return score_basis(
-        [(cand, i, _mean(cand)) for i, cand in enumerate(candidates)], levels, scheme
+        [(cand.service_id, i, _mean(cand)) for i, cand in enumerate(candidates)], levels, scheme
     )
 
 
-# One task's leveling inputs: per candidate its vector, its row in the level
-# table and its mean normalized value.
-Basis = list[tuple[NormalizedQoSVector, int, float]]
+# One task's leveling inputs: per candidate its service id, its row in the
+# level table and its mean scaled value.
+Basis = list[tuple[str, int, float]]
 
 
-def level_basis(candidates: list[NormalizedQoSVector], bins: int) -> Basis:
-    """The request-independent half of `score_candidates`.
+def level_basis(
+    candidates: list["RegistryRecord"],
+    extremes: AttributeExtremes,
+    schema: list[QoSAttribute],
+    bins: int,
+) -> Basis:
+    """The request-independent half of `score_candidates`, from one task's raw records.
 
-    A candidate's row in the level table is its labels read as a base-`bins`
-    number, first attribute most significant: its row in `_training_rows`
-    when its values are in schema order, as `normalize` makes them. One walk
-    over its values gives that code and its mean.
+    One walk over each candidate's `scale_values` against `extremes` gives its
+    code and its mean; no scaled vector is kept. The code is its labels read
+    as a base-`bins` number, first attribute most significant: its row in
+    `_training_rows`. A value outside its extremes raises OutOfRangeValue.
     """
     rows = []
     for cand in candidates:
         code, total = 0, 0.0
         # added left to right, as `_mean` adds
-        for value in cand.values.values():
+        for value in scale_values(cand, extremes, schema).values():
             code = code * bins + discretize(value, bins)
             total += value
-        rows.append((cand, code, total / len(cand.values)))
+        rows.append((cand.service_id, code, total / len(schema)))
     return rows
 
 
@@ -265,17 +271,15 @@ def score_basis(
 
     Row i's level is `levels[code]` for its code, range-checked in row order,
     so the first out-of-range candidate is named. A utility is the level's
-    coefficient times the mean normalized value.
+    coefficient times the mean scaled value.
     """
     n_levels, coefficients = scheme.n_levels, scheme.coefficients
     scored: list[ScoredService] = []
-    for cand, code, mean in basis:
+    for service_id, code, mean in basis:
         level = levels[code]
         if not 1 <= level <= n_levels:
-            raise LevelOutOfRange(
-                f"level {level} outside 1..{n_levels} for {cand.service_id!r}"
-            )
-        scored.append(ScoredService(cand.service_id, cand, level, coefficients[level - 1] * mean))
+            raise LevelOutOfRange(f"level {level} outside 1..{n_levels} for {service_id!r}")
+        scored.append(ScoredService(service_id, level, coefficients[level - 1] * mean))
     return scored
 
 
@@ -352,8 +356,6 @@ def signature_ranker(
     with stage("training"):
         _, levels = _trained(signature, config.mining)
     with stage("scaling"):
-        registry.scaled  # computed here, so a scaling error carries this stage
-    with stage("classification"):
         bases = registry.level_bases(config.bins)
     scheme, threshold = config.scheme, config.threshold
     return lambda: {
@@ -368,10 +370,10 @@ def rank_candidates(
     """Scale, level, and threshold-filter every task's candidates.
 
     Only training and the per-candidate level lookup depend on the request:
-    scaling, discretization and each candidate's mean are kept on the
-    registry (see `Registry.scaled` and `Registry.level_bases`). Levels are
-    read from the training signature's table, so a warm signature never
-    calls `predict`.
+    each candidate's level code and mean scaled value are kept on the
+    registry per `bins` (see `Registry.level_bases`), and no scaled vector is
+    kept at all. Levels are read from the training signature's table, so a
+    warm signature never calls `predict`.
     """
     rank = signature_ranker(request_signature(request, registry, config), registry, config)
     with stage("classification"):

@@ -504,7 +504,7 @@ def engine_inputs(inst: RefInstance):
     eligible = {}
     for task, rows in inst.candidates.items():
         eligible[task] = [
-            ScoredService(sid, NormalizedQoSVector(sid, {}), 1, utility)
+            ScoredService(sid, 1, utility)
             for sid, utility in rows
         ]
         for sid, _ in rows:

@@ -12,9 +12,12 @@ import pytest
 
 from qoscompose import build_search_graph, cli, errors
 from qoscompose.cli import _parse_grid, main, run_bench
-from qoscompose.leveling import request_training
-from qoscompose.data_io import load_config, load_registry, render_classifier
-from qoscompose.errors import EngineError
+from qoscompose.leveling import rank_candidates, request_training
+from qoscompose.data_io import (
+    default_config, default_request, generate_synthetic, load_config, load_registry,
+    render_classifier,
+)
+from qoscompose.errors import DegenerateRequest, EngineError
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -843,6 +846,16 @@ def test_run_bench_returns_all_grid_points():
     for res in results:
         assert len(res.selection_ms) == 2
         assert res.mean_ranking_ms >= res.mean_selection_ms
+
+
+def test_run_bench_requests_what_each_points_registry_holds():
+    """At 3 tasks x 2 candidates (seed 0) the synthetic ranges' better half lies
+    outside what the point generates; its own envelope's better half does not."""
+    registry, _, _ = generate_synthetic(3, 2, 4, 3 * 1000 + 2)
+    with pytest.raises(DegenerateRequest):
+        rank_candidates(default_request(registry.schema), registry, default_config())
+    results = run_bench([3], [2], attributes=4, repetitions=1, seed=0)
+    assert [(r.tasks, r.candidates, len(r.ranking_ms)) for r in results] == [(3, 2, 1)]
 
 
 def test_run_bench_repeats_round_robin_over_the_grid(monkeypatch):

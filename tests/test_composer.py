@@ -82,7 +82,7 @@ def build_with_registry(tasks, edges, cands, interfaces, taxonomy=TAX):
     """`build`'s graph and composite, plus the registry the graph was built from."""
     plan = CompositionPlan(frozenset(tasks), frozenset(edges))
     eligible = {
-        t: [ScoredService(s, NormalizedQoSVector(s, {}), 1, u) for s, u in rows]
+        t: [ScoredService(s, 1, u) for s, u in rows]
         for t, rows in cands.items()
     }
     records = [
@@ -486,6 +486,8 @@ def test_heads_are_the_first_two_entries_of_the_queues_built_on_first_read():
             rows = [(e.service_id, e.utility, e.final_utility, e.link_quality) for e in queue]
             assert rows == ref.queues[task], (inst, task)
             assert graph.entries[task] == {e.service_id: e for e in queue}
+            by_utility = sorted(queue, key=lambda e: (-e.utility, e.service_id))
+            assert list(graph.entries[task].values()) == by_utility
             finals = [e.final_utility for e in queue[:3]]  # a tie the heads meet
             inputs = [inst.interfaces[e.service_id][0] for e in queue]
             seen["tied"] += len(set(finals)) < len(finals)
@@ -754,24 +756,25 @@ def test_replacement_matches_reference_on_shared_interfaces_and_ties():
 STOP_TAX = RefTaxonomy({"A", "B", "C"}, {("B", "A"), ("C", "A")}, set(), {("B", "C")})
 
 
-class ReadLog(list):
-    """A queue view that records the service id of every entry it hands out."""
+class ReadLog(dict):
+    """A task's `entries` view whose `values()` records the service id of every
+    entry it hands out."""
 
     def __init__(self, entries, read):
         super().__init__(entries)
         self.read = read
 
-    def __iter__(self):
-        for entry in super().__iter__():
+    def values(self):
+        for entry in super().values():
             self.read.append(entry.service_id)
             yield entry
 
 
 def log_reads(graph):
-    """Route every task's utility-ordered view through a ReadLog; returns the log."""
+    """Route every task's utility-ordered entries through a ReadLog; returns the log."""
     read = []
     for task in graph.order:
-        graph.by_utility[task] = ReadLog(graph.by_utility[task], read)
+        graph.entries[task] = ReadLog(graph.entries[task], read)
     return read
 
 
@@ -1024,7 +1027,7 @@ def test_warm_caches_compose_like_fresh_inputs(make_inputs):
         results.append(warm)
     # the two requests level differently, so a cached request result would show
     assert results[0] != results[1]
-    assert {"envelope", "scaled", "_bases"} <= vars(registry).keys()
+    assert {"envelope", "_bases"} <= vars(registry).keys()
     assert any(taxonomy.links.values())
 
 
@@ -1045,9 +1048,22 @@ def test_failed_scaling_repeats_its_error_and_caches_no_scaling():
         with pytest.raises(OutOfRangeValue) as info:
             rank_candidates(request, registry, config)
         raised.append((info.value.stage, str(info.value)))
-        assert "scaled" not in vars(registry)
+        assert not vars(registry).get("_bases")
     assert raised == [raised[0]] * 3
     assert raised[0][0] == "scaling"
+
+
+def test_a_composed_registry_keeps_only_the_listed_values_and_no_scaled_vector():
+    """README's `Registry` members, and nothing else: a basis row is a service id,
+    a level code and a mean, with no scaled vector behind it."""
+    plan, registry, taxonomy, config, requests = fixture_inputs()
+    compose_with_graph(requests[0], plan, registry, taxonomy, config)
+    derived = vars(registry).keys() - {"schema", "records"}
+    assert derived == {"envelope", "task_ids", "concepts", "services", "_bases", "compose_memo"}
+    assert registry._bases.keys() == {config.bins}
+    rows = [row for basis in registry._bases[config.bins].values() for row in basis]
+    assert len(rows) == len(registry.records)
+    assert all(list(map(type, row)) == [str, int, float] for row in rows)
 
 
 def test_registry_validation_reports_the_first_fault_in_record_order():
@@ -1116,6 +1132,18 @@ def random_request(rng, registry):
         lo, hi = sorted(rng.uniform(min(values), max(values)) for _ in range(2))
         ranges[attr.name] = (lo, hi)
     return UserRequest(ranges, {a.name: i + 1 for i, a in enumerate(registry.schema)})
+
+
+def normalized_tasks(registry):
+    """task -> its records through the public `normalize` against their own
+    task's extremes, tasks and records in record order."""
+    by_task = {}
+    for rec in registry.records:
+        by_task.setdefault(rec.task_id, []).append(rec)
+    return {
+        task: [normalize(rec, compute_extremes(recs), registry.schema) for rec in recs]
+        for task, recs in by_task.items()
+    }
 
 
 def fresh_eligible(request, registry, config):
@@ -1260,8 +1288,9 @@ def test_rank_candidates_equals_filtered_score_candidates():
         request = random_request(rng, registry)
         classifier, _ = request_training(request, registry, config)
         got = rank_candidates(request, registry, config)
-        assert got.keys() == registry.scaled.keys()
-        for task, normalized in registry.scaled.items():
+        scaled = normalized_tasks(registry)
+        assert got.keys() == scaled.keys()
+        for task, normalized in scaled.items():
             want = filter_eligible(
                 score_candidates(normalized, classifier, config.scheme, config.bins),
                 config.threshold,
@@ -1315,7 +1344,9 @@ def test_trained_levels_equal_predict_at_each_candidates_level_code():
             })
             for i, combo in enumerate(combos)
         ]
-        basis = level_basis(candidates, bins)
+        # unit extremes of positive attributes: `scale` is the identity
+        schema = [QoSAttribute(name, Polarity.POSITIVE) for name in names]
+        basis = level_basis(candidates, {name: (0.0, 1.0) for name in names}, schema, bins)
         for combo, (_, code, _) in zip(combos, basis):
             items = frozenset(Item(name, str(label)) for name, label in zip(names, combo))
             assert rows[code].items == items, trial
@@ -1331,7 +1362,7 @@ def out_of_range_classifier(schema):
 def test_level_out_of_range_names_the_first_service(monkeypatch):
     plan, registry, taxonomy, config, requests = synthetic_inputs(6)
     attribute = registry.schema[0].name
-    scaled = Registry(registry.schema, registry.records).scaled
+    scaled = normalized_tasks(registry)
     first = next(
         vector.service_id
         for vectors in scaled.values()

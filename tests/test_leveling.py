@@ -290,7 +290,7 @@ def test_score_candidates_equals_predict_then_coefficient_times_mean():
         bins = rng.randint(2, 5)
         cands = random_candidates(rng, attrs, 30, "c")
         expected = [
-            ScoredService(sid, cand, level, scheme.coefficients[level - 1] * (
+            ScoredService(sid, level, scheme.coefficients[level - 1] * (
                 functools.reduce(operator.add, cand.values.values(), 0.0) / len(cand.values)
             ))
             for cand, (sid, level) in zip(cands, predicted_levels(cands, classifier, bins))
@@ -369,7 +369,7 @@ def test_utility_monotone_in_level_and_values():
 
 
 def scored(sid, utility):
-    return ScoredService(sid, norm(sid, utility, utility), 1, utility)
+    return ScoredService(sid, 1, utility)
 
 
 def test_filter_eligible_drops_a_nan_utility():

@@ -17,6 +17,8 @@ from qoscompose import (
     UserRequest,
     compose_with_graph,
     composite_report,
+    compute_extremes,
+    normalize,
     synthesize_training_set,
     train_classifier,
 )
@@ -95,7 +97,9 @@ def test_memoized_classifier_equals_fresh_training():
         assert got.default_class == want.default_class, trial
         assert got.attributes == want.attributes, trial
         for task, basis in registry.level_bases(bins).items():
-            normalized = registry.scaled[task]
+            records = [rec for rec in registry.records if rec.task_id == task]
+            extremes = compute_extremes(records)
+            normalized = [normalize(rec, extremes, registry.schema) for rec in records]
             assert [s.level for s in score_basis(basis, levels, config.scheme)] == [
                 s.level for s in score_candidates(normalized, want, config.scheme, bins)
             ], trial
