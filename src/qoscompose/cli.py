@@ -11,6 +11,7 @@ import sys
 import time
 from dataclasses import dataclass, replace as dc_replace
 
+from .cba import train_classifier
 from .composer import (
     build_search_graph,
     compose_with_graph,
@@ -37,7 +38,7 @@ from .data_io import (
     save_taxonomy,
 )
 from .errors import EngineError, NoAlternative, NotSelectedService, stage
-from .leveling import default_scheme, rank_candidates, request_training
+from .leveling import default_scheme, rank_candidates, synthesize_training_set
 
 
 @dataclass
@@ -138,7 +139,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
     registry = load_registry(args.registry)
     config, request = load_config(args.config)
     config = _apply_overrides(args, config)
-    _emit(render_classifier(request_training(request, registry, config)[0]), args.out)
+    with stage("training"):
+        classifier = train_classifier(
+            synthesize_training_set(
+                request, registry.envelope, config.scheme, config.bins, registry.schema
+            ),
+            config.mining,
+        )
+    _emit(render_classifier(classifier), args.out)
     return 0
 
 

@@ -330,19 +330,6 @@ def request_signature(
         )
 
 
-def request_training(
-    request: UserRequest, registry: "Registry", config: "EngineConfig"
-) -> tuple[Classifier, tuple[int, ...]]:
-    """The request's classifier and level table; errors carry the "training" stage.
-
-    Mining runs only the first time a (signature, mining config) pair is met,
-    see `_trained`.
-    """
-    signature = request_signature(request, registry, config)
-    with stage("training"):
-        return _trained(signature, config.mining)
-
-
 def signature_ranker(
     signature: TrainingSignature, registry: "Registry", config: "EngineConfig"
 ) -> Callable[[], dict[str, list[ScoredService]]]:

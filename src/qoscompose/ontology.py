@@ -2,10 +2,11 @@
 
 The taxonomy is a subsumption DAG with equivalence and disjointness axioms.
 Equivalent concepts are collapsed into one node up front, after which every
-match query is plain set reachability. Match types and link qualities are
-read only through the taxonomy's two `Memo`s, `matches[out, in]` and
-`links[outputs][inputs]`, which compute each answer on its first read and
-keep it.
+match query is reachability over the representatives' direct parents or
+children, walked per query; no closure is kept. Match types and link
+qualities are read only through the taxonomy's two `Memo`s,
+`matches[out, in]` and `links[outputs][inputs]`, which compute each answer
+on its first read and keep it.
 """
 
 from __future__ import annotations
@@ -93,14 +94,13 @@ class Taxonomy:
         # derived from the axioms, plus the match and link memos: not fields, so
         # equality and repr ignore them and a dataclasses.replace copy builds its own
         self._rep = self._collapse_equivalences()
-        self._ancestors = self._close_subsumption()
+        self._parents, self._children = self._direct_links()
         self._disjoint_reps = self._index_disjointness()
         # (out concept, in concept) -> MatchType, and upstream outputs -> downstream
         # inputs -> link quality; the fill functions hold the derived maps but not the
-        # taxonomy, so no reference cycle keeps a dropped taxonomy alive. Only the
-        # Intersection test reads descendant sets, so the first one fills them all.
+        # taxonomy, so no reference cycle keeps a dropped taxonomy alive
         matches = self.matches = Memo(partial(
-            _match, self._rep, self._ancestors, {}, self._disjoint_reps
+            _match, self._rep, self._parents, self._children, self._disjoint_reps
         ))
         self.links = Memo(lambda outputs: Memo(partial(_link_quality, matches, outputs)))
 
@@ -130,41 +130,35 @@ class Taxonomy:
                 parent[hi] = lo
         return {c: find(c) for c in self.concepts}
 
-    def _close_subsumption(self) -> dict[str, frozenset[str]]:
-        """Each representative's ancestors, itself included, built in
-        `topological_order` over the representatives' parents.
+    def _direct_links(self) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+        """Each representative's direct parents and direct children.
 
-        A cycle leaves that order short; only then is `graphlib` imported, to
-        raise CycleDetected naming the cycle its sorter names.
+        A cycle leaves their `topological_order` short; only then is `graphlib`
+        imported, to raise CycleDetected naming the cycle its sorter names.
         """
         reps = sorted(set(self._rep.values()))
         parents: dict[str, set[str]] = {r: set() for r in reps}
+        children: dict[str, set[str]] = {r: set() for r in reps}
         for child, parent in self.edges:
             rc, rp = self._rep[child], self._rep[parent]
             if rc != rp:
                 # self-loops collapse away when child and parent are equivalent
                 parents[rc].add(rp)
-        order = topological_order(parents)
-        if len(order) != len(reps):
+                children[rp].add(rc)
+        if len(topological_order(parents)) != len(reps):
             from graphlib import CycleError, TopologicalSorter
 
             try:
                 TopologicalSorter({r: sorted(parents[r]) for r in reps}).prepare()
             except CycleError as exc:
                 raise CycleDetected(f"subsumption hierarchy contains a cycle: {exc.args[1]}")
-        ancestors: dict[str, frozenset[str]] = {}
-        for rep_ in order:
-            acc = {rep_}
-            for p in parents[rep_]:
-                acc |= ancestors[p]
-            ancestors[rep_] = frozenset(acc)
-        return ancestors
+        return parents, children
 
     def _index_disjointness(self) -> set[frozenset[str]]:
         disjoint_reps = set()
         for a, b in sorted(self.disjointness):
             ra, rb = self._rep[a], self._rep[b]
-            if ra == rb or ra in self._ancestors[rb] or rb in self._ancestors[ra]:
+            if ra in _reach(self._parents, rb) or rb in _reach(self._parents, ra):
                 raise InconsistentTaxonomy(
                     f"{a!r} and {b!r} are declared disjoint but one subsumes the other"
                 )
@@ -172,33 +166,33 @@ class Taxonomy:
         return disjoint_reps
 
 
-def _descendants(ancestors: dict[str, frozenset[str]]) -> dict[str, frozenset[str]]:
-    """Each representative's descendants, itself included: `ancestors` inverted."""
-    below: dict[str, list[str]] = {r: [] for r in ancestors}
-    for rep_, above in ancestors.items():
-        for a in above:
-            below[a].append(rep_)
-    return {r: frozenset(reps) for r, reps in below.items()}
+def _reach(links: dict[str, set[str]], start: str) -> set[str]:
+    """`start` and every representative a walk along `links` reaches from it."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in links[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
-def _match(rep, ancestors, descendants, disjoint_reps, pair: tuple[str, str]) -> MatchType:
-    """`Taxonomy.matches`' fill, over the taxonomy's derived maps; `descendants`
-    starts empty and is filled by the first Intersection test."""
+def _match(rep, parents, children, disjoint_reps, pair: tuple[str, str]) -> MatchType:
+    """`Taxonomy.matches`' fill: walks over the taxonomy's direct links."""
     for concept in pair:
         if concept not in rep:
             raise UnknownConcept(f"concept {concept!r} is not declared")
     ro, ri = rep[pair[0]], rep[pair[1]]
     if ro == ri:
         return MatchType.EXACT
-    if ri in ancestors[ro]:
+    if ri in _reach(parents, ro):
         return MatchType.PLUGIN
-    if ro in ancestors[ri]:
+    if ro in _reach(parents, ri):
         return MatchType.SUBSUME
     if frozenset((ro, ri)) in disjoint_reps:
         return MatchType.DISJOINT
-    if not descendants:
-        descendants.update(_descendants(ancestors))
-    if descendants[ro].isdisjoint(descendants[ri]):
+    if _reach(children, ro).isdisjoint(_reach(children, ri)):
         return MatchType.DISJOINT
     return MatchType.INTERSECTION
 

@@ -12,7 +12,7 @@ import pytest
 
 from qoscompose import build_search_graph, cli, errors
 from qoscompose.cli import _parse_grid, main, run_bench
-from qoscompose.leveling import rank_candidates, request_training
+from qoscompose.leveling import _trained, rank_candidates, request_signature
 from qoscompose.data_io import (
     default_config, default_request, generate_synthetic, load_config, load_registry,
     render_classifier,
@@ -775,7 +775,7 @@ def test_classify_writes_loadable_rules(tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 0
     config, request = load_config(str(FIXTURES / "config.json"))
     registry = load_registry(str(FIXTURES / "registry.csv"))
-    classifier, _ = request_training(request, registry, config)
+    classifier, _ = _trained(request_signature(request, registry, config), config.mining)
     assert classifier.default_class == "2"
     assert len(classifier.rules) == 22
     perfect = [r for r in classifier.rules if r.confidence == 1.0]

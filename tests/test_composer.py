@@ -39,7 +39,7 @@ from qoscompose.cba import (
 )
 from qoscompose.data_io import default_config, default_request, generate_synthetic
 from qoscompose.leveling import (
-    _training_rows, filter_eligible, level_basis, request_training, score_candidates,
+    _trained, _training_rows, filter_eligible, level_basis, request_signature, score_candidates,
 )
 from qoscompose.qos import QoSVector, compute_extremes, normalize
 from qoscompose.errors import (
@@ -1149,7 +1149,7 @@ def normalized_tasks(registry):
 def fresh_eligible(request, registry, config):
     """Per-request leveling from scratch: per-task scaling, score_candidates, filter."""
     fresh = Registry(registry.schema, list(registry.records))
-    classifier, _ = request_training(request, fresh, config)
+    classifier, _ = _trained(request_signature(request, fresh, config), config.mining)
     by_task = {}
     for rec in fresh.records:
         by_task.setdefault(rec.task_id, []).append(QoSVector(rec.service_id, rec.values))
@@ -1286,7 +1286,7 @@ def test_rank_candidates_equals_filtered_score_candidates():
     config = default_config()
     for _ in range(200):
         request = random_request(rng, registry)
-        classifier, _ = request_training(request, registry, config)
+        classifier, _ = _trained(request_signature(request, registry, config), config.mining)
         got = rank_candidates(request, registry, config)
         scaled = normalized_tasks(registry)
         assert got.keys() == scaled.keys()

@@ -3,6 +3,8 @@
 import dataclasses
 import gc
 import random
+import subprocess
+import sys
 import weakref
 from graphlib import CycleError, TopologicalSorter
 
@@ -244,7 +246,7 @@ def test_matches_agree_with_ref_match_with_intersection_and_disjoint_pairs():
     rng = random.Random(20)
     label = {kind: kind.name.lower() for kind in MatchType}
     seen = {kind: 0 for kind in MatchType}
-    declared = 0
+    declared = deep = 0
     for _ in range(150):
         concepts, edges = random_dag(rng, rng.randint(4, 14))
         tree = RefTaxonomy(set(concepts), edges)
@@ -260,38 +262,47 @@ def test_matches_agree_with_ref_match_with_intersection_and_disjoint_pairs():
                 got = engine.matches[a, b]
                 assert label[got] == ref_match(raw, a, b), (a, b, edges, disjoint)
                 seen[got] += 1
+                common = {c for c in concepts if a in tree.upward(c) and b in tree.upward(c)}
                 # a declared pair that would otherwise intersect
-                declared += got is MatchType.DISJOINT and any(
-                    a in tree.upward(c) and b in tree.upward(c) for c in concepts
+                declared += got is MatchType.DISJOINT and bool(common)
+                # an intersection whose every common descendant is two or more
+                # levels below both concepts, so the downward walks go deep
+                deep += got is MatchType.INTERSECTION and not any(
+                    parent in (a, b) for child, parent in edges if child in common
                 )
-    assert min(seen.values()) > 0 and declared > 0, (seen, declared)
+    assert min(seen.values()) > 0 and declared > 0 and deep > 0, (seen, declared, deep)
 
 
-def test_descendant_sets_are_built_by_the_first_intersection_test():
-    taxonomy = tax(
-        ["Top", "Car", "Boat", "Amphibian", "Rock"],
-        edges=[("Car", "Top"), ("Boat", "Top"), ("Amphibian", "Car"), ("Amphibian", "Boat")],
-        disjoint=[("Rock", "Top")],
+CHAIN_CHECK = """
+import resource, sys
+from qoscompose.data_io import load_taxonomy
+from qoscompose.ontology import MatchType
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+taxonomy = load_taxonomy(sys.argv[1])
+assert taxonomy.matches[sys.argv[2], sys.argv[3]] is MatchType.PLUGIN
+assert taxonomy.matches[sys.argv[3], sys.argv[2]] is MatchType.SUBSUME
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+
+
+def test_a_long_chain_loads_in_memory_linear_in_its_length(tmp_path):
+    """Ancestor sets on a 4 000-concept chain held 8 million names, +332 MB."""
+    n = 4000
+    lines = [f"concept C{i}" for i in range(n)]
+    lines += [f"subclass C{i + 1} C{i}" for i in range(n - 1)]
+    path = tmp_path / "chain.txt"
+    path.write_text("\n".join(lines) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", CHAIN_CHECK, str(path), f"C{n - 1}", "C0"],
+        capture_output=True, text=True, timeout=120,
     )
-    descendants = taxonomy.matches.fill.args[2]
-    for pair, kind in [
-        (("Car", "Car"), MatchType.EXACT),
-        (("Car", "Top"), MatchType.PLUGIN),
-        (("Top", "Boat"), MatchType.SUBSUME),
-        (("Top", "Rock"), MatchType.DISJOINT),  # declared, so no descendant is read
-    ]:
-        assert taxonomy.matches[pair] is kind
-    assert descendants == {}
-    assert taxonomy.matches["Car", "Boat"] is MatchType.INTERSECTION
-    below_car = descendants["Car"]
-    assert below_car == {"Car", "Amphibian"} and len(descendants) == 5
-    assert taxonomy.matches["Boat", "Car"] is MatchType.INTERSECTION
-    assert descendants["Car"] is below_car  # built once, then reused
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 40, proc.stdout
 
 
 def test_filled_memos_keep_no_dropped_taxonomy_alive():
     taxonomy = tax(["A", "B", "C"], edges=[("C", "A"), ("C", "B")])
-    assert taxonomy.links[("A",)][("B",)] == 0.25  # reads the descendant sets
+    assert taxonomy.links[("A",)][("B",)] == 0.25  # walks the children of A and B
     matches, links = taxonomy.matches, taxonomy.links
     ref = weakref.ref(taxonomy)
     gc.disable()

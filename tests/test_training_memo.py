@@ -26,7 +26,7 @@ from qoscompose.cli import main
 from qoscompose.data_io import default_config, generate_synthetic
 from qoscompose.errors import EngineError
 from qoscompose.leveling import (
-    TRAINING_MEMO_SIZE, _trained, _training_signature, request_training, score_basis,
+    TRAINING_MEMO_SIZE, _trained, _training_signature, request_signature, score_basis,
     score_candidates,
 )
 
@@ -88,7 +88,7 @@ def test_memoized_classifier_equals_fresh_training():
             random_scheme(rng, n_levels), rng.choice(minings), bins, rng.random()
         )
         request = random_request(rng, registry)
-        got, levels = request_training(request, registry, config)
+        got, levels = _trained(request_signature(request, registry, config), config.mining)
         training = synthesize_training_set(
             request, registry.envelope, config.scheme, bins, registry.schema
         )
@@ -122,11 +122,11 @@ def test_coefficients_threshold_and_a_reloaded_registry_share_one_classifier():
     registry, _, _ = generate_synthetic(2, 3, 3, 4)
     request = random_request(random.Random(5), registry)
     config = EngineConfig(LevelScheme(3, (1.0, 0.75, 0.25)), MiningConfig())
-    first = request_training(request, registry, config)
+    first = _trained(request_signature(request, registry, config), config.mining)
     other = EngineConfig(LevelScheme(3, (1.0, 0.5, 0.1)), MiningConfig(), threshold=0.9)
-    assert request_training(request, registry, other) is first
+    assert _trained(request_signature(request, registry, other), other.mining) is first
     reloaded, _, _ = generate_synthetic(2, 3, 3, 4)
-    assert request_training(request, reloaded, config) is first
+    assert _trained(request_signature(request, reloaded, config), config.mining) is first
     assert _trained.cache_info().misses == 1
 
 
@@ -231,7 +231,8 @@ def test_refusals_are_unchanged_on_a_warm_memo(
     refused = command(path) + flags
     assert main(refused) == code  # cold memo
     assert capsys.readouterr() == ("", f"error [training]: {message}\n")
-    assert main(command()) == 0
+    # compose fills the memo; classify trains without it
+    assert main(_compose_args()) == 0
     capsys.readouterr()
     warm = _trained.cache_info()
     assert warm.currsize == 1
@@ -241,15 +242,20 @@ def test_refusals_are_unchanged_on_a_warm_memo(
 
 
 @pytest.mark.parametrize(
-    "argv, golden",
-    [(_compose_args(), "fixture_compose.json"), (_classify_args(), "fixture_classify.txt")],
+    "argv, golden, memo",
+    [
+        (_compose_args(), "fixture_compose.json", [(0, 1), (1, 1)]),
+        # classify trains without the memo, so it leaves it empty
+        (_classify_args(), "fixture_classify.txt", [(0, 0), (0, 0)]),
+    ],
     ids=["compose", "classify"],
 )
-def test_a_repeated_command_prints_the_golden_bytes(capsys, argv, golden):
-    for hits in (0, 1):
+def test_a_repeated_command_prints_the_golden_bytes(capsys, argv, golden, memo):
+    for hits, size in memo:
         assert main(argv) == 0
         assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
-        assert _trained.cache_info().hits == hits
+        info = _trained.cache_info()
+        assert (info.hits, info.currsize) == (hits, size)
 
 
 def _reports(graph, primary, alternative):
