@@ -277,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "QoS-aware service composition: level candidates with an associative "
             "classifier, rank them over the plan's semantic links, and select a "
-            "near-optimal composite plus its best one-swap alternative."
+            "greedy composite plus its best one-swap alternative."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

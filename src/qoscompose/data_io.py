@@ -54,14 +54,6 @@ class Registry:
         return {rec.service_id: rec for rec in self.records}
 
     @cached_property
-    def task_ids(self) -> frozenset[str]:
-        return frozenset(rec.task_id for rec in self.records)
-
-    @cached_property
-    def concepts(self) -> frozenset[str]:
-        return frozenset(c for rec in self.records for c in rec.inputs + rec.outputs)
-
-    @cached_property
     def envelope(self) -> AttributeExtremes:
         """Extremes across the whole registry, so demand bands cover every task:
         `compute_extremes` over the records themselves, in record order."""

@@ -2,8 +2,8 @@
 
 The classifier that assigns levels is trained on a synthesized set covering
 every discretized label combination, each labeled by how far its worst
-attribute falls short of the requested range. One classifier is kept per
-training signature, and `rank_candidates` levels a whole registry with it.
+attribute falls short of the requested range. Each signature's level table is
+kept, and `rank_candidates` levels a whole registry from it.
 """
 
 from __future__ import annotations
@@ -293,27 +293,24 @@ def filter_eligible(
     return [s for s in scored if s.utility > threshold]
 
 
-# Classifiers `_trained` keeps, and compose results each registry keeps, least
+# Level tables `_trained` keeps, and compose results each registry keeps, least
 # recently used first out: over twice the 27 signatures that 1 000 distinct
 # requests of the catalog benchmark have.
 TRAINING_MEMO_SIZE = 64
 
 
 @lru_cache(maxsize=TRAINING_MEMO_SIZE)
-def _trained(
-    signature: TrainingSignature, mining: MiningConfig
-) -> tuple[Classifier, tuple[int, ...]]:
-    """The classifier of one training signature and its level of every training
-    row, in row order; shared by every request that has the signature.
+def _trained(signature: TrainingSignature, mining: MiningConfig) -> tuple[int, ...]:
+    """The level the signature's classifier predicts for every training row, in
+    row order; shared by every request that has the signature.
 
     The rows are every label combination, so a registry candidate's level is
     the entry at its `level_basis` code. Process-wide rather than on the
-    registry, so a reloaded registry still hits. What it returns must not be
-    mutated.
+    registry, so a reloaded registry still hits.
     """
     rows = _training_rows(signature)
     classifier = train_classifier(rows, mining)
-    return classifier, tuple(int(predict(classifier, row.items)) for row in rows)
+    return tuple(int(predict(classifier, row.items)) for row in rows)
 
 
 def request_signature(
@@ -341,7 +338,7 @@ def signature_ranker(
     level table and the registry's bases, not the registry.
     """
     with stage("training"):
-        _, levels = _trained(signature, config.mining)
+        levels = _trained(signature, config.mining)
     with stage("scaling"):
         bases = registry.level_bases(config.bins)
     scheme, threshold = config.scheme, config.threshold

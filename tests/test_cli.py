@@ -12,7 +12,8 @@ import pytest
 
 from qoscompose import build_search_graph, cli, errors
 from qoscompose.cli import _parse_grid, main, run_bench
-from qoscompose.leveling import _trained, rank_candidates, request_signature
+from qoscompose.cba import train_classifier
+from qoscompose.leveling import rank_candidates, synthesize_training_set
 from qoscompose.data_io import (
     default_config, default_request, generate_synthetic, load_config, load_registry,
     render_classifier,
@@ -474,6 +475,13 @@ def _overflowing_registry(tmp):
     return _written(tmp, "registry.csv", text)
 
 
+def _edited_registry(tmp, old, new):
+    """The fixture registry with its one occurrence of `old` replaced by `new`."""
+    text = (FIXTURES / "registry.csv").read_text()
+    assert text.count(old) == 1
+    return _written(tmp, "registry.csv", text.replace(old, new))
+
+
 def _deep_json(tmp):
     path = tmp / "deep.json"
     path.write_text("[" * 200_000)
@@ -551,6 +559,14 @@ DEEP_JSON = "error [load]: {tmp}/deep.json nests JSON too deeply to parse\n"
         (lambda tmp: fixture_args("compose", registry=_overflowing_registry(tmp)),
          21, "error [scaling]: response_time spreads from -1.7e+308 of 'bv_fast' to "
          "1.7e+308 of 'bv_cheap', wider than a float holds\n"),
+        (lambda tmp: fixture_args("compose", registry=_edited_registry(
+            tmp, "pay_card,process_payment,", "pay_card,refund_payment,"
+         )), 14, "error [validation]: service 'pay_card' targets unknown task "
+         "'refund_payment'\n"),
+        (lambda tmp: fixture_args("compose", registry=_edited_registry(
+            tmp, ",Vehicle,CityRoute", ",Vehicle,Boulevard"
+         )), 15, "error [validation]: service 'pr_city' names undeclared concept "
+         "'Boulevard'\n"),
     ],
     ids=[
         "nan-range", "bogus-attribute-compose", "bogus-attribute-classify",
@@ -565,7 +581,7 @@ DEEP_JSON = "error [load]: {tmp}/deep.json nests JSON too deeply to parse\n"
         "replace-no-candidate-stage", "replace-unknown-task-stage",
         "header-not-ending-in-interfaces", "plan-edges-not-a-list",
         "plan-link-pairs-not-an-object", "composite-task-not-a-string",
-        "overflowing-spread",
+        "overflowing-spread", "validation-unknown-task", "validation-undeclared-concept",
     ],
 )
 def test_bad_input_ends_in_an_error_line_not_a_traceback(tmp_path, argv, code, prefix):
@@ -775,7 +791,12 @@ def test_classify_writes_loadable_rules(tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 0
     config, request = load_config(str(FIXTURES / "config.json"))
     registry = load_registry(str(FIXTURES / "registry.csv"))
-    classifier, _ = _trained(request_signature(request, registry, config), config.mining)
+    classifier = train_classifier(
+        synthesize_training_set(
+            request, registry.envelope, config.scheme, config.bins, registry.schema
+        ),
+        config.mining,
+    )
     assert classifier.default_class == "2"
     assert len(classifier.rules) == 22
     perfect = [r for r in classifier.rules if r.confidence == 1.0]

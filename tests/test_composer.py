@@ -33,13 +33,13 @@ from qoscompose import (
     rank_candidates,
     replace_unavailable,
 )
-from qoscompose import leveling
+from qoscompose import composer, leveling
 from qoscompose.cba import (
     ClassAssociationRule, Classifier, Item, MiningConfig, discretize, predict, train_classifier,
 )
 from qoscompose.data_io import default_config, default_request, generate_synthetic
 from qoscompose.leveling import (
-    _trained, _training_rows, filter_eligible, level_basis, request_signature, score_candidates,
+    _training_rows, filter_eligible, level_basis, score_candidates, synthesize_training_set,
 )
 from qoscompose.qos import QoSVector, compute_extremes, normalize
 from qoscompose.errors import (
@@ -52,6 +52,7 @@ from qoscompose.errors import (
     NoReplacementCandidate,
     NotSelectedService,
     OutOfRangeValue,
+    UnknownAttribute,
     UnknownConcept,
     UnknownTask,
 )
@@ -1059,7 +1060,7 @@ def test_a_composed_registry_keeps_only_the_listed_values_and_no_scaled_vector()
     plan, registry, taxonomy, config, requests = fixture_inputs()
     compose_with_graph(requests[0], plan, registry, taxonomy, config)
     derived = vars(registry).keys() - {"schema", "records"}
-    assert derived == {"envelope", "task_ids", "concepts", "services", "_bases", "compose_memo"}
+    assert derived == {"envelope", "services", "_bases", "compose_memo"}
     assert registry._bases.keys() == {config.bins}
     rows = [row for basis in registry._bases[config.bins].values() for row in basis]
     assert len(rows) == len(registry.records)
@@ -1093,6 +1094,72 @@ def test_registry_validation_reports_the_first_fault_in_record_order():
             with pytest.raises(error, match=name) as info:
                 compose_with_graph(request, plan, faulty, taxonomy, config)
             assert info.value.stage == "validation"
+
+
+def test_validation_runs_once_per_triple_while_an_entry_vouches_for_it(monkeypatch):
+    plan, registry, taxonomy, config, requests = synthetic_inputs(5)
+    calls = []
+
+    def counting_validate(*args):
+        calls.append(args)
+        return validate(*args)
+
+    validate = composer._validate_registry
+    monkeypatch.setattr(composer, "_validate_registry", counting_validate)
+    # a refusal stores nothing, so it vouches for nothing
+    bogus = UserRequest({"bogus": (0.0, 1.0)}, {"bogus": 1})
+    for _ in range(2):
+        with pytest.raises(UnknownAttribute):
+            compose_with_graph(bogus, plan, registry, taxonomy, config)
+        assert not registry.compose_memo
+    assert len(calls) == 2
+    calls.clear()
+    rng = random.Random(8)
+    asked = requests + [random_request(rng, registry) for _ in range(6)]
+    for request in asked * 2:
+        compose_with_graph(request, plan, registry, taxonomy, config)
+    assert len(registry.compose_memo) > 2  # several signatures, one triple
+    assert len(calls) == 1
+    # an equal plan is another object, so it is validated in its own right
+    twin = CompositionPlan(plan.tasks, plan.edges)
+    compose_with_graph(requests[0], twin, registry, taxonomy, config)
+    assert len(calls) == 2
+    # overwriting every entry of the first plan leaves nothing to vouch for it
+    for request in asked:
+        compose_with_graph(request, twin, registry, taxonomy, config)
+    assert len(calls) == 2
+    assert all(entry[0] is twin for entry in registry.compose_memo.values())
+    compose_with_graph(requests[0], plan, registry, taxonomy, config)
+    assert len(calls) == 3
+    # and so does evicting them as least recently used
+    monkeypatch.setattr(composer, "TRAINING_MEMO_SIZE", 2)
+    fresh = Registry(registry.schema, registry.records)
+    compose_with_graph(requests[0], plan, fresh, taxonomy, config)
+    compose_with_graph(requests[1], twin, fresh, taxonomy, config)
+    compose_with_graph(asked[2], twin, fresh, taxonomy, config)
+    assert len(calls) == 5
+    assert [entry[0] for entry in fresh.compose_memo.values()] == [twin, twin]
+    compose_with_graph(requests[0], plan, fresh, taxonomy, config)
+    assert len(calls) == 6
+
+
+def test_a_registry_fault_is_refused_before_the_requests_own_fault():
+    registry, plan, taxonomy = generate_synthetic(3, 2, 2, 0)
+    config = default_config()
+    bogus = UserRequest({"bogus": (0.0, 1.0)}, {"bogus": 1})
+    first, *rest = registry.records
+    stray = Registry(registry.schema, [first, dc_replace(rest[0], task_id="tX"), *rest[1:]])
+    with pytest.raises(UnknownTask, match="tX") as info:
+        compose_with_graph(bogus, plan, stray, taxonomy, config)
+    assert info.value.stage == "validation"
+    # a memo warm for another plan still validates a new one first
+    compose_with_graph(default_request(registry.schema), plan, registry, taxonomy, config)
+    last = max(plan.tasks)
+    short = CompositionPlan(plan.tasks - {last}, frozenset(e for e in plan.edges if last not in e))
+    for _ in range(2):
+        with pytest.raises(UnknownTask) as info:
+            compose_with_graph(bogus, short, registry, taxonomy, config)
+        assert info.value.stage == "validation"
 
 
 def test_replaced_objects_start_with_empty_caches():
@@ -1149,7 +1216,10 @@ def normalized_tasks(registry):
 def fresh_eligible(request, registry, config):
     """Per-request leveling from scratch: per-task scaling, score_candidates, filter."""
     fresh = Registry(registry.schema, list(registry.records))
-    classifier, _ = _trained(request_signature(request, fresh, config), config.mining)
+    classifier = train_classifier(
+        synthesize_training_set(request, fresh.envelope, config.scheme, config.bins, fresh.schema),
+        config.mining,
+    )
     by_task = {}
     for rec in fresh.records:
         by_task.setdefault(rec.task_id, []).append(QoSVector(rec.service_id, rec.values))
@@ -1286,7 +1356,12 @@ def test_rank_candidates_equals_filtered_score_candidates():
     config = default_config()
     for _ in range(200):
         request = random_request(rng, registry)
-        classifier, _ = _trained(request_signature(request, registry, config), config.mining)
+        classifier = train_classifier(
+            synthesize_training_set(
+                request, registry.envelope, config.scheme, config.bins, registry.schema
+            ),
+            config.mining,
+        )
         got = rank_candidates(request, registry, config)
         scaled = normalized_tasks(registry)
         assert got.keys() == scaled.keys()
@@ -1330,7 +1405,7 @@ def test_trained_levels_equal_predict_at_each_candidates_level_code():
             min_confidence=rng.choice([0.0, 0.5, 0.9]),
             max_antecedent_size=rng.choice([None, 1, 2]),
         )
-        _, levels = leveling._trained(signature, mining)
+        levels = leveling._trained(signature, mining)
         rows = _training_rows(signature)
         want = train_classifier(rows, mining)
         assert len(levels) == len(rows) == bins**n_attrs, trial

@@ -1,4 +1,4 @@
-"""The process-wide classifier memo and the registry's compose memo behind `compose`:
+"""The process-wide level-table memo and the registry's compose memo behind `compose`:
 equal to fresh work, bounded, and invisible in refusals and reports."""
 
 import dataclasses
@@ -22,6 +22,7 @@ from qoscompose import (
     synthesize_training_set,
     train_classifier,
 )
+from qoscompose.cba import predict
 from qoscompose.cli import main
 from qoscompose.data_io import default_config, generate_synthetic
 from qoscompose.errors import EngineError
@@ -33,14 +34,6 @@ from qoscompose.leveling import (
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 DATA = ROOT / "tests" / "data"
-
-
-def rule_bits(classifier):
-    """Rules in order with their floats as hex, so equal means bit-equal."""
-    return [
-        (sorted(r.antecedent), r.consequent_class, r.support.hex(), r.confidence.hex())
-        for r in classifier.rules
-    ]
 
 
 def random_scheme(rng, n_levels):
@@ -88,14 +81,12 @@ def test_memoized_classifier_equals_fresh_training():
             random_scheme(rng, n_levels), rng.choice(minings), bins, rng.random()
         )
         request = random_request(rng, registry)
-        got, levels = _trained(request_signature(request, registry, config), config.mining)
+        levels = _trained(request_signature(request, registry, config), config.mining)
         training = synthesize_training_set(
             request, registry.envelope, config.scheme, bins, registry.schema
         )
         want = train_classifier(training, config.mining)
-        assert rule_bits(got) == rule_bits(want), trial
-        assert got.default_class == want.default_class, trial
-        assert got.attributes == want.attributes, trial
+        assert levels == tuple(int(predict(want, row.items)) for row in training), trial
         for task, basis in registry.level_bases(bins).items():
             records = [rec for rec in registry.records if rec.task_id == task]
             extremes = compute_extremes(records)
