@@ -22,7 +22,6 @@ from .composer import (
     CompositeService,
     CompositionPlan,
     build_search_graph,
-    compose,
     compose_with_graph,
     composite_report,
     first_alternative,
@@ -49,7 +48,6 @@ from .leveling import (
 )
 from .ontology import MatchType, Taxonomy
 from .qos import (
-    NormalizedQoSVector,
     Polarity,
     QoSAttribute,
     QoSVector,
@@ -70,7 +68,6 @@ __all__ = [
     "LevelScheme",
     "MatchType",
     "MiningConfig",
-    "NormalizedQoSVector",
     "Polarity",
     "QoSAttribute",
     "QoSVector",
@@ -82,7 +79,6 @@ __all__ = [
     "UserRequest",
     "build_classifier",
     "build_search_graph",
-    "compose",
     "compose_with_graph",
     "composite_report",
     "compute_extremes",

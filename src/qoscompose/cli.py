@@ -49,32 +49,29 @@ class BenchResult:
     ranking_ms: list[float]
     selection_ms: list[float]
     alternative_ms: list[float]
-    classification_ms: float | None = None
+    classification_ms: float
 
-    # statistics.fmean's arithmetic, without importing statistics, fractions and decimal
-    @property
-    def mean_ranking_ms(self) -> float:
-        return math.fsum(self.ranking_ms) / len(self.ranking_ms)
 
-    @property
-    def mean_selection_ms(self) -> float:
-        return math.fsum(self.selection_ms) / len(self.selection_ms)
-
-    @property
-    def mean_alternative_ms(self) -> float:
-        return math.fsum(self.alternative_ms) / len(self.alternative_ms)
+def _summary(values: list[float]) -> tuple[float, float, float]:
+    """(mean, median, min) of a non-empty list, with statistics.fmean's and
+    statistics.median's arithmetic but without importing statistics, fractions
+    and decimal."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    median = ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+    return math.fsum(values) / len(values), median, ordered[0]
 
 
 def _apply_overrides(args: argparse.Namespace, base: EngineConfig) -> EngineConfig:
     """Config with the command-line overrides; a bad value raises ParseError."""
     cfg = base
-    if getattr(args, "threshold", None) is not None:
+    if args.threshold is not None:
         with config_field("--threshold"):
             cfg = dc_replace(cfg, threshold=args.threshold)
-    if getattr(args, "bins", None) is not None:
+    if args.bins is not None:
         with config_field("--bins"):
             cfg = dc_replace(cfg, bins=args.bins)
-    if getattr(args, "levels", None) is not None:
+    if args.levels is not None:
         with config_field("--levels"):
             cfg = dc_replace(cfg, scheme=default_scheme(args.levels))
     return cfg
@@ -190,12 +187,11 @@ def run_bench(
     repetitions: int = 20,
     seed: int = 0,
     threshold: float = 0.0,
-    include_classification: bool = False,
 ) -> list[BenchResult]:
     """Time the ranking phase (graph build + selection + first alternative).
 
     The classification pipeline runs once per grid point outside the timed
-    region; pass include_classification to record its one-off cost as well.
+    region, and its one-off cost is recorded as well.
     The repetitions go round-robin over the grid points, so a burst of host
     contention spreads over every point rather than one run of them. The
     first repetition fills the taxonomy's match and link memos.
@@ -214,10 +210,7 @@ def run_bench(
             t0 = time.perf_counter()
             eligible = rank_candidates(request, registry, config)
             classification_ms = (time.perf_counter() - t0) * 1000.0
-            result = BenchResult(
-                tasks, cands, repetitions, [], [], [],
-                classification_ms if include_classification else None,
-            )
+            result = BenchResult(tasks, cands, repetitions, [], [], [], classification_ms)
             points.append((plan, eligible, taxonomy, registry, result))
     gc.collect()  # so no garbage of earlier work is collected in the timed loop
     for _ in range(repetitions):
@@ -251,22 +244,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
         repetitions=args.reps,
         seed=args.seed,
         threshold=args.threshold,
-        include_classification=args.include_classification,
     )
-    lines = []
-    header = "tasks,candidates,repetitions,mean_ranking_ms,mean_selection_ms,mean_alternative_ms"
-    if args.include_classification:
-        header += ",classification_ms"
-    lines.append(header)
+    lines = [
+        "tasks,candidates,repetitions,mean_ranking_ms,mean_selection_ms,mean_alternative_ms,"
+        "median_ranking_ms,min_ranking_ms,median_selection_ms,min_selection_ms,"
+        "median_alternative_ms,min_alternative_ms,classification_ms"
+    ]
     for res in results:
-        row = (
+        phases = [_summary(ms) for ms in (res.ranking_ms, res.selection_ms, res.alternative_ms)]
+        # the three means first, then each phase's median and minimum
+        figures = [f[0] for f in phases] + [x for f in phases for x in f[1:]]
+        figures.append(res.classification_ms)
+        lines.append(
             f"{res.tasks},{res.candidates},{res.repetitions},"
-            f"{res.mean_ranking_ms:.3f},{res.mean_selection_ms:.3f},"
-            f"{res.mean_alternative_ms:.3f}"
+            + ",".join(f"{x:.3f}" for x in figures)
         )
-        if args.include_classification:
-            row += f",{res.classification_ms:.3f}"
-        lines.append(row)
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -342,11 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--attributes", type=int, default=4)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--threshold", type=float, default=0.0)
-    p_bench.add_argument(
-        "--include-classification",
-        action="store_true",
-        help="also report the one-off classification pipeline time",
-    )
     p_bench.add_argument("--out", default=None, help="write the CSV here")
     p_bench.set_defaults(func=cmd_bench)
     return parser

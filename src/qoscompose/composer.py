@@ -426,17 +426,6 @@ def compose_with_graph(
     return graph, primary, alternative
 
 
-def compose(
-    request: UserRequest,
-    plan: CompositionPlan,
-    registry: "Registry",
-    taxonomy: Taxonomy,
-    config: "EngineConfig",
-) -> tuple[CompositeService, CompositeService | None]:
-    """End-to-end selection: primary composite plus best one-swap alternative (or None)."""
-    return compose_with_graph(request, plan, registry, taxonomy, config)[1:]
-
-
 def composite_report(graph: SearchGraph, composite: CompositeService) -> dict:
     """JSON-ready view of a composite with stable key and task ordering."""
     tasks, taxonomy, services = [], graph.taxonomy, graph.services

@@ -22,7 +22,7 @@ from .errors import (
     UnknownAttribute, ValueOutOfRange, stage,
 )
 from .qos import (
-    AttributeExtremes, NormalizedQoSVector, QoSAttribute, check_spread, scale, scale_values,
+    AttributeExtremes, QoSAttribute, QoSVector, check_spread, scale, scale_values,
 )
 
 if TYPE_CHECKING:
@@ -200,7 +200,7 @@ def synthesize_training_set(
     return _training_rows(_training_signature(request, extremes, scheme, bins, schema))
 
 
-def _mean(candidate: NormalizedQoSVector) -> float:
+def _mean(candidate: QoSVector) -> float:
     # added left to right: from Python 3.12 on, sum() compensates rounding
     # error, and utilities would differ in the last bit between versions
     total = 0.0
@@ -210,7 +210,7 @@ def _mean(candidate: NormalizedQoSVector) -> float:
 
 
 def score_candidates(
-    candidates: list[NormalizedQoSVector],
+    candidates: list[QoSVector],
     classifier: Classifier,
     scheme: LevelScheme,
     bins: int,

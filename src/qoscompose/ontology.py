@@ -90,7 +90,7 @@ class Taxonomy:
         named = {c for pair in self.edges | self.equivalences | self.disjointness for c in pair}
         if not named <= self.concepts:
             # the least, so the name does not follow the sets' hash order
-            self._require(min(named - self.concepts))
+            raise UnknownConcept(f"concept {min(named - self.concepts)!r} is not declared")
         # derived from the axioms, plus the match and link memos: not fields, so
         # equality and repr ignore them and a dataclasses.replace copy builds its own
         self._rep = self._collapse_equivalences()
@@ -103,15 +103,6 @@ class Taxonomy:
             _match, self._rep, self._parents, self._children, self._disjoint_reps
         ))
         self.links = Memo(lambda outputs: Memo(partial(_link_quality, matches, outputs)))
-
-    def _require(self, concept: str) -> None:
-        if concept not in self.concepts:
-            raise UnknownConcept(f"concept {concept!r} is not declared")
-
-    def rep(self, concept: str) -> str:
-        """Canonical representative of a concept's equivalence class."""
-        self._require(concept)
-        return self._rep[concept]
 
     def _collapse_equivalences(self) -> dict[str, str]:
         parent = {c: c for c in self.concepts}

@@ -30,14 +30,11 @@ class QoSAttribute:
 
 @dataclass
 class QoSVector:
-    """Per-attribute values of one candidate service: raw, or, named
-    `NormalizedQoSVector`, scaled into [0, 1] with higher = better."""
+    """Per-attribute values of one candidate service: raw, or scaled into
+    [0, 1] with higher = better."""
 
     service_id: str
     values: dict[str, float]
-
-
-NormalizedQoSVector = QoSVector
 
 
 # attribute name -> (min, max) observed over one candidate set
@@ -125,7 +122,7 @@ def normalize(
     candidate: QoSVector,
     extremes: AttributeExtremes,
     schema: list[QoSAttribute],
-) -> NormalizedQoSVector:
+) -> QoSVector:
     """Scale every attribute of one candidate into [0, 1] with uniform direction.
 
     Extremes whose spread overflows raise OutOfRangeValue naming the attribute.
@@ -139,4 +136,4 @@ def normalize(
         raise SchemaMismatch("extremes do not cover the declared schema")
     for attr in schema:
         check_spread(attr.name, *extremes[attr.name])
-    return NormalizedQoSVector(candidate.service_id, scale_values(candidate, extremes, schema))
+    return QoSVector(candidate.service_id, scale_values(candidate, extremes, schema))

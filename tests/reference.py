@@ -19,7 +19,6 @@ from qoscompose import (
     CompositionPlan,
     Item,
     MiningConfig,
-    NormalizedQoSVector,
     Registry,
     RegistryRecord,
     ScoredService,

@@ -18,7 +18,6 @@ from scipy.stats import spearmanr
 from qoscompose import (
     Classifier,
     MatchType,
-    NormalizedQoSVector,
     Polarity,
     QoSAttribute,
     QoSVector,
@@ -169,7 +168,7 @@ def test_criterion_5_utility_and_level_constants():
     def utility(service_id, values, level):
         # a rule-free classifier puts every candidate at its default level
         classifier = Classifier([], str(level), attributes=tuple(values))
-        candidate = NormalizedQoSVector(service_id, values)
+        candidate = QoSVector(service_id, values)
         [scored] = score_candidates([candidate], classifier, default_scheme(), 4)
         assert scored.level == level
         return scored.utility

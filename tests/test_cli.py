@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import pathlib
+import statistics
 import subprocess
 import sys
 import time
@@ -833,30 +834,22 @@ def test_generate_then_compose_round_trip(tmp_path, capsys):
     assert 0.0 < report["primary"]["score"] <= 1.0
 
 
-def test_bench_csv_shape(capsys):
+def test_bench_csv_header_and_field_count(capsys):
     argv = ["bench", "--grid", "2,3x2", "--reps", "2", "--seed", "5"]
     assert main(argv) == 0
     lines = capsys.readouterr().out.strip().splitlines()
+    # the first six columns keep their names and places, so readers of older CSVs still work
     assert lines[0] == (
-        "tasks,candidates,repetitions,mean_ranking_ms,"
-        "mean_selection_ms,mean_alternative_ms"
+        "tasks,candidates,repetitions,mean_ranking_ms,mean_selection_ms,mean_alternative_ms,"
+        "median_ranking_ms,min_ranking_ms,median_selection_ms,min_selection_ms,"
+        "median_alternative_ms,min_alternative_ms,classification_ms"
     )
     assert len(lines) == 3  # two task sizes x one candidate size
     for line in lines[1:]:
         cells = line.split(",")
-        assert len(cells) == 6
+        assert len(cells) == 13
         assert int(cells[2]) == 2
         assert all(float(c) >= 0.0 for c in cells[3:])
-
-
-def test_bench_classification_column(capsys):
-    argv = [
-        "bench", "--grid", "2x2", "--reps", "1", "--include-classification",
-    ]
-    assert main(argv) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].endswith(",classification_ms")
-    assert len(lines[1].split(",")) == 7
 
 
 def test_run_bench_returns_all_grid_points():
@@ -866,7 +859,14 @@ def test_run_bench_returns_all_grid_points():
     ]
     for res in results:
         assert len(res.selection_ms) == 2
-        assert res.mean_ranking_ms >= res.mean_selection_ms
+        assert cli._summary(res.ranking_ms)[0] >= cli._summary(res.selection_ms)[0]
+
+
+@pytest.mark.parametrize("repetitions", [4, 5])
+def test_bench_summary_matches_statistics(repetitions):
+    [res] = run_bench([3], [3], attributes=2, repetitions=repetitions, seed=1)
+    for ms in (res.ranking_ms, res.selection_ms, res.alternative_ms):
+        assert cli._summary(ms) == (statistics.fmean(ms), statistics.median(ms), min(ms))
 
 
 def test_run_bench_requests_what_each_points_registry_holds():

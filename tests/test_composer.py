@@ -14,9 +14,9 @@ import pytest
 from qoscompose import (
     CompositionPlan,
     LevelScheme,
-    NormalizedQoSVector,
     Polarity,
     QoSAttribute,
+    QoSVector,
     Registry,
     RegistryRecord,
     ScoredService,
@@ -1412,7 +1412,7 @@ def test_trained_levels_equal_predict_at_each_candidates_level_code():
         combos = list(itertools.product(range(bins), repeat=n_attrs))
         rng.shuffle(combos)
         candidates = [
-            NormalizedQoSVector(f"s{i}", {
+            QoSVector(f"s{i}", {
                 name: 1.0 if label == bins - 1 and rng.random() < 0.2
                 else (label + rng.uniform(0.05, 0.95)) / bins
                 for name, label in zip(names, combo)

@@ -12,9 +12,9 @@ from qoscompose import (
     Item,
     LevelScheme,
     MiningConfig,
-    NormalizedQoSVector,
     Polarity,
     QoSAttribute,
+    QoSVector,
     ScoredService,
     UserRequest,
     TrainingInstance,
@@ -185,7 +185,7 @@ def trained_classifier(min_support=0.01):
 
 
 def norm(sid, rt, av):
-    return NormalizedQoSVector(sid, {"response_time": rt, "availability": av})
+    return QoSVector(sid, {"response_time": rt, "availability": av})
 
 
 def levels(candidates, classifier, bins):
@@ -248,7 +248,7 @@ def random_candidates(rng, attrs, count, prefix):
     for i in range(count):
         names = rng.sample(attrs, len(attrs))
         values = {n: rng.choice([0.0, 1.0, rng.random()]) for n in names}
-        out.append(NormalizedQoSVector(f"{prefix}{i}", values))
+        out.append(QoSVector(f"{prefix}{i}", values))
     return out
 
 
@@ -302,7 +302,7 @@ def test_score_candidates_reads_every_level_before_any_utility():
     scheme = LevelScheme(2, (1.0, 0.5))
     # predicts level 3, outside the 2-level scheme
     classifier = Classifier([], "3", attributes=("a",))
-    N = NormalizedQoSVector
+    N = QoSVector
     with pytest.raises(LevelOutOfRange):
         score_candidates([N("s1", {"a": 0.1})], classifier, scheme, 4)
     # s2's schema error outranks s1's out-of-range level
@@ -348,7 +348,7 @@ def test_score_candidates_utility_spot_values():
     assert utility(norm("s", 0.0, 0.0), 3, scheme) == 0.0
     assert utility(norm("s", 1.0, 1.0), 2, scheme) == 0.75
     # added left to right on every Python version (3.12's sum() reads 0.6 / 3)
-    tenths = NormalizedQoSVector("s", {"a": 0.1, "b": 0.2, "c": 0.3})
+    tenths = QoSVector("s", {"a": 0.1, "b": 0.2, "c": 0.3})
     assert utility(tenths, 1, scheme) == (0.1 + 0.2 + 0.3) / 3 != 0.6 / 3
 
 

@@ -1,5 +1,6 @@
 """The package surface: the root exports every name the benchmark and the oracles import,
-the README's library example runs, and modules share no underscore names."""
+the README's library example runs and its root list names every export, and modules share
+no underscore names."""
 
 import ast
 import contextlib
@@ -50,6 +51,17 @@ def test_the_readme_library_example_composes_the_fixtures(monkeypatch):
     assert out.getvalue() == f"{primary.assignment} {primary.score}\n"
     inputs = [namespace[k] for k in ("request", "plan", "registry", "taxonomy", "config")]
     assert (primary, alternative) == qoscompose.compose_with_graph(*inputs)[1:]
+
+
+def test_the_readme_root_list_names_every_export():
+    readme = (REPO / "README.md").read_text()
+    count, listing = re.search(
+        r"The package root \(`qoscompose.__all__`, (\d+) names\) exports:\n\n(.*?)\n\n",
+        readme, re.S,
+    ).groups()
+    names = re.findall(r"`(\w+)`", listing)
+    assert len(names) == len(set(names)) == int(count)
+    assert sorted(names) == sorted(qoscompose.__all__)
 
 
 def test_no_module_imports_another_modules_private_name():
