@@ -834,7 +834,7 @@ def test_generate_then_compose_round_trip(tmp_path, capsys):
     assert 0.0 < report["primary"]["score"] <= 1.0
 
 
-def test_bench_csv_header_and_field_count(capsys):
+def test_bench_csv_shape(capsys):
     argv = ["bench", "--grid", "2,3x2", "--reps", "2", "--seed", "5"]
     assert main(argv) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -850,6 +850,18 @@ def test_bench_csv_header_and_field_count(capsys):
         assert len(cells) == 13
         assert int(cells[2]) == 2
         assert all(float(c) >= 0.0 for c in cells[3:])
+
+
+def test_bench_classification_column(capsys):
+    # classification is measured at every grid point, so its column needs no flag
+    argv = ["bench", "--grid", "2x2", "--reps", "1"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0].endswith(",classification_ms")
+    assert len(lines) == 2
+    cells = lines[1].split(",")
+    assert len(cells) == len(lines[0].split(","))
+    assert float(cells[-1]) > 0.0
 
 
 def test_run_bench_returns_all_grid_points():
