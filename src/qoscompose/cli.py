@@ -115,7 +115,7 @@ def cmd_replace(args: argparse.Namespace) -> int:
     graph, composite, _ = compose_with_graph(request, plan, registry, taxonomy, config)
     if saved is not None:
         for task, service_id in saved.assignment.items():
-            if service_id not in graph.entries.get(task, {}):
+            if task not in graph.preds or service_id not in graph.by_utility(task):
                 raise NotSelectedService(
                     f"saved composite assigns {service_id!r} to {task!r}, which the "
                     f"current inputs cannot produce"

@@ -4,8 +4,8 @@ Tasks are processed in topological order. Source-task queues rank candidates
 by utility alone; every later queue ranks them by final utility
 F = U * q(link), where q is the mean semantic quality of the links coming in
 from the already-selected predecessor services. The composite is the chain of
-queue heads; a one-swap variant and an availability-replacement rule reuse
-the same queues.
+queue heads; a one-swap variant reads each queue's runner-up, and an
+availability-replacement rule rescores one task's queue candidates.
 """
 
 from __future__ import annotations
@@ -97,8 +97,9 @@ class QueueEntry:
 
 @dataclass
 class SearchGraph:
-    """One selection: each queue's head and runner-up, and what the full queues
-    are built from on first read. `compose_with_graph` shares it among the
+    """One selection: each queue's head and runner-up, and what the rest is built
+    from, a task at a time, on first read; replacement and reports read a task's
+    utility index, not its queue. `compose_with_graph` shares it among the
     requests of one training signature; nothing it holds may be mutated."""
 
     # order, preds and succs are the plan's own, read-only
@@ -107,10 +108,12 @@ class SearchGraph:
     succs: dict[str, list[str]]
     taxonomy: Taxonomy
     services: dict[str, "RegistryRecord"]
-    # makes task -> eligible services for the first queue read, then is dropped
-    rank: Callable[[], dict[str, list[ScoredService]]] | None
+    # task -> its eligible services, in record order
+    rank: Callable[[str], list[ScoredService]]
     # task -> the first two entries of its queue (or its only one), head first
     heads: dict[str, list[QueueEntry]]
+    # task -> service id -> utility, for the tasks `by_utility` has read
+    index: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def _scored(
         self, task: str, eligible: list[ScoredService]
@@ -130,30 +133,28 @@ class SearchGraph:
 
     @cached_property
     def queues(self) -> dict[str, list[QueueEntry]]:
-        """task -> entries sorted by final utility desc, service_id asc; the last
-        caller of `rank`, so it lets it go."""
-        eligible = self.rank()
+        """task -> entries sorted by final utility desc, service_id asc."""
         queues = {}
         for task in self.order:
-            rows = sorted(self._scored(task, eligible[task]))
+            rows = sorted(self._scored(task, self.rank(task)))
             queues[task] = [QueueEntry(s, u, -f, q) for f, s, u, q in rows]
-        self.rank = None
         return queues
 
-    @cached_property
-    def entries(self) -> dict[str, dict[str, QueueEntry]]:
-        """task -> service_id -> its queue entry, by utility desc, service_id asc."""
-        return {
-            task: {e.service_id: e for e in sorted(q, key=lambda e: (-e.utility, e.service_id))}
-            for task, q in self.queues.items()
-        }
+    def by_utility(self, task: str) -> dict[str, float]:
+        """Service id -> utility of each candidate in `task`'s queue, by utility
+        desc, service_id asc; built on the task's first read and kept in `index`."""
+        index = self.index.get(task)
+        if index is None:
+            rows = sorted((-u, s, u) for _, s, u, _ in self._scored(task, self.rank(task)))
+            index = self.index[task] = {s: u for _, s, u in rows}
+        return index
 
-    def entry(self, task: str, service_id: str) -> QueueEntry:
-        """A service's queue entry; only a service outside the heads reads `entries`."""
+    def utility(self, task: str, service_id: str) -> float:
+        """A service's utility; only a service outside the heads reads `by_utility`."""
         for head in self.heads[task]:
             if head.service_id == service_id:
-                return head
-        return self.entries[task][service_id]
+                return head.utility
+        return self.by_utility(task)[service_id]
 
 
 @dataclass
@@ -205,11 +206,11 @@ def build_search_graph(
 ) -> tuple[SearchGraph, CompositeService]:
     """One greedy pass in topological order; returns the graph and its head composite.
 
-    Each task keeps its queue's first two entries; the queues are built on first read.
+    Each task keeps its queue's first two entries; the rest is built on first read.
     A NaN utility has no rank, so it is refused with InvalidValue.
     """
     graph = SearchGraph(plan.order, plan.preds, plan.succs, taxonomy, registry.services,
-                        lambda: eligible_per_task, {})
+                        eligible_per_task.__getitem__, {})
     for task in plan.order:
         candidates = eligible_per_task.get(task, [])
         if not candidates:
@@ -266,7 +267,7 @@ def first_alternative(
             q = _side(graph, neighbours, True)[graph.services[chosen[succ]].inputs]
             if q is None:
                 break
-            new_finals[succ] = graph.entry(succ, chosen[succ]).utility * q
+            new_finals[succ] = graph.utility(succ, chosen[succ]) * q
             new_links[succ] = q
         else:
             score = prefix[position]
@@ -297,9 +298,9 @@ def replace_unavailable(
     q = mean(prev-side mean, next-side mean); a boundary node keeps its single
     side and an isolated node falls back to q = 1. Every neighbor's selection
     stays fixed, so the prev side is probed once per distinct input interface
-    and the next side once per distinct output interface. No rescored queue
-    is built: the head is the least (-F, service id) row. Candidates are
-    visited by utility, highest first, and the scan stops at the first whose
+    and the next side once per distinct output interface. No queue is built:
+    the head is the least (-F, service id) row. Candidates are visited in the
+    task's `by_utility` index, highest first, and the scan stops at the first whose
     U is below a positive best F so far. That stop is exact: q is a mean of
     `MATCH_QUALITY` values, so 0 < q <= 1 and F <= max(U, 0) under rounding.
     It is strict, since a candidate with U equal to the best F and q = 1 ties
@@ -325,12 +326,12 @@ def replace_unavailable(
     if succs:
         sides.append((_side(graph, [selected[succ] for succ in succs], False), "outputs"))
     best = None  # the least (-F, service id, q) so far heads the rescored queue
-    for entry in graph.entries[task].values():
-        if best is not None and entry.utility < -best[0] > 0:  # F <= max(U, 0) < best F
+    for candidate, utility in graph.by_utility(task).items():
+        if best is not None and utility < -best[0] > 0:  # F <= max(U, 0) < best F
             break
-        if entry.service_id == service_id:
+        if candidate == service_id:
             continue
-        record, total = services[entry.service_id], 0.0
+        record, total = services[candidate], 0.0
         for side, key in sides:
             q = side[getattr(record, key)]
             if q is None:
@@ -338,7 +339,7 @@ def replace_unavailable(
             total += q
         else:
             q = total / len(sides) if sides else 1.0
-            row = (-entry.utility * q, entry.service_id, q)
+            row = (-utility * q, candidate, q)
             if best is None or row < best:
                 best = row
     if best is None:
@@ -386,8 +387,8 @@ def compose_with_graph(
     used. An entry is a hit only for the plan and taxonomy objects it was
     built with; any other pair recomputes and overwrites it. Validation (until
     an entry holds the pair) and the signature's checks run first, so a
-    refusal is never stored. The graph is shared by every hit and re-ranks on
-    its first queue read, keeping no eligible list; the composites are new.
+    refusal is never stored. The graph is shared by every hit and re-ranks a task
+    on its first read past the heads, keeping no eligible list; composites are new.
     """
     # an entry is stored only after its plan and taxonomy passed validation
     # against this registry, so while one is held the triple is valid
@@ -400,7 +401,7 @@ def compose_with_graph(
     if entry is None or entry[0] is not plan or entry[1] is not taxonomy:
         rank = signature_ranker(signature, registry, config)
         with stage("classification"):
-            eligible = rank()
+            eligible = {task: rank(task) for task in registry.level_bases(config.bins)}
         with stage("selection"):
             graph, primary = build_search_graph(plan, eligible, taxonomy, registry)
         graph.rank = rank
@@ -431,7 +432,6 @@ def composite_report(graph: SearchGraph, composite: CompositeService) -> dict:
     tasks, taxonomy, services = [], graph.taxonomy, graph.services
     for task in graph.order:
         service_id = composite.assignment[task]
-        entry = graph.entry(task, service_id)
         links = []
         for pred in graph.preds[task]:
             from_service = composite.assignment[pred]
@@ -454,7 +454,7 @@ def composite_report(graph: SearchGraph, composite: CompositeService) -> dict:
             {
                 "task": task,
                 "service": service_id,
-                "utility": entry.utility,
+                "utility": graph.utility(task, service_id),
                 "link_quality": composite.link_qualities[task],
                 "final_utility": composite.final_utilities[task],
                 "links": links,

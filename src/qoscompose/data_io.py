@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cba import Classifier, MiningConfig, render_items
+from .cba import Classifier, MiningConfig, discretize, render_items
 from .composer import CompositeService, CompositionPlan
 from .errors import (
     EmptyRegistry,
@@ -23,12 +23,12 @@ from .errors import (
     UnknownAttribute,
     UnknownConcept,
 )
-from .leveling import Basis, LevelScheme, UserRequest, default_scheme, level_basis
+from .leveling import Basis, LevelScheme, UserRequest, default_scheme
 from .ontology import Taxonomy
-from .qos import AttributeExtremes, Polarity, QoSAttribute, compute_extremes
+from .qos import AttributeExtremes, Polarity, QoSAttribute, compute_extremes, scale_column
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegistryRecord:
     service_id: str
     task_id: str
@@ -64,8 +64,10 @@ class Registry:
         return {}
 
     def level_bases(self, bins: int) -> dict[str, Basis]:
-        """Each task's `level_basis` against its own extremes, kept per `bins`: one
-        sweep over the records in record order, keeping no scaled vector."""
+        """Each task's service ids, level codes and mean scaled values against its
+        own extremes, as three columns in record order, kept per `bins`. A code is
+        the labels as a base-`bins` number, first attribute most significant: its
+        row in the level table. Built a `scale_column` at a time, keeping no vector."""
         bases = self._bases.get(bins)
         if bases is None:
             schema = self.schema
@@ -77,10 +79,18 @@ class Registry:
                         f"candidate {rec.service_id!r} does not match the declared schema"
                     )
                 by_task.setdefault(rec.task_id, []).append(rec)
-            bases = self._bases[bins] = {
-                task: level_basis(recs, compute_extremes(recs), schema, bins)
-                for task, recs in by_task.items()
-            }
+            bases = {}
+            for task, recs in by_task.items():
+                extremes = compute_extremes(recs)
+                codes, totals = [0] * len(recs), [0.0] * len(recs)
+                for attr in schema:
+                    column = scale_column(recs, attr, extremes, schema)
+                    codes = [code * bins + discretize(v, bins) for code, v in zip(codes, column)]
+                    # added left to right, as `leveling._mean` adds
+                    totals = [total + v for total, v in zip(totals, column)]
+                ids = [rec.service_id for rec in recs]
+                bases[task] = ids, codes, [total / len(schema) for total in totals]
+            self._bases[bins] = bases
         return bases
 
     @cached_property

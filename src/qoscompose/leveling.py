@@ -22,11 +22,11 @@ from .errors import (
     UnknownAttribute, ValueOutOfRange, stage,
 )
 from .qos import (
-    AttributeExtremes, QoSAttribute, QoSVector, check_spread, scale, scale_values,
+    AttributeExtremes, QoSAttribute, QoSVector, check_spread, scale,
 )
 
 if TYPE_CHECKING:
-    from .data_io import EngineConfig, Registry, RegistryRecord
+    from .data_io import EngineConfig, Registry
 
 # Largest training set synthesize_training_set builds: 8 attributes at 4 bins.
 # It holds bins ** attributes rows and mining cost grows with it, so a larger
@@ -230,38 +230,13 @@ def score_candidates(
         if items not in level_of:
             level_of[items] = int(predict(classifier, items))
         levels.append(level_of[items])
-    return score_basis(
-        [(cand.service_id, i, _mean(cand)) for i, cand in enumerate(candidates)], levels, scheme
-    )
+    ids, means = [c.service_id for c in candidates], [_mean(c) for c in candidates]
+    return score_basis((ids, range(len(ids)), means), levels, scheme)
 
 
-# One task's leveling inputs: per candidate its service id, its row in the
-# level table and its mean scaled value.
-Basis = list[tuple[str, int, float]]
-
-
-def level_basis(
-    candidates: list["RegistryRecord"],
-    extremes: AttributeExtremes,
-    schema: list[QoSAttribute],
-    bins: int,
-) -> Basis:
-    """The request-independent half of `score_candidates`, from one task's raw records.
-
-    One walk over each candidate's `scale_values` against `extremes` gives its
-    code and its mean; no scaled vector is kept. The code is its labels read
-    as a base-`bins` number, first attribute most significant: its row in
-    `_training_rows`. A value outside its extremes raises OutOfRangeValue.
-    """
-    rows = []
-    for cand in candidates:
-        code, total = 0, 0.0
-        # added left to right, as `_mean` adds
-        for value in scale_values(cand, extremes, schema).values():
-            code = code * bins + discretize(value, bins)
-            total += value
-        rows.append((cand.service_id, code, total / len(schema)))
-    return rows
+# One task's leveling inputs as three columns, one entry per candidate: its
+# service id, its row in the level table and its mean scaled value.
+Basis = tuple[Sequence[str], Sequence[int], Sequence[float]]
 
 
 def score_basis(
@@ -269,13 +244,13 @@ def score_basis(
 ) -> list[ScoredService]:
     """The request-dependent half of `score_candidates`: levels and utilities.
 
-    Row i's level is `levels[code]` for its code, range-checked in row order,
-    so the first out-of-range candidate is named. A utility is the level's
-    coefficient times the mean scaled value.
+    Candidate i's level is `levels[code]` for its code, range-checked in
+    candidate order, so the first out-of-range candidate is named. A utility
+    is the level's coefficient times the mean scaled value.
     """
     n_levels, coefficients = scheme.n_levels, scheme.coefficients
     scored: list[ScoredService] = []
-    for service_id, code, mean in basis:
+    for service_id, code, mean in zip(*basis):
         level = levels[code]
         if not 1 <= level <= n_levels:
             raise LevelOutOfRange(f"level {level} outside 1..{n_levels} for {service_id!r}")
@@ -305,7 +280,7 @@ def _trained(signature: TrainingSignature, mining: MiningConfig) -> tuple[int, .
     row order; shared by every request that has the signature.
 
     The rows are every label combination, so a registry candidate's level is
-    the entry at its `level_basis` code. Process-wide rather than on the
+    the entry at its code in `Registry.level_bases`. Process-wide rather than on the
     registry, so a reloaded registry still hits.
     """
     rows = _training_rows(signature)
@@ -329,23 +304,20 @@ def request_signature(
 
 def signature_ranker(
     signature: TrainingSignature, registry: "Registry", config: "EngineConfig"
-) -> Callable[[], dict[str, list[ScoredService]]]:
+) -> Callable[[str], list[ScoredService]]:
     """`rank_candidates` for a request whose `request_signature` is `signature`,
-    up to the classification it returns.
+    up to the classification it returns, one task at a time.
 
     Training and scaling run now. The returned function levels and filters
-    every task's candidates, equal on every call; it holds the signature's
-    level table and the registry's bases, not the registry.
+    one task's candidates, in record order, equal on every call; it holds the
+    signature's level table and the registry's bases, not the registry.
     """
     with stage("training"):
         levels = _trained(signature, config.mining)
     with stage("scaling"):
         bases = registry.level_bases(config.bins)
     scheme, threshold = config.scheme, config.threshold
-    return lambda: {
-        task: filter_eligible(score_basis(basis, levels, scheme), threshold)
-        for task, basis in bases.items()
-    }
+    return lambda task: filter_eligible(score_basis(bases[task], levels, scheme), threshold)
 
 
 def rank_candidates(
@@ -361,4 +333,4 @@ def rank_candidates(
     """
     rank = signature_ranker(request_signature(request, registry, config), registry, config)
     with stage("classification"):
-        return rank()
+        return {task: rank(task) for task in registry.level_bases(config.bins)}

@@ -39,7 +39,7 @@ from qoscompose.cba import (
 )
 from qoscompose.data_io import default_config, default_request, generate_synthetic
 from qoscompose.leveling import (
-    _training_rows, filter_eligible, level_basis, score_candidates, synthesize_training_set,
+    _training_rows, filter_eligible, score_candidates, synthesize_training_set,
 )
 from qoscompose.qos import QoSVector, compute_extremes, normalize
 from qoscompose.errors import (
@@ -486,9 +486,9 @@ def test_heads_are_the_first_two_entries_of_the_queues_built_on_first_read():
             assert composite.assignment[task] == queue[0].service_id
             rows = [(e.service_id, e.utility, e.final_utility, e.link_quality) for e in queue]
             assert rows == ref.queues[task], (inst, task)
-            assert graph.entries[task] == {e.service_id: e for e in queue}
             by_utility = sorted(queue, key=lambda e: (-e.utility, e.service_id))
-            assert list(graph.entries[task].values()) == by_utility
+            index = graph.by_utility(task)
+            assert list(index.items()) == [(e.service_id, e.utility) for e in by_utility]
             finals = [e.final_utility for e in queue[:3]]  # a tie the heads meet
             inputs = [inst.interfaces[e.service_id][0] for e in queue]
             seen["tied"] += len(set(finals)) < len(finals)
@@ -518,7 +518,7 @@ def assert_alternative_links(graph, primary, alt):
         else:
             want = primary.link_qualities[task]
         assert alt.link_qualities[task] == want, task
-        utility = graph.entries[task][alt.assignment[task]].utility
+        utility = graph.by_utility(task)[alt.assignment[task]]
         assert alt.final_utilities[task] == utility * want, task
     assert alt.link_qualities.keys() == primary.link_qualities.keys()
 
@@ -758,24 +758,24 @@ STOP_TAX = RefTaxonomy({"A", "B", "C"}, {("B", "A"), ("C", "A")}, set(), {("B", 
 
 
 class ReadLog(dict):
-    """A task's `entries` view whose `values()` records the service id of every
-    entry it hands out."""
+    """A task's utility index whose `items()` records the service id of every
+    pair it hands out."""
 
-    def __init__(self, entries, read):
-        super().__init__(entries)
+    def __init__(self, index, read):
+        super().__init__(index)
         self.read = read
 
-    def values(self):
-        for entry in super().values():
-            self.read.append(entry.service_id)
-            yield entry
+    def items(self):
+        for service_id, utility in super().items():
+            self.read.append(service_id)
+            yield service_id, utility
 
 
 def log_reads(graph):
-    """Route every task's utility-ordered entries through a ReadLog; returns the log."""
+    """Route every task's utility index through a ReadLog; returns the log."""
     read = []
     for task in graph.order:
-        graph.entries[task] = ReadLog(graph.entries[task], read)
+        graph.index[task] = ReadLog(graph.by_utility(task), read)
     return read
 
 
@@ -976,12 +976,9 @@ def composed(request, plan, registry, taxonomy, config):
     return primary, alternative, reports
 
 
-def assert_matches_oracle(
-    request, plan, registry, taxonomy, config, primary, alternative, eligible=None
-):
-    if eligible is None:
-        eligible = rank_candidates(request, registry, config)
-    inst = RefInstance(
+def oracle_instance(plan, registry, taxonomy, eligible):
+    """The reference's view of one compose from its engine inputs."""
+    return RefInstance(
         tasks=sorted(plan.tasks),
         edges=sorted(plan.edges),
         candidates={
@@ -996,6 +993,14 @@ def assert_matches_oracle(
             set(taxonomy.disjointness),
         ),
     )
+
+
+def assert_matches_oracle(
+    request, plan, registry, taxonomy, config, primary, alternative, eligible=None
+):
+    if eligible is None:
+        eligible = rank_candidates(request, registry, config)
+    inst = oracle_instance(plan, registry, taxonomy, eligible)
     ref = ref_select(inst)
     assert ref.error is None
     assert (primary.assignment, primary.final_utilities, primary.score) == (
@@ -1055,16 +1060,18 @@ def test_failed_scaling_repeats_its_error_and_caches_no_scaling():
 
 
 def test_a_composed_registry_keeps_only_the_listed_values_and_no_scaled_vector():
-    """README's `Registry` members, and nothing else: a basis row is a service id,
-    a level code and a mean, with no scaled vector behind it."""
+    """README's `Registry` members, and nothing else: a basis is three columns of
+    service ids, level codes and means, with no scaled vector behind them."""
     plan, registry, taxonomy, config, requests = fixture_inputs()
     compose_with_graph(requests[0], plan, registry, taxonomy, config)
     derived = vars(registry).keys() - {"schema", "records"}
     assert derived == {"envelope", "services", "_bases", "compose_memo"}
     assert registry._bases.keys() == {config.bins}
-    rows = [row for basis in registry._bases[config.bins].values() for row in basis]
-    assert len(rows) == len(registry.records)
-    assert all(list(map(type, row)) == [str, int, float] for row in rows)
+    bases = registry._bases[config.bins].values()
+    assert sum(len(ids) for ids, _, _ in bases) == len(registry.records)
+    for ids, codes, means in bases:
+        assert len(ids) == len(codes) == len(means)
+        assert [set(map(type, c)) for c in (ids, codes, means)] == [{str}, {int}, {float}]
 
 
 def test_registry_validation_reports_the_first_fault_in_record_order():
@@ -1301,7 +1308,7 @@ def test_compose_and_its_reports_build_no_queue(fan_in):
     graph, primary, alternative = compose_with_graph(request, plan, registry, taxonomy, config)
     assert alternative is not None
     reports = [composite_report(graph, c) for c in (primary, alternative)]
-    assert "queues" not in vars(graph) and "entries" not in vars(graph)
+    assert "queues" not in vars(graph) and not graph.index
     # a fresh build over fresh inputs, read in full
     plan, registry, taxonomy = dag_inputs(41 + fan_in, fan_in)
     eligible = rank_candidates(request, registry, config)
@@ -1310,11 +1317,36 @@ def test_compose_and_its_reports_build_no_queue(fan_in):
     assert graph.queues == fresh.queues
     assert type(graph.queues) is dict and graph.queues is graph.queues
     assert [composite_report(graph, c) for c in (primary, alternative)] == reports
-    assert "entries" not in vars(graph)
-    # a service outside the heads is looked up in the index, built on that read
+    assert not graph.index
+    # a service outside the heads is looked up in its task's index, built on that read
     task = next(t for t in graph.order if len(graph.queues[t]) >= 3)
     third = graph.queues[task][2]
-    assert graph.entry(task, third.service_id) is graph.entries[task][third.service_id]
+    assert graph.utility(task, third.service_id) == third.utility
+    assert graph.index.keys() == {task}
+
+
+@pytest.mark.parametrize("fan_in", [1, 2])
+def test_replacement_and_its_report_build_no_queue(fan_in):
+    """Only the replaced task's utility index is built; the queues read later
+    still equal the reference's."""
+    plan, registry, taxonomy = dag_inputs(43 + fan_in, fan_in)
+    config = dc_replace(default_config(), threshold=0.0)
+    request = default_request(registry.schema)
+    graph, primary, _ = compose_with_graph(request, plan, registry, taxonomy, config)
+    task = next(t for t in graph.order if graph.preds[t] and graph.succs[t])
+    replaced = replace_unavailable(
+        graph, primary, (task, primary.assignment[task]), taxonomy, registry
+    )
+    composite_report(graph, replaced)
+    assert "queues" not in vars(graph)
+    assert graph.index.keys() == {task}
+    ref = ref_select(oracle_instance(plan, registry, taxonomy,
+                                     rank_candidates(request, registry, config)))
+    rows = {
+        t: [(e.service_id, e.utility, e.final_utility, e.link_quality) for e in q]
+        for t, q in graph.queues.items()
+    }
+    assert rows == ref.queues
 
 
 # --------------------------------------- one leveling basis for every scheme
@@ -1419,10 +1451,16 @@ def test_trained_levels_equal_predict_at_each_candidates_level_code():
             })
             for i, combo in enumerate(combos)
         ]
-        # unit extremes of positive attributes: `scale` is the identity
+        # two more candidates at 0 and 1 make unit extremes of positive
+        # attributes, under which `scale` is the identity
         schema = [QoSAttribute(name, Polarity.POSITIVE) for name in names]
-        basis = level_basis(candidates, {name: (0.0, 1.0) for name in names}, schema, bins)
-        for combo, (_, code, _) in zip(combos, basis):
+        records = [
+            RegistryRecord(cand.service_id, "t", cand.values, (), ())
+            for cand in candidates + [QoSVector("lo", dict.fromkeys(names, 0.0)),
+                                      QoSVector("hi", dict.fromkeys(names, 1.0))]
+        ]
+        _, codes, _ = Registry(schema, records).level_bases(bins)["t"]
+        for combo, code in zip(combos, codes):
             items = frozenset(Item(name, str(label)) for name, label in zip(names, combo))
             assert rows[code].items == items, trial
             assert levels[code] == int(predict(want, items)), trial

@@ -77,6 +77,25 @@ def test_registry_round_trip(tmp_path):
     assert header == "service_id,task_id,latency:-,uptime:+,inputs,outputs"
 
 
+def test_a_registry_record_is_slotted_and_otherwise_unchanged(tmp_path):
+    record = RECORDS[0]
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(TypeError):
+        vars(record)
+    with pytest.raises(AttributeError):
+        record.task_id = "t2"
+    moved = replace(record, task_id="t2")
+    assert moved == RegistryRecord("svc_a", "t2", record.values, ("In",), ("Out", "Aux"))
+    assert moved != record and replace(moved, task_id="t1") == record
+    assert repr(RECORDS[1]) == (
+        "RegistryRecord(service_id='svc_b', task_id='t1', values={'latency': 1e-09, "
+        "'uptime': 7.0}, inputs=(), outputs=('Out',))"
+    )
+    path = tmp_path / "registry.csv"
+    save_registry(Registry(SCHEMA, RECORDS), str(path))
+    assert load_registry(str(path)).records == RECORDS
+
+
 def test_registry_row_errors(tmp_path):
     header = "service_id,task_id,latency:-,inputs,outputs\n"
     cases = [

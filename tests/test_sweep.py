@@ -1,10 +1,12 @@
-"""The registry's one sweep against the route it replaced, bit for bit.
+"""The registry's column sweep against the routes it replaced, bit for bit.
 
-The old route copied every record into a `QoSVector`, took `compute_extremes`
-over all of them for the envelope and over each task's for its scaling, ran
-`normalize` on every candidate and kept the scaled vectors, then walked each
-task's vectors for its level codes and means. The sweep keeps only each
-candidate's (service id, code, mean).
+The oldest route copied every record into a `QoSVector`, took
+`compute_extremes` over all of them for the envelope and over each task's for
+its scaling, ran `normalize` on every candidate and kept the scaled vectors,
+then walked each task's vectors for its level codes and means. The row route
+after it walked each record through `scale_values` once, for one
+(service id, code, mean) row a candidate. The sweep scales one attribute
+column at a time and keeps three columns: service ids, codes and means.
 """
 
 import struct
@@ -15,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 from qoscompose import (
     Polarity, QoSAttribute, QoSVector, Registry, RegistryRecord, compute_extremes, normalize,
 )
-from qoscompose.errors import EngineError, OutOfRangeValue
+from qoscompose.errors import EngineError, OutOfRangeValue, SchemaMismatch
 from qoscompose.cba import discretize
+from qoscompose.qos import scale_values
 
 NAN = float("nan")
 
@@ -95,8 +98,42 @@ def old_route(registry, bins):
     return envelope, outcome(bases)
 
 
+def row_level_basis(candidates, extremes, schema, bins):
+    """The row route's `level_basis`: one walk over each candidate's `scale_values`."""
+    rows = []
+    for cand in candidates:
+        code, total = 0, 0.0
+        for value in scale_values(cand, extremes, schema).values():
+            code = code * bins + discretize(value, bins)
+            total += value
+        rows.append((cand.service_id, code, total / len(schema)))
+    return rows
+
+
+def row_route(registry, bins):
+    """The row route's `Registry.level_bases`, one sweep in record order."""
+    names = {attr.name for attr in registry.schema}
+    by_task = {}
+    for rec in registry.records:
+        if rec.values.keys() != names:
+            raise SchemaMismatch(
+                f"candidate {rec.service_id!r} does not match the declared schema"
+            )
+        by_task.setdefault(rec.task_id, []).append(rec)
+    return {
+        task: row_level_basis(recs, compute_extremes(recs), registry.schema, bins)
+        for task, recs in by_task.items()
+    }
+
+
 def new_route(registry, bins):
-    return outcome(lambda: registry.envelope), outcome(lambda: registry.level_bases(bins))
+    """The envelope and the column bases, each task's columns read back as rows."""
+    def rows():
+        return {task: list(zip(*basis)) for task, basis in registry.level_bases(bins).items()}
+
+    got = outcome(lambda: registry.envelope), outcome(rows)
+    assert got[1] == outcome(lambda: row_route(registry, bins))
+    return got
 
 
 # ties, signed zeros, both float ends (whose spread overflows to inf, which
@@ -157,3 +194,18 @@ def test_a_nan_anywhere_in_a_task_fails_its_scaling_as_before(position, polarity
     assert got[1][:2] == ("error", OutOfRangeValue)
     # the NaN is not the registry's first value, so the envelope skips it
     assert registry.envelope["a"] == (min(v for v in column if v == v), 7.0)
+
+
+def test_an_out_of_range_value_names_the_first_record_then_the_first_attribute():
+    """s1 holds a NaN in the second attribute and s2 in the first: the first
+    column scaled meets s2's, yet the error names s1, as the row walk did."""
+    schema = [QoSAttribute("a", Polarity.POSITIVE), QoSAttribute("b", Polarity.NEGATIVE)]
+    records = [
+        RegistryRecord("s0", "t", {"a": 1.0, "b": 2.0}, (), ()),
+        RegistryRecord("s1", "t", {"a": 3.0, "b": NAN}, (), ()),
+        RegistryRecord("s2", "t", {"a": NAN, "b": 4.0}, (), ()),
+    ]
+    registry = Registry(schema, records)
+    got = new_route(registry, 4)
+    assert got == old_route(Registry(schema, records), 4)
+    assert got[1] == ("error", OutOfRangeValue, "b=nan of 's1' outside extremes (2.0, 4.0)")
