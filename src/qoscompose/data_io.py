@@ -10,22 +10,21 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
-from .cba import Classifier, MiningConfig, discretize, render_items
+from .cba import Classifier, MiningConfig, render_items
 from .composer import CompositeService, CompositionPlan
 from .errors import (
     EmptyRegistry,
     InvalidValue,
     NonFiniteValue,
     ParseError,
-    SchemaMismatch,
     UnknownAttribute,
     UnknownConcept,
 )
-from .leveling import Basis, LevelScheme, UserRequest, default_scheme
-from .ontology import Taxonomy
-from .qos import AttributeExtremes, Polarity, QoSAttribute, compute_extremes, scale_column
+from .leveling import Basis, LevelScheme, UserRequest, default_scheme, level_bases
+from .ontology import Memo, Taxonomy
+from .qos import AttributeExtremes, Polarity, QoSAttribute, compute_extremes
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,38 +59,13 @@ class Registry:
         return compute_extremes(self.records)
 
     @cached_property
-    def _bases(self) -> dict[int, dict[str, Basis]]:
-        return {}
+    def _bases(self) -> Memo:
+        # a partial, not a bound method, so the memo forms no cycle with the registry
+        return Memo(partial(level_bases, self.schema, self.records))
 
     def level_bases(self, bins: int) -> dict[str, Basis]:
-        """Each task's service ids, level codes and mean scaled values against its
-        own extremes, as three columns in record order, kept per `bins`. A code is
-        the labels as a base-`bins` number, first attribute most significant: its
-        row in the level table. Built a `scale_column` at a time, keeping no vector."""
-        bases = self._bases.get(bins)
-        if bases is None:
-            schema = self.schema
-            names = {attr.name for attr in schema}
-            by_task: dict[str, list[RegistryRecord]] = {}
-            for rec in self.records:
-                if rec.values.keys() != names:
-                    raise SchemaMismatch(
-                        f"candidate {rec.service_id!r} does not match the declared schema"
-                    )
-                by_task.setdefault(rec.task_id, []).append(rec)
-            bases = {}
-            for task, recs in by_task.items():
-                extremes = compute_extremes(recs)
-                codes, totals = [0] * len(recs), [0.0] * len(recs)
-                for attr in schema:
-                    column = scale_column(recs, attr, extremes, schema)
-                    codes = [code * bins + discretize(v, bins) for code, v in zip(codes, column)]
-                    # added left to right, as `leveling._mean` adds
-                    totals = [total + v for total, v in zip(totals, column)]
-                ids = [rec.service_id for rec in recs]
-                bases[task] = ids, codes, [total / len(schema) for total in totals]
-            self._bases[bins] = bases
-        return bases
+        """`leveling.level_bases` of the records, kept per `bins`; a failed sweep keeps nothing."""
+        return self._bases[bins]
 
     @cached_property
     def compose_memo(self) -> dict[tuple, tuple]:

@@ -22,11 +22,12 @@ from .errors import (
     UnknownAttribute, ValueOutOfRange, stage,
 )
 from .qos import (
-    AttributeExtremes, QoSAttribute, QoSVector, check_spread, scale,
+    AttributeExtremes, QoSAttribute, QoSVector, check_spread, compute_extremes, scale,
+    scale_values,
 )
 
 if TYPE_CHECKING:
-    from .data_io import EngineConfig, Registry
+    from .data_io import EngineConfig, Registry, RegistryRecord
 
 # Largest training set synthesize_training_set builds: 8 attributes at 4 bins.
 # It holds bins ** attributes rows and mining cost grows with it, so a larger
@@ -90,25 +91,17 @@ class ScoredService:
 
 
 def _demand_floor_label(
-    request: UserRequest,
-    extremes: AttributeExtremes,
-    schema: list[QoSAttribute],
-    bins: int,
-    name: str,
+    request: UserRequest, extremes: AttributeExtremes, bins: int, attr: QoSAttribute
 ) -> int:
     """Label of the weakest value still inside the requested range."""
-    attr = next(a for a in schema if a.name == name)
-    lo_raw, hi_raw = request.ranges[name]
-    lo, hi = extremes[name]
-    check_spread(name, lo, hi)
-    ends = (
-        scale(lo_raw, lo, hi, attr.polarity),
-        scale(hi_raw, lo, hi, attr.polarity),
-    )
+    lo_raw, hi_raw = request.ranges[attr.name]
+    lo, hi = extremes[attr.name]
+    check_spread(attr.name, lo, hi)
+    ends = scale(lo_raw, lo, hi, attr.polarity), scale(hi_raw, lo, hi, attr.polarity)
     floor_norm, ceil_norm = min(ends), max(ends)
     if ceil_norm < 0.0 or floor_norm > 1.0:
         raise DegenerateRequest(
-            f"requested range for {name!r} lies outside the observed value space"
+            f"requested range for {attr.name!r} lies outside the observed value space"
         )
     return discretize(min(max(floor_norm, 0.0), 1.0), bins)
 
@@ -138,7 +131,11 @@ def _training_signature(
     names = [a.name for a in schema]
     if not names:
         raise EmptyTrainingSet("cannot synthesize training rows from a schema with no attribute")
-    known = set(names)
+    known: set[str] = set()
+    for name in names:
+        if name in known:
+            raise SchemaMismatch(f"schema names attribute {name!r} more than once")
+        known.add(name)
     extra = request.ranges.keys() - known
     if extra:
         raise UnknownAttribute(
@@ -154,9 +151,7 @@ def _training_signature(
             f"{bins} bins over {len(names)} attributes synthesize {rows} training "
             f"rows, more than the limit of {MAX_TRAINING_ROWS}"
         )
-    floors = tuple(
-        _demand_floor_label(request, extremes, schema, bins, name) for name in names
-    )
+    floors = tuple(_demand_floor_label(request, extremes, bins, attr) for attr in schema)
     return tuple(names), floors, bins, scheme.n_levels
 
 
@@ -179,6 +174,41 @@ def _training_rows(signature: TrainingSignature) -> list[TrainingInstance]:
     return data
 
 
+# One task's leveling inputs as three columns, one entry per candidate: its
+# service id, its row in the level table and its mean scaled value.
+Basis = tuple[Sequence[str], Sequence[int], Sequence[float]]
+
+
+def level_bases(
+    schema: list[QoSAttribute], records: Sequence["RegistryRecord"], bins: int
+) -> dict[str, Basis]:
+    """Each task's basis against its own extremes, in record order, from one walk over
+    its records through `scale_values`. A code reads the labels as a base-`bins`
+    number, first attribute most significant: its row in `_training_rows`' product
+    order. Means add left to right, as `_mean` does. A record off the schema is
+    refused first; then, per task, `compute_extremes`, and then the first record
+    holding a value outside its extremes, at its first such attribute."""
+    names = {attr.name for attr in schema}
+    by_task: dict[str, list[RegistryRecord]] = {}
+    for rec in records:
+        if rec.values.keys() != names:
+            raise SchemaMismatch(f"candidate {rec.service_id!r} does not match the declared schema")
+        by_task.setdefault(rec.task_id, []).append(rec)
+    bases: dict[str, Basis] = {}
+    for task, recs in by_task.items():
+        extremes = compute_extremes(recs)
+        ids, codes, means = bases[task] = [], [], []
+        for rec in recs:
+            code, total = 0, 0.0
+            for value in scale_values(rec, extremes, schema).values():
+                code = code * bins + discretize(value, bins)
+                total += value
+            ids.append(rec.service_id)
+            codes.append(code)
+            means.append(total / len(schema))
+    return bases
+
+
 def synthesize_training_set(
     request: UserRequest,
     extremes: AttributeExtremes,
@@ -189,9 +219,10 @@ def synthesize_training_set(
     """Expert-style training rows: every label combination, classed by its worst attribute.
 
     Each (attribute, label) pair gets one `Item` and one shortfall level,
-    shared by every row that holds it. Raises UnknownAttribute when the
-    request names an attribute outside the schema, SchemaMismatch when it or
-    the extremes lack one, EmptyTrainingSet when the schema is empty,
+    shared by every row that holds it. Raises EmptyTrainingSet when the
+    schema is empty, SchemaMismatch when it repeats an attribute,
+    UnknownAttribute when the request names an attribute outside it,
+    SchemaMismatch when the request or the extremes lack one,
     ValueOutOfRange when the bins ** attributes rows would exceed
     MAX_TRAINING_ROWS, and, per attribute, OutOfRangeValue when its extremes
     spread wider than a float holds and DegenerateRequest when its requested
@@ -232,11 +263,6 @@ def score_candidates(
         levels.append(level_of[items])
     ids, means = [c.service_id for c in candidates], [_mean(c) for c in candidates]
     return score_basis((ids, range(len(ids)), means), levels, scheme)
-
-
-# One task's leveling inputs as three columns, one entry per candidate: its
-# service id, its row in the level table and its mean scaled value.
-Basis = tuple[Sequence[str], Sequence[int], Sequence[float]]
 
 
 def score_basis(

@@ -118,21 +118,6 @@ def scale_values(
     return out
 
 
-def scale_column(
-    candidates: Sequence[QoSVector], attr: QoSAttribute, extremes: AttributeExtremes,
-    schema: list[QoSAttribute],
-) -> list[float]:
-    """One attribute of every candidate through `scale`, in candidate order. A value
-    outside its (lo, hi), such as a NaN, raises what `scale_values` raises for the
-    first candidate holding one, whichever attribute's column meets it first."""
-    lo, hi = extremes[attr.name]
-    column = [cand.values[attr.name] for cand in candidates]
-    if not all(lo <= value <= hi for value in column):
-        for cand in candidates:
-            scale_values(cand, extremes, schema)  # raises at the first such value
-    return [scale(value, lo, hi, attr.polarity) for value in column]
-
-
 def normalize(
     candidate: QoSVector,
     extremes: AttributeExtremes,

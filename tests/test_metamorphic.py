@@ -3,18 +3,23 @@
 Reordering a registry's rows changes no value the engine compares, and
 multiplying one attribute's values and its requested range by a power of two
 changes every raw value but, being exact in binary floating point, no scaled
-value, label, utility or score.
+value, label, utility or score. Renaming every service id and concept through a
+map that keeps their sort order changes every string and its hash, but no
+comparison the engine makes, so the reports read back through the inverse map
+are the same bytes.
 """
 
 import json
 import random
+import re
 from dataclasses import replace as dc_replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qoscompose import (
-    Registry, RegistryRecord, UserRequest, composite_report, compose_with_graph,
-    replace_unavailable,
+    CompositionPlan, Polarity, QoSAttribute, Registry, RegistryRecord, Taxonomy, UserRequest,
+    composite_report, compose_with_graph, replace_unavailable,
 )
 from qoscompose.data_io import default_config, default_request, generate_synthetic
 from qoscompose.errors import EngineError
@@ -86,6 +91,57 @@ def test_one_attribute_times_a_power_of_two_gives_byte_identical_reports(workloa
     assert reports(scaled, plan, taxonomy, scaled_request, config, failed_at) == want
 
 
+def renamed(registry, plan, taxonomy, names):
+    """The inputs with each service id and concept `x` replaced by `names[x]`."""
+    def concepts(interface):
+        return tuple(names[c] for c in interface)
+
+    def pairs(edges):
+        return frozenset(concepts(edge) for edge in edges)
+
+    return (
+        Registry(registry.schema, [
+            RegistryRecord(names[rec.service_id], rec.task_id, rec.values,
+                           concepts(rec.inputs), concepts(rec.outputs))
+            for rec in registry.records
+        ]),
+        CompositionPlan(plan.tasks, plan.edges, {
+            edge: tuple(concepts(pair) for pair in declared)
+            for edge, declared in plan.link_pairs.items()
+        }),
+        Taxonomy(frozenset(names[c] for c in taxonomy.concepts), pairs(taxonomy.edges),
+                 pairs(taxonomy.equivalences), pairs(taxonomy.disjointness)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(workloads(), st.data())
+def test_order_keeping_renames_give_the_same_reports_mapped_back(workload, data):
+    """Each new name is `<letters>`, so the inverse map finds it in a report's
+    JSON text or in a refusal's text alike."""
+    registry, plan, taxonomy, request, config, failed_at = workload
+    old = sorted({rec.service_id for rec in registry.records} | taxonomy.concepts)
+    drawn = data.draw(st.lists(
+        st.text("abcd", min_size=1, max_size=6), min_size=len(old), max_size=len(old),
+        unique=True,
+    ))
+    # '<' and '>' sort below every letter, so the wrapped names keep the drawn order
+    names = dict(zip(old, (f"<{text}>" for text in sorted(drawn))))
+    back = {new: name for name, new in names.items()}
+
+    def read_back(result):
+        if isinstance(result, str):
+            return re.sub(r"<[a-d]+>", lambda m: back[m.group()], result)
+        if result is None:
+            return None
+        kind, error, text = result
+        return kind, error, re.sub(r"<[a-d]+>", lambda m: repr(back[m.group()])[1:-1], text)
+
+    want = reports(registry, plan, taxonomy, request, config, failed_at)
+    got = reports(*renamed(registry, plan, taxonomy, names), request, config, failed_at)
+    assert tuple(map(read_back, got)) == want
+
+
 def test_the_properties_meet_composed_and_replaced_workloads():
     """The drawn sizes reach a report on both sides of each property, not only refusals."""
     rng = random.Random(9)
@@ -101,3 +157,31 @@ def test_the_properties_meet_composed_and_replaced_workloads():
         composed += isinstance(compose, str)
         replaced += isinstance(replace, str)
     assert composed >= 20 and replaced >= 10, (composed, replaced)
+
+
+def test_a_candidate_worst_on_every_attribute_reverses_its_task_pick():
+    """Not a metamorphic property but a pinned counterexample to one: per-task
+    min-max scaling makes every scaled value depend on the task's other
+    candidates. Adding w, below every candidate on both attributes, stretches
+    a's spread from 4 to 5 and b's from 1 to 2, so b's differences count for
+    relatively less and s2 overtakes s1. Every value meets the request, so each
+    candidate is level 1 and its utility is its mean scaled value; w scales to
+    0 on both attributes and is filtered out, yet the pick changes."""
+    schema = [QoSAttribute("a", Polarity.POSITIVE), QoSAttribute("b", Polarity.POSITIVE)]
+    plan = CompositionPlan(frozenset(["t"]), frozenset())
+    taxonomy = Taxonomy(frozenset(["A"]))
+    request = UserRequest({"a": (-100.0, 100.0), "b": (-100.0, 100.0)}, {"a": 1, "b": 2})
+    values = {"s0": (0.0, 1.0), "s1": (1.0, 1.0), "s2": (4.0, 0.0)}
+
+    def pick(values):
+        registry = Registry(schema, [
+            RegistryRecord(sid, "t", {"a": a, "b": b}, (), ("A",))
+            for sid, (a, b) in values.items()
+        ])
+        _, primary, _ = compose_with_graph(request, plan, registry, taxonomy, default_config())
+        return primary.assignment["t"], primary.final_utilities["t"]
+
+    # before: s0 (0, 1), s1 (0.25, 1), s2 (1, 0): means 0.5, 0.625, 0.5
+    assert pick(values) == ("s1", 0.625)
+    # after: s0 (0.2, 1), s1 (0.4, 1), s2 (1, 0.5): means 0.6, 0.7, 0.75
+    assert pick({**values, "w": (-1.0, -1.0)}) == ("s2", pytest.approx(0.75))

@@ -1,12 +1,13 @@
-"""The registry's column sweep against the routes it replaced, bit for bit.
+"""The registry's leveling bases against two earlier routes, bit for bit.
 
 The oldest route copied every record into a `QoSVector`, took
 `compute_extremes` over all of them for the envelope and over each task's for
 its scaling, ran `normalize` on every candidate and kept the scaled vectors,
 then walked each task's vectors for its level codes and means. The row route
 after it walked each record through `scale_values` once, for one
-(service id, code, mean) row a candidate. The sweep scales one attribute
-column at a time and keeps three columns: service ids, codes and means.
+(service id, code, mean) row a candidate. The engine, `leveling.level_bases`,
+walks each task's records through `scale_values` once as well, but appends
+each record's code and mean to three columns: service ids, codes and means.
 """
 
 import struct
@@ -127,7 +128,8 @@ def row_route(registry, bins):
 
 
 def new_route(registry, bins):
-    """The envelope and the column bases, each task's columns read back as rows."""
+    """The envelope and the engine's row walk, each task's three columns read back
+    as rows, checked against the row route's rows on the way."""
     def rows():
         return {task: list(zip(*basis)) for task, basis in registry.level_bases(bins).items()}
 
