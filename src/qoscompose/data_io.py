@@ -9,7 +9,7 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
 from .cba import Classifier, MiningConfig, render_items
@@ -82,20 +82,10 @@ class EngineConfig:
     threshold: float = 0.25
 
     def __post_init__(self) -> None:
-        _check_bins(self.bins)
-        _check_threshold(self.threshold)
-
-
-def _check_bins(bins: int) -> int:
-    if bins < 2:
-        raise InvalidValue("discretization needs at least 2 bins")
-    return bins
-
-
-def _check_threshold(threshold: float) -> float:
-    if not 0.0 <= threshold <= 1.0:
-        raise InvalidValue("eligibility threshold must lie in [0, 1]")
-    return threshold
+        if self.bins < 2:
+            raise InvalidValue("discretization needs at least 2 bins")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise InvalidValue("eligibility threshold must lie in [0, 1]")
 
 
 def default_config() -> EngineConfig:
@@ -529,8 +519,8 @@ def load_config(path: str) -> tuple[EngineConfig, UserRequest]:
         raise ParseError("config mining section must be an object")
     with config_field("mining"):
         mining = MiningConfig(
-            min_support=_number(mining_doc.get("min_support", 0.01)),
-            min_confidence=_number(mining_doc.get("min_confidence", 0.5)),
+            min_support=_number(mining_doc.get("min_support", MiningConfig.min_support)),
+            min_confidence=_number(mining_doc.get("min_confidence", MiningConfig.min_confidence)),
             max_antecedent_size=(
                 _whole(mining_doc["max_antecedent_size"])
                 if mining_doc.get("max_antecedent_size") is not None
@@ -539,10 +529,10 @@ def load_config(path: str) -> tuple[EngineConfig, UserRequest]:
         )
     # each field read and checked before the next, so an error names its field
     with config_field("bins"):
-        bins = _check_bins(_whole(doc.get("bins", EngineConfig.bins)))
+        config = EngineConfig(scheme, mining, _whole(doc.get("bins", EngineConfig.bins)))
     with config_field("threshold"):
-        threshold = _check_threshold(_number(doc.get("threshold", EngineConfig.threshold)))
-    return EngineConfig(scheme, mining, bins, threshold), request
+        config = replace(config, threshold=_number(doc.get("threshold", EngineConfig.threshold)))
+    return config, request
 
 
 def save_config(config: EngineConfig, request: UserRequest, path: str) -> None:

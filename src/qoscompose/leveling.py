@@ -120,6 +120,16 @@ def _shortfall_level(gap_labels: int, bins: int, n_levels: int) -> int:
 TrainingSignature = tuple[tuple[str, ...], tuple[int, ...], int, int]
 
 
+def _schema_names(schema: list[QoSAttribute]) -> set[str]:
+    """The schema's attribute names; SchemaMismatch names the first one it repeats."""
+    names: set[str] = set()
+    for attr in schema:
+        if attr.name in names:
+            raise SchemaMismatch(f"schema names attribute {attr.name!r} more than once")
+        names.add(attr.name)
+    return names
+
+
 def _training_signature(
     request: UserRequest,
     extremes: AttributeExtremes,
@@ -131,11 +141,7 @@ def _training_signature(
     names = [a.name for a in schema]
     if not names:
         raise EmptyTrainingSet("cannot synthesize training rows from a schema with no attribute")
-    known: set[str] = set()
-    for name in names:
-        if name in known:
-            raise SchemaMismatch(f"schema names attribute {name!r} more than once")
-        known.add(name)
+    known = _schema_names(schema)
     extra = request.ranges.keys() - known
     if extra:
         raise UnknownAttribute(
@@ -185,10 +191,11 @@ def level_bases(
     """Each task's basis against its own extremes, in record order, from one walk over
     its records through `scale_values`. A code reads the labels as a base-`bins`
     number, first attribute most significant: its row in `_training_rows`' product
-    order. Means add left to right, as `_mean` does. A record off the schema is
-    refused first; then, per task, `compute_extremes`, and then the first record
-    holding a value outside its extremes, at its first such attribute."""
-    names = {attr.name for attr in schema}
+    order. Means add left to right, as `_mean` does. A schema that repeats an
+    attribute is refused first, then a record off the schema; then, per task,
+    `compute_extremes`, and then the first record holding a value outside its
+    extremes, at its first such attribute."""
+    names = _schema_names(schema)
     by_task: dict[str, list[RegistryRecord]] = {}
     for rec in records:
         if rec.values.keys() != names:

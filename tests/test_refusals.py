@@ -113,7 +113,8 @@ def test_an_empty_schema_built_in_code_is_refused_at_training():
 
 def test_a_repeated_schema_attribute_is_refused_by_name_at_training():
     """Refused before any training row is built, not by the miner's check that
-    a row holds one item per attribute."""
+    a row holds one item per attribute; a library caller reading the level
+    bases directly meets the same refusal, not bases with one label."""
     schema = [QoSAttribute("a", Polarity.POSITIVE), QoSAttribute("a", Polarity.NEGATIVE)]
     registry = Registry(schema, [record("s1", {"a": 1.0}), record("s2", {"a": 2.0})])
     text = "schema names attribute 'a' more than once"
@@ -122,6 +123,8 @@ def test_a_repeated_schema_attribute_is_refused_by_name_at_training():
     assert (info.value.stage, info.value.exit_code) == ("training", 20)
     with pytest.raises(SchemaMismatch, match=f"^{text}$"):
         synthesize_training_set(REQUEST, {"a": (1.0, 2.0)}, default_scheme(), 4, schema)
+    with pytest.raises(SchemaMismatch, match=f"^{text}$"):
+        registry.level_bases(4)
 
 
 def test_a_subsumption_cycle_names_its_concepts(tmp_path):

@@ -1,6 +1,7 @@
 """The process-wide level-table memo and the registry's compose memo behind `compose`:
 equal to fresh work, bounded, and invisible in refusals and reports."""
 
+import copy
 import dataclasses
 import json
 import pathlib
@@ -18,7 +19,9 @@ from qoscompose import (
     compose_with_graph,
     composite_report,
     compute_extremes,
+    first_alternative,
     normalize,
+    replace_unavailable,
     synthesize_training_set,
     train_classifier,
 )
@@ -322,6 +325,9 @@ def test_a_different_plan_or_taxonomy_object_misses():
 
 
 def test_mutating_a_returned_composite_leaves_the_next_hit_unchanged():
+    """Also for `first_alternative`'s result and a chain of `replace_unavailable`
+    results: mutating any of them leaves its argument composite, every composite
+    made before it and the next hit unchanged."""
     registry, plan, taxonomy = generate_synthetic(6, 8, 3, 2)
     config = default_config()
     request = random_request(random.Random(7), registry)
@@ -334,12 +340,22 @@ def test_mutating_a_returned_composite_leaves_the_next_hit_unchanged():
         assert got_graph is graph
         assert (primary, alternative) == want[:2]
         assert _reports(graph, primary, alternative) == want[2]
-        for composite in (primary, alternative):
+        composites = [primary, alternative, first_alternative(graph, primary)]
+        assert composites[2] == alternative
+        for task in graph.order[:4]:
+            current = composites[-1]
+            failed = (task, current.assignment[task])
+            composites.append(replace_unavailable(graph, current, failed, taxonomy, registry))
+        kept = copy.deepcopy(composites)
+        # last first, so each one's argument and everything before it are still intact
+        for i in reversed(range(len(composites))):
+            composite = composites[i]
             task = next(iter(composite.assignment))
             composite.assignment[task] = "mutated"
             composite.final_utilities[task] = -1.0
             composite.link_qualities.clear()
             composite.score = 0.0
+            assert composites[:i] == kept[:i], i
 
 
 def test_a_refusal_on_a_warm_memo_reraises_with_its_stage_and_message():
