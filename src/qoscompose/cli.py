@@ -22,6 +22,7 @@ from .composer import (
 from .data_io import (
     EngineConfig,
     better_half_request,
+    check_generated_sizes,
     config_field,
     default_config,
     default_request,
@@ -78,8 +79,9 @@ def _apply_overrides(args: argparse.Namespace, base: EngineConfig) -> EngineConf
 
 
 def _load_inputs(args: argparse.Namespace):
+    # the taxonomy first, so that of several bad files its refusal is the one printed
     taxonomy = load_taxonomy(args.taxonomy)
-    plan = load_plan(args.plan, taxonomy)
+    plan = load_plan(args.plan)
     registry = load_registry(args.registry)
     config, request = load_config(args.config)
     config = _apply_overrides(args, config)
@@ -194,24 +196,25 @@ def run_bench(
     region, and its one-off cost is recorded as well.
     The repetitions go round-robin over the grid points, so a burst of host
     contention spreads over every point rather than one run of them. The
-    first repetition fills the taxonomy's match and link memos.
+    first repetition fills the taxonomy's match and link memos. Every point's
+    workload is kept to the last repetition, so the grid's sizes, one by one
+    and in all, are checked before any point is generated.
     """
+    sizes = [(tasks, cands) for tasks in task_sizes for cands in candidate_sizes]
+    check_generated_sizes(sizes, attributes)
     points: list[tuple] = []  # (plan, eligible, taxonomy, registry, result)
-    for tasks in task_sizes:
-        for cands in candidate_sizes:
-            point_seed = seed * 1_000_003 + tasks * 1000 + cands
-            registry, plan, taxonomy = generate_synthetic(
-                tasks, cands, attributes, point_seed
-            )
-            # the better half of what this point's registry holds, which no
-            # training refuses as lying outside the observed values
-            request = better_half_request(registry.schema, registry.envelope)
-            config = dc_replace(default_config(), threshold=threshold)
-            t0 = time.perf_counter()
-            eligible = rank_candidates(request, registry, config)
-            classification_ms = (time.perf_counter() - t0) * 1000.0
-            result = BenchResult(tasks, cands, repetitions, [], [], [], classification_ms)
-            points.append((plan, eligible, taxonomy, registry, result))
+    for tasks, cands in sizes:
+        point_seed = seed * 1_000_003 + tasks * 1000 + cands
+        registry, plan, taxonomy = generate_synthetic(tasks, cands, attributes, point_seed)
+        # the better half of what this point's registry holds, which no
+        # training refuses as lying outside the observed values
+        request = better_half_request(registry.schema, registry.envelope)
+        config = dc_replace(default_config(), threshold=threshold)
+        t0 = time.perf_counter()
+        eligible = rank_candidates(request, registry, config)
+        classification_ms = (time.perf_counter() - t0) * 1000.0
+        result = BenchResult(tasks, cands, repetitions, [], [], [], classification_ms)
+        points.append((plan, eligible, taxonomy, registry, result))
     gc.collect()  # so no garbage of earlier work is collected in the timed loop
     for _ in range(repetitions):
         for plan, eligible, taxonomy, registry, result in points:

@@ -59,20 +59,12 @@ class CompositionPlan:
 
     tasks: frozenset[str]
     edges: frozenset[tuple[str, str]]
-    # edge -> declared (out_concept, in_concept) pairs; documents the intended
-    # data flow, the operative pairs come from the concrete service interfaces
-    link_pairs: dict[tuple[str, str], tuple[tuple[str, str], ...]] = field(
-        default_factory=dict
-    )
 
     def __post_init__(self) -> None:
         for a, b in self.edges:
             for task in (a, b):
                 if task not in self.tasks:
                     raise UnknownTask(f"edge endpoint {task!r} is not a plan task")
-        for edge in self.link_pairs:
-            if edge not in self.edges:
-                raise UnknownTask(f"link pairs declared for non-edge {edge!r}")
         preds: dict[str, list[str]] = {t: [] for t in sorted(self.tasks)}
         succs: dict[str, list[str]] = {t: [] for t in preds}
         for a, b in sorted(self.edges):

@@ -14,14 +14,7 @@ from functools import cached_property, partial
 
 from .cba import Classifier, MiningConfig, render_items
 from .composer import CompositeService, CompositionPlan
-from .errors import (
-    EmptyRegistry,
-    InvalidValue,
-    NonFiniteValue,
-    ParseError,
-    UnknownAttribute,
-    UnknownConcept,
-)
+from .errors import EmptyRegistry, InvalidValue, NonFiniteValue, ParseError, UnknownAttribute
 from .leveling import Basis, LevelScheme, UserRequest, default_scheme, level_bases
 from .ontology import Memo, Taxonomy
 from .qos import AttributeExtremes, Polarity, QoSAttribute, compute_extremes
@@ -296,6 +289,8 @@ def _json_load(path: str) -> dict:
 
 
 def load_plan(path: str, taxonomy: Taxonomy | None = None) -> CompositionPlan:
+    """The plan's `tasks` and `edges`. Any other key, such as the link pairs
+    that earlier releases wrote, is ignored, and so is `taxonomy`."""
     doc = _json_load(path)
     tasks = doc.get("tasks")
     edges = doc.get("edges")
@@ -312,46 +307,11 @@ def load_plan(path: str, taxonomy: Taxonomy | None = None) -> CompositionPlan:
         ):
             raise ParseError(f"malformed plan edge {pair!r}")
         edge_set.add((pair[0], pair[1]))
-    pairs_doc = doc.get("link_pairs", {})
-    if not isinstance(pairs_doc, dict):
-        raise ParseError("plan link_pairs must be an object keyed by from->to")
-    link_pairs: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
-    for key, pairs in pairs_doc.items():
-        left, sep, right = key.partition("->")
-        if not sep or not left or not right:
-            raise ParseError(f"link_pairs key {key!r} must look like from->to")
-        if not isinstance(pairs, list) or not all(
-            isinstance(p, list) and len(p) == 2 and all(isinstance(c, str) for c in p)
-            for p in pairs
-        ):
-            raise ParseError(f"link_pairs for {key!r} must be [out, in] concept pairs")
-        if taxonomy is not None:
-            for out_concept, in_concept in pairs:
-                for concept in (out_concept, in_concept):
-                    if concept not in taxonomy.concepts:
-                        raise UnknownConcept(
-                            f"link pair on {key!r} names unknown concept {concept!r}"
-                        )
-        link_pairs[(left, right)] = tuple((p[0], p[1]) for p in pairs)
-    return CompositionPlan(frozenset(tasks), frozenset(edge_set), link_pairs)
+    return CompositionPlan(frozenset(tasks), frozenset(edge_set))
 
 
 def save_plan(plan: CompositionPlan, path: str) -> None:
-    """Write `plan` as JSON; InvalidValue, before the file is opened, for a
-    link-pairs edge whose `from->to` key `load_plan` would split elsewhere."""
-    for a, b in sorted(plan.link_pairs):
-        if not a or not b or "->" in a:
-            raise InvalidValue(
-                f"link pairs edge ({a!r}, {b!r}) cannot be keyed as from->to"
-            )
-    doc = {
-        "tasks": sorted(plan.tasks),
-        "edges": [list(e) for e in sorted(plan.edges)],
-        "link_pairs": {
-            f"{a}->{b}": [list(p) for p in plan.link_pairs[(a, b)]]
-            for a, b in sorted(plan.link_pairs)
-        },
-    }
+    doc = {"tasks": sorted(plan.tasks), "edges": [list(e) for e in sorted(plan.edges)]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -600,28 +560,42 @@ def _attribute_template(index: int) -> tuple[str, str, float, float]:
     return name, polarity, lo, hi
 
 
+def check_generated_sizes(sizes: list[tuple[int, int]], attributes: int) -> None:
+    """Refuse, with InvalidValue, to generate workloads of these (tasks, candidates)
+    sizes: a size below 1, more than `MAX_GENERATED_VALUES` QoS values or more than
+    `MAX_GENERATED_TASKS` tasks in one, and then more values than that in all."""
+    total = 0
+    for tasks, candidates in sizes:
+        if tasks < 1 or candidates < 1 or attributes < 1:
+            raise InvalidValue("generator sizes must all be >= 1")
+        values = tasks * candidates * attributes
+        if values > MAX_GENERATED_VALUES:
+            raise InvalidValue(
+                f"{tasks} tasks x {candidates} candidates x {attributes} attributes "
+                f"is {values} QoS values, more than the limit of {MAX_GENERATED_VALUES}"
+            )
+        if tasks > MAX_GENERATED_TASKS:
+            raise InvalidValue(f"{tasks} tasks is more than the limit of {MAX_GENERATED_TASKS}")
+        total += values
+    if total > MAX_GENERATED_VALUES:
+        raise InvalidValue(
+            f"{len(sizes)} workloads hold {total} QoS values in all, "
+            f"more than the limit of {MAX_GENERATED_VALUES}"
+        )
+
+
 def generate_synthetic(
     tasks: int, candidates_per_task: int, attributes: int, seed: int
 ) -> tuple[Registry, CompositionPlan, Taxonomy]:
-    """Deterministic chain-plan workload of the given size.
+    """Deterministic chain-plan workload of the given size, which
+    `check_generated_sizes` checks before any draw.
 
     The taxonomy is a random tree whose first few concepts form a subclass
     chain (the backbone); service interfaces draw only backbone concepts, so
     every candidate link stays admissible and selection pressure comes from
-    utilities and match depth, not accidental disjointness. A size below 1,
-    more than `MAX_GENERATED_VALUES` QoS values in all or more than
-    `MAX_GENERATED_TASKS` tasks raises InvalidValue.
+    utilities and match depth, not accidental disjointness.
     """
-    if tasks < 1 or candidates_per_task < 1 or attributes < 1:
-        raise InvalidValue("generator sizes must all be >= 1")
-    values = tasks * candidates_per_task * attributes
-    if values > MAX_GENERATED_VALUES:
-        raise InvalidValue(
-            f"{tasks} tasks x {candidates_per_task} candidates x {attributes} attributes "
-            f"is {values} QoS values, more than the limit of {MAX_GENERATED_VALUES}"
-        )
-    if tasks > MAX_GENERATED_TASKS:
-        raise InvalidValue(f"{tasks} tasks is more than the limit of {MAX_GENERATED_TASKS}")
+    check_generated_sizes([(tasks, candidates_per_task)], attributes)
     rng = random.Random(seed)
     schema = [
         QoSAttribute(name, Polarity(pol))

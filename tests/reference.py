@@ -9,9 +9,11 @@ shares logic with the package beyond the public data types it checks.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from qoscompose import (
     ClassAssociationRule,
@@ -155,6 +157,28 @@ def ref_synthesize_training_set(request, extremes, scheme, bins, schema):
         items = frozenset(Item(name, str(label)) for name, label in zip(names, combo))
         data.append(TrainingInstance(items, str(worst)))
     return data
+
+
+def ref_shortfall_levels(signature) -> list[int]:
+    """The level the labelling rule gives each label combination of a training
+    signature `(names, floors, bins, n_levels)`, in row order: first attribute's
+    label most significant.
+
+    An attribute `gap` labels below its demand floor falls
+    ceil(gap / bins * (n_levels - 1)) levels below level 1, computed over
+    exact fractions and capped at the last level; a row takes its worst
+    attribute's level.
+    """
+    names, floors, bins, n_levels = signature
+    levels = []
+    for labels in itertools.product(range(bins), repeat=len(names)):
+        worst = 1
+        for floor, label in zip(floors, labels):
+            if label < floor:
+                drop = math.ceil(Fraction(floor - label, bins) * (n_levels - 1))
+                worst = max(worst, min(1 + drop, n_levels))
+        levels.append(worst)
+    return levels
 
 
 # ----------------------------------------------------- raw-axiom taxonomy walks

@@ -551,9 +551,10 @@ DEEP_JSON = "error [load]: {tmp}/deep.json nests JSON too deeply to parse\n"
         (lambda tmp: fixture_args("compose", plan=_written(
             tmp, "plan.json", '{"tasks": ["a"], "edges": {}}'
          )), 10, "error [load]: plan edges must be a list of [from, to] pairs\n"),
+        # a plan's link_pairs key is ignored, so what refuses this plan is validation
         (lambda tmp: fixture_args("compose", plan=_written(
             tmp, "plan.json", '{"tasks": ["a"], "edges": [], "link_pairs": []}'
-         )), 10, "error [load]: plan link_pairs must be an object keyed by from->to\n"),
+         )), 14, "error [validation]: service 'bv_fast' targets unknown task 'book_vehicle'\n"),
         (lambda tmp: _saved_composite(tmp, _first_task(lambda t: t.update(task=7))),
          10, "error [load]: {tmp}/composite.json does not hold a composite report: "
          "TypeError 7 is not a string\n"),
@@ -922,6 +923,27 @@ def test_parse_grid_forms():
 def test_bench_rejects_bad_grid(capsys):
     assert main(["bench", "--grid", "abc"]) == 2
     assert "malformed benchmark grid" in capsys.readouterr().err
+
+
+def test_bench_refuses_an_oversized_grid_before_any_point(monkeypatch, capsys):
+    """Each point is kept to the last repetition, so the grid is checked as a
+    whole: two points of 6 000 x 16 x 4 are each within the values limit, not
+    together. A bad point is named before the total, wherever it lies."""
+    generated = []
+    monkeypatch.setattr(cli, "generate_synthetic", lambda *args: generated.append(args))
+    assert main(["bench", "--grid", "6000,6000x16"]) == 18
+    assert capsys.readouterr().err == (
+        "error [load]: 2 workloads hold 768000 QoS values in all, "
+        "more than the limit of 400000\n"
+    )
+    assert main(["bench", "--grid", "6000,2,1000000x16"]) == 18
+    assert capsys.readouterr().err == (
+        "error [load]: 1000000 tasks x 16 candidates x 4 attributes is 64000000 QoS "
+        "values, more than the limit of 400000\n"
+    )
+    assert main(["bench", "--grid", "2,6001x1"]) == 18
+    assert capsys.readouterr().err == "error [load]: 6001 tasks is more than the limit of 6000\n"
+    assert generated == []
 
 
 def test_module_entry_point_runs():

@@ -49,7 +49,6 @@ from qoscompose.errors import (
     NonFiniteValue,
     ParseError,
     UnknownAttribute,
-    UnknownConcept,
 )
 
 # a saved `replace` report on the fixtures
@@ -138,19 +137,25 @@ def test_registry_header_errors(tmp_path):
 
 def test_plan_round_trip(tmp_path):
     plan = CompositionPlan(
-        frozenset(["t1", "t2", "t3"]),
-        frozenset([("t1", "t2"), ("t2", "t3")]),
-        {("t1", "t2"): (("Out", "In"), ("Aux", "In"))},
+        frozenset(["t1", "t2", "t3"]), frozenset([("t1", "t2"), ("t2", "t3")])
     )
     path = tmp_path / "plan.json"
     save_plan(plan, str(path))
+    assert list(json.loads(path.read_text())) == ["tasks", "edges"]
     assert load_plan(str(path)) == plan
+    # the taxonomy is accepted and not read
+    assert load_plan(str(path), Taxonomy(frozenset(["Out"]), frozenset())) == plan
 
-    taxonomy = Taxonomy(frozenset(["Out", "In", "Aux"]), frozenset())
-    assert load_plan(str(path), taxonomy) == plan
-    sparse = Taxonomy(frozenset(["Out", "In"]), frozenset())
-    with pytest.raises(UnknownConcept):
-        load_plan(str(path), sparse)
+
+def test_fixture_plan_loads_its_tasks_and_edges_only():
+    """The fixture still carries the `link_pairs` that earlier releases parsed;
+    the key is ignored, however malformed or whatever concepts it names."""
+    path = pathlib.Path(__file__).parent.parent / "fixtures" / "plan.json"
+    doc = json.loads(path.read_text())
+    assert "link_pairs" in doc
+    plan = CompositionPlan(frozenset(doc["tasks"]), frozenset(map(tuple, doc["edges"])))
+    assert load_plan(str(path)) == plan
+    assert load_plan(str(path), load_taxonomy(str(path.with_name("taxonomy.txt")))) == plan
 
 
 def test_plan_parse_errors(tmp_path):
@@ -158,16 +163,28 @@ def test_plan_parse_errors(tmp_path):
     cases = [
         '{"tasks": "t1", "edges": []}',
         '{"tasks": ["t1"], "edges": [["t1"]]}',
-        '{"tasks": ["t1"], "edges": [], "link_pairs": {"t1": []}}',
-        '{"tasks": ["t1"], "edges": [], "link_pairs": {"t1->t2": [["a"]]}}',
-        '{"tasks": ["a", "b"], "edges": [["a", "b"]], '
-        '"link_pairs": {"a->b": [[["x"], "y"]]}}',
         '["not", "an", "object"]',
     ]
     for text in cases:
         path.write_text(text)
         with pytest.raises(ParseError):
             load_plan(str(path))
+    # a link_pairs key is ignored, however malformed or whatever concepts it names
+    ignored = [
+        ('{"tasks": ["t1"], "edges": [], "link_pairs": {"t1": []}}', ["t1"], []),
+        ('{"tasks": ["t1"], "edges": [], "link_pairs": {"t1->t2": [["a"]]}}', ["t1"], []),
+        ('{"tasks": ["a", "b"], "edges": [["a", "b"]], '
+         '"link_pairs": {"a->b": [[["x"], "y"]]}}', ["a", "b"], [("a", "b")]),
+        ('{"tasks": ["t1"], "edges": [], "link_pairs": []}', ["t1"], []),
+        ('{"tasks": ["a", "b"], "edges": [["a", "b"]], '
+         '"link_pairs": {"b->a": [["Unknown", "Missing"]]}}', ["a", "b"], [("a", "b")]),
+    ]
+    sparse = Taxonomy(frozenset(["Out", "In"]), frozenset())
+    for text, tasks, edges in ignored:
+        path.write_text(text)
+        plan = CompositionPlan(frozenset(tasks), frozenset(edges))
+        assert load_plan(str(path)) == plan
+        assert load_plan(str(path), sparse) == plan
     path.write_text('{"tasks": [,]}')
     with pytest.raises(ParseError) as exc:
         load_plan(str(path))
@@ -349,7 +366,6 @@ def test_generator_shapes():
     assert registry.schema[4].name == "response_time_2"  # names cycle with suffixes
     assert len(plan.tasks) == 7
     assert len(plan.edges) == 6  # a chain
-    assert plan.link_pairs == {}
     assert len(taxonomy.concepts) == 4 * 7
     for rec in registry.records:
         assert rec.inputs and rec.outputs
@@ -362,21 +378,23 @@ def test_generator_shapes():
 # sha256 of the written registry.csv, plan.json and taxonomy.txt, recorded when
 # the generator still asked a second, full Taxonomy whether one concept subsumes
 # another; each size draws disjointness pairs that lie on one parent chain (a
-# PlugIn or Subsume pair), which must be skipped and no other pair
+# PlugIn or Subsume pair), which must be skipped and no other pair. The plan.json
+# digests were re-recorded when plans stopped carrying link pairs: each file is
+# the earlier one without its last member, `"link_pairs": {}`
 GENERATED_DIGESTS = {
     (50, 2, 2, 5): (  # one PlugIn and one Subsume pair skipped
         "07688cb4ee8fe1b20790f39b8097d71df4351f8a36a75068d34b8195e0524c4b",
-        "d715c7dbac67ff7ae27ed00f7583a24e62ffbb7dc035a64cab6caa755c4f30ec",
+        "e3eaafb557c7d946b782cdb5e470d83d9d9e5bbe4344df9c2613e19a862cea2c",
         "8339cf35c440556e4b6b1838bcabce3f3108936af31b004d65de264086589d0a",
     ),
     (300, 2, 1, 4): (  # one Subsume pair skipped
         "b3af57f5d5d3325586f79dd9034d07b4c09ea3d4e55e50b74ea35471550766b6",
-        "f9a4c74db2d5f9381e70e4149d2398c78b81a2a046b181aacb6127de25fd9412",
+        "fd7286f5c01e5d24b1a33b3efb36101d24975aea1807ca690e383fecdde6dbe0",
         "41f57743f2d7d1f45018abf8214ecb1b105884cb31748eb15047004ee01d01e1",
     ),
     (500, 1, 1, 2): (  # two PlugIn and one Subsume pair skipped
         "975d1973a82427b1104b5e7383aa9f166269f91e73c564b64048459e3d71cd96",
-        "7be62282f726e4e6d71b5fbdb492d28ff5993f04b5aecd8e75640d01579b3128",
+        "b0c0cbc5f5aa214da4e167355658cc7c536f6dd8455d51adfc549e43d9de6a1d",
         "8836158bcfd9fcb8f59fd182bc4a94c2570e9f3dfdbf773f5613306bfeb6caaf",
     ),
 }
@@ -453,13 +471,6 @@ def test_savers_refuse_what_their_loaders_refuse(tmp_path):
     cases = [
         (save_taxonomy, Taxonomy(frozenset({"a b", "c"})), "concept 'a b'"),
         (save_taxonomy, Taxonomy(frozenset({"", "c"})), "concept ''"),
-        (
-            save_plan,
-            CompositionPlan(
-                frozenset({"x->y", "z"}), frozenset({("x->y", "z")}), {("x->y", "z"): ()}
-            ),
-            "('x->y', 'z')",
-        ),
         (save_registry, Registry(SCHEMA, [replace(record, service_id="")]), "service ''"),
         (save_registry, Registry(SCHEMA, [replace(record, task_id="")]), "task ''"),
         (save_registry, Registry(SCHEMA, [replace(record, inputs=("",))]), "concept ''"),
@@ -480,6 +491,10 @@ def test_savers_refuse_what_their_loaders_refuse(tmp_path):
             save(value, str(path))
         assert needle in str(exc.value)
         assert not path.exists()  # refused before the file is opened
+    # a plan holds no from->to key any more, so a task holding "->" is written
+    plan = CompositionPlan(frozenset({"x->y", "z"}), frozenset({("x->y", "z")}))
+    save_plan(plan, str(tmp_path / "plan.json"))
+    assert load_plan(str(tmp_path / "plan.json")) == plan
 
 
 # ids that stress each format: separators, quoting, line breaks, comment marks,
@@ -515,11 +530,7 @@ def plans(draw):
     # edges run forward in list order, so the plan is acyclic
     forward = [(a, b) for i, a in enumerate(tasks) for b in tasks[i + 1:]]
     edges = draw(st.lists(st.sampled_from(forward), min_size=1, unique=True)) if forward else []
-    linked = draw(st.lists(st.sampled_from(edges), min_size=1, unique=True)) if edges else []
-    pairs = st.lists(st.tuples(IDS, IDS), max_size=2).map(tuple)
-    return CompositionPlan(
-        frozenset(tasks), frozenset(edges), {edge: draw(pairs) for edge in linked}
-    )
+    return CompositionPlan(frozenset(tasks), frozenset(edges))
 
 
 @st.composite
@@ -557,8 +568,8 @@ def test_a_saved_registry_loads_back_equal_or_is_refused(registry):
 @settings(max_examples=300, deadline=None)
 @given(plans())
 def test_a_saved_plan_loads_back_equal_or_is_refused(plan):
-    loaded = _reload(save_plan, load_plan, plan)
-    assert loaded is None or loaded == plan
+    """`save_plan` refuses no plan: JSON holds any task id."""
+    assert _reload(save_plan, load_plan, plan) == plan
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,7 +2,9 @@
 
 import dataclasses
 import functools
+import itertools
 import operator
+import pathlib
 import random
 
 import pytest
@@ -36,7 +38,7 @@ from qoscompose.errors import (
     SchemaMismatch,
     ValueOutOfRange,
 )
-from reference import random_training_set, ref_synthesize_training_set
+from reference import random_training_set, ref_shortfall_levels, ref_synthesize_training_set
 
 SCHEMA = [
     QoSAttribute("response_time", Polarity.NEGATIVE),
@@ -396,3 +398,70 @@ def test_filter_eligible_strict_threshold_keeps_order():
     assert filter_eligible(rows, 0.0) == rows
     assert filter_eligible([scored("z", 0.0)], 0.0) == []
     assert filter_eligible(rows, 1.0) == []
+
+
+SYNTHETIC_NAMES = ("response_time", "availability", "throughput", "reliability")
+MISLEVELLED = pathlib.Path(__file__).resolve().parent / "data" / "cba_mislevelled_rows.txt"
+
+
+def test_cba_levels_against_the_labelling_rule_on_every_small_signature():
+    """Every signature of at most 256 rows, CBA's level table against the rule
+    that labelled its training rows. The rows where they differ are pinned, so
+    a miner or coverage change that moves any of them shows here."""
+    found = []
+    for size in range(1, 5):
+        for bins in range(2, 6):
+            if bins**size > 256:
+                continue
+            for n_levels, floors in itertools.product(
+                range(2, 5), itertools.product(range(bins), repeat=size)
+            ):
+                signature = (SYNTHETIC_NAMES[:size], floors, bins, n_levels)
+                rule = ref_shortfall_levels(signature)
+                # the rule labelled the rows CBA was trained on
+                rows = leveling._training_rows(signature)
+                assert [int(row.class_label) for row in rows] == rule
+                cba = leveling._trained(signature, MiningConfig())
+                labels = itertools.product(range(bins), repeat=size)
+                found += [
+                    f"{size} {bins} {n_levels} {','.join(map(str, floors))} {i} "
+                    f"{','.join(map(str, row))} {got} {want}"
+                    for i, (row, got, want) in enumerate(zip(labels, cba, rule))
+                    if got != want
+                ]
+    pinned = [
+        line for line in MISLEVELLED.read_text().splitlines() if not line.startswith("#")
+    ]
+    assert found == pinned
+    assert len({tuple(line.split()[:4]) for line in found}) == 59
+    better = sum(int(line.split()[-2]) < int(line.split()[-1]) for line in found)
+    assert (len(found), better) == (151, 149)
+
+
+def test_a_precedence_tie_mislevels_one_row_at_four_attributes():
+    """At 4 attributes, 4 bins and 3 levels with floors (3, 3, 1, 3), one row
+    falls short on throughput alone and CBA levels it 1, not 2. The rule that
+    covers it and the one over its shortfall item tie on confidence, support
+    and size; the antecedent text breaks the tie, and response_time=3 sorts
+    before throughput=0, so the first rule covers the row and the second is
+    pruned."""
+    signature = (SYNTHETIC_NAMES, (3, 3, 1, 3), 4, 3)
+    rows = leveling._training_rows(signature)
+    classifier = train_classifier(rows, MiningConfig())
+    levels = [int(predict(classifier, row.items)) for row in rows]
+    rule = ref_shortfall_levels(signature)
+    assert [i for i in range(len(rows)) if levels[i] != rule[i]] == [243]
+    row = rows[243].items
+    assert row == {Item("response_time", "3"), Item("availability", "3"),
+                   Item("throughput", "0"), Item("reliability", "3")}
+    wrong = next(r for r in classifier.rules if r.antecedent <= row)
+    right = next(
+        r for r in sort_rules(mine_cars(rows, MiningConfig()))
+        if r.antecedent <= row and r.consequent_class == "2"
+    )
+    assert wrong.antecedent == row - {Item("throughput", "0")}
+    assert wrong.consequent_class == "1"
+    assert right.antecedent == row - {Item("response_time", "3")}
+    for r in (wrong, right):
+        assert (r.confidence, r.support, len(r.antecedent)) == (0.75, 3 / 256, 3)
+    assert right not in classifier.rules

@@ -105,10 +105,7 @@ def renamed(registry, plan, taxonomy, names):
                            concepts(rec.inputs), concepts(rec.outputs))
             for rec in registry.records
         ]),
-        CompositionPlan(plan.tasks, plan.edges, {
-            edge: tuple(concepts(pair) for pair in declared)
-            for edge, declared in plan.link_pairs.items()
-        }),
+        plan,
         Taxonomy(frozenset(names[c] for c in taxonomy.concepts), pairs(taxonomy.edges),
                  pairs(taxonomy.equivalences), pairs(taxonomy.disjointness)),
     )
