@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import os
 import sys
 import time
@@ -51,16 +50,6 @@ class BenchResult:
     selection_ms: list[float]
     alternative_ms: list[float]
     classification_ms: float
-
-
-def _summary(values: list[float]) -> tuple[float, float, float]:
-    """(mean, median, min) of a non-empty list, with statistics.fmean's and
-    statistics.median's arithmetic but without importing statistics, fractions
-    and decimal."""
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    median = ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
-    return math.fsum(values) / len(values), median, ordered[0]
 
 
 def _apply_overrides(args: argparse.Namespace, base: EngineConfig) -> EngineConfig:
@@ -115,18 +104,18 @@ def cmd_replace(args: argparse.Namespace) -> int:
     taxonomy, plan, registry, config, request = _load_inputs(args)
     saved = load_composite(args.composite) if args.composite else None
     graph, composite, _ = compose_with_graph(request, plan, registry, taxonomy, config)
-    if saved is not None:
-        for task, service_id in saved.assignment.items():
-            if task not in graph.preds or service_id not in graph.by_utility(task):
-                raise NotSelectedService(
-                    f"saved composite assigns {service_id!r} to {task!r}, which the "
-                    f"current inputs cannot produce"
-                )
-        missing = [task for task in graph.order if task not in saved.assignment]
-        if missing:
-            raise NotSelectedService(f"saved composite assigns no service to {missing}")
-        composite = saved
     with stage("replacement"):
+        if saved is not None:
+            for task, service_id in saved.assignment.items():
+                if task not in graph.preds or service_id not in graph.by_utility(task):
+                    raise NotSelectedService(
+                        f"saved composite assigns {service_id!r} to {task!r}, which the "
+                        f"current inputs cannot produce"
+                    )
+            missing = [task for task in graph.order if task not in saved.assignment]
+            if missing:
+                raise NotSelectedService(f"saved composite assigns no service to {missing}")
+            composite = saved
         replaced = replace_unavailable(
             graph, composite, (args.task, args.service), taxonomy, registry
         )
@@ -240,6 +229,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except ValueError as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
+    # imported here, so no other command loads statistics, fractions and decimal
+    from statistics import fmean, median
     results = run_bench(
         task_sizes,
         candidate_sizes,
@@ -254,9 +245,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "median_alternative_ms,min_alternative_ms,classification_ms"
     ]
     for res in results:
-        phases = [_summary(ms) for ms in (res.ranking_ms, res.selection_ms, res.alternative_ms)]
+        phases = (res.ranking_ms, res.selection_ms, res.alternative_ms)
         # the three means first, then each phase's median and minimum
-        figures = [f[0] for f in phases] + [x for f in phases for x in f[1:]]
+        figures = [fmean(ms) for ms in phases] + [f(ms) for ms in phases for f in (median, min)]
         figures.append(res.classification_ms)
         lines.append(
             f"{res.tasks},{res.candidates},{res.repetitions},"
@@ -282,12 +273,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--plan", required=True, help="composition plan JSON")
         p.add_argument("--taxonomy", required=True, help="concept taxonomy file")
         p.add_argument("--config", required=True, help="engine config JSON")
-        add_override_flags(p)
-
-    def add_override_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--threshold", type=float, default=None, help="override eligibility threshold"
         )
+        add_override_flags(p)
+
+    def add_override_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--levels", type=int, default=None, help="override number of QoS levels"
         )
@@ -317,7 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--config", required=True, help="engine config JSON")
     add_override_flags(p_classify)
     p_classify.add_argument("--out", default=None, help="write the classifier here")
-    p_classify.set_defaults(func=cmd_classify)
+    # no --threshold: training never reads it, and None leaves `_apply_overrides` as is
+    p_classify.set_defaults(func=cmd_classify, threshold=None)
 
     p_generate = sub.add_parser("generate", help="write a synthetic workload")
     p_generate.add_argument("--tasks", type=int, default=10)

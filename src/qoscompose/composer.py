@@ -170,7 +170,7 @@ def _side(graph: SearchGraph, neighbours: list[str], downstream: bool) -> dict:
         return links[services[neighbours[0]].outputs]
 
     def mean(interface: tuple[str, ...]) -> float | None:
-        # added left to right, as in `leveling._mean`
+        # added left to right, as `leveling.level_bases` adds a mean
         total = 0.0
         for neighbour in neighbours:
             record = services[neighbour]

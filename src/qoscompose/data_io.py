@@ -322,8 +322,8 @@ def save_plan(plan: CompositionPlan, path: str) -> None:
 def load_composite(path: str) -> CompositeService:
     """A composite from a saved `compose` report (its primary) or `replace` report.
 
-    A file that holds no such report raises ParseError naming it; a NaN or
-    infinite number in it, which Python's JSON reader accepts, NonFiniteValue.
+    A file that holds no such report, or names a task twice, raises ParseError naming it;
+    a NaN or infinite number, which Python's JSON reader accepts, NonFiniteValue.
     """
     doc = _json_load(path)
     section = doc.get("primary", doc)
@@ -348,6 +348,11 @@ def load_composite(path: str) -> CompositeService:
                 raise NonFiniteValue(f"{path}: {field} of task {task!r} is {value!r}")
     if not math.isfinite(composite.score):
         raise NonFiniteValue(f"{path}: score is {composite.score!r}")
+    seen: set[str] = set()
+    for task in (t["task"] for t in tasks):
+        if task in seen:
+            raise ParseError(f"{path} names task {task!r} more than once")
+        seen.add(task)
     return composite
 
 

@@ -191,10 +191,10 @@ def level_bases(
     """Each task's basis against its own extremes, in record order, from one walk over
     its records through `scale_values`. A code reads the labels as a base-`bins`
     number, first attribute most significant: its row in `_training_rows`' product
-    order. Means add left to right, as `_mean` does. A schema that repeats an
-    attribute is refused first, then a record off the schema; then, per task,
-    `compute_extremes`, and then the first record holding a value outside its
-    extremes, at its first such attribute."""
+    order. Means add left to right, as in `score_candidates`: sum() compensates rounding
+    from Python 3.12 on. A schema that repeats an attribute is refused first, then a
+    record off the schema; then, per task, `compute_extremes`, and then the first
+    record holding a value outside its extremes, at its first such attribute."""
     names = _schema_names(schema)
     by_task: dict[str, list[RegistryRecord]] = {}
     for rec in records:
@@ -238,15 +238,6 @@ def synthesize_training_set(
     return _training_rows(_training_signature(request, extremes, scheme, bins, schema))
 
 
-def _mean(candidate: QoSVector) -> float:
-    # added left to right: from Python 3.12 on, sum() compensates rounding
-    # error, and utilities would differ in the last bit between versions
-    total = 0.0
-    for value in candidate.values.values():
-        total += value
-    return total / len(candidate.values)
-
-
 def score_candidates(
     candidates: list[QoSVector],
     classifier: Classifier,
@@ -255,20 +246,25 @@ def score_candidates(
 ) -> list[ScoredService]:
     """`score_basis` over a per-row level table.
 
-    Each value is discretized once and each distinct label set predicted
-    once, and every level is read before any mean is taken, so a classifier
-    error comes before any utility's or mean's.
+    Each value is discretized and added to its vector's mean in one walk, and
+    each distinct label set is predicted once, before any utility is taken, so
+    a classifier error comes before any utility's.
     """
     level_of: dict[frozenset[Item], int] = {}
-    levels: list[int] = []
+    levels, means = [], []
     for cand in candidates:
-        items = frozenset(
-            Item(name, str(discretize(value, bins))) for name, value in cand.values.items()
-        )
+        # added left to right: from Python 3.12 on, sum() compensates rounding
+        # error, and utilities would differ in the last bit between versions
+        labels, total = set(), 0.0
+        for name, value in cand.values.items():
+            labels.add(Item(name, str(discretize(value, bins))))
+            total += value
+        items = frozenset(labels)
         if items not in level_of:
             level_of[items] = int(predict(classifier, items))
         levels.append(level_of[items])
-    ids, means = [c.service_id for c in candidates], [_mean(c) for c in candidates]
+        means.append(total / len(cand.values))
+    ids = [c.service_id for c in candidates]
     return score_basis((ids, range(len(ids)), means), levels, scheme)
 
 

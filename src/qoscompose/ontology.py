@@ -95,7 +95,7 @@ class Taxonomy:
         # equality and repr ignore them and a dataclasses.replace copy builds its own
         self._rep = self._collapse_equivalences()
         self._parents, self._children = self._direct_links()
-        self._disjoint_reps = self._index_disjointness()
+        self._disjoint_reps = {frozenset((self._rep[a], self._rep[b])) for a, b in self.disjointness}
         # (out concept, in concept) -> MatchType, and upstream outputs -> downstream
         # inputs -> link quality; the fill functions hold the derived maps but not the
         # taxonomy, so no reference cycle keeps a dropped taxonomy alive
@@ -103,6 +103,12 @@ class Taxonomy:
             _match, self._rep, self._parents, self._children, self._disjoint_reps
         ))
         self.links = Memo(lambda outputs: Memo(partial(_link_quality, matches, outputs)))
+        # EXACT when `equiv` collapsed a declared pair, PLUGIN or SUBSUME when it nests
+        for a, b in sorted(self.disjointness):
+            if matches[a, b] is not MatchType.DISJOINT:
+                raise InconsistentTaxonomy(
+                    f"{a!r} and {b!r} are declared disjoint but one subsumes the other"
+                )
 
     def _collapse_equivalences(self) -> dict[str, str]:
         parent = {c: c for c in self.concepts}
@@ -144,17 +150,6 @@ class Taxonomy:
             except CycleError as exc:
                 raise CycleDetected(f"subsumption hierarchy contains a cycle: {exc.args[1]}")
         return parents, children
-
-    def _index_disjointness(self) -> set[frozenset[str]]:
-        disjoint_reps = set()
-        for a, b in sorted(self.disjointness):
-            ra, rb = self._rep[a], self._rep[b]
-            if ra in _reach(self._parents, rb) or rb in _reach(self._parents, ra):
-                raise InconsistentTaxonomy(
-                    f"{a!r} and {b!r} are declared disjoint but one subsumes the other"
-                )
-            disjoint_reps.add(frozenset((ra, rb)))
-        return disjoint_reps
 
 
 def _reach(links: dict[str, set[str]], start: str) -> set[str]:

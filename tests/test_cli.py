@@ -269,6 +269,13 @@ def test_bad_override_exits_10_naming_its_flag(capsys, flag, value):
         "--config", str(FIXTURES / "config.json"),
         f"--{flag}", str(value),
     ]
+    if flag == "threshold":
+        # classify never reads a threshold, so it takes no --threshold: a usage error
+        with pytest.raises(SystemExit) as usage:
+            main(classify)
+        assert usage.value.code == 2
+        assert "unrecognized arguments: --threshold 2" in capsys.readouterr().err
+        return
     assert main(classify) == 10
     assert capsys.readouterr().err.startswith(f"error [load]: bad value for --{flag}: ")
 
@@ -429,6 +436,13 @@ def _only_plan_route(text):
     return json.dumps(doc)
 
 
+def _plan_route_twice(text):
+    """The primary with the alternative's plan_route entry after its own."""
+    doc = json.loads(text)
+    doc["primary"]["tasks"].insert(2, doc["alternative"]["tasks"][1])
+    return json.dumps(doc)
+
+
 def _not_utf8(tmp):
     path = tmp / "not_utf8"
     path.write_bytes(b"\xff\xfe\x00")
@@ -522,7 +536,9 @@ DEEP_JSON = "error [load]: {tmp}/deep.json nests JSON too deeply to parse\n"
         (lambda tmp: _saved_composite(tmp, _first_task(lambda t: t.update(final_utility="x"))),
          10, "error [load]: {tmp}/composite.json does not hold a composite report: ValueError"),
         (lambda tmp: _saved_composite(tmp, _only_plan_route),
-         43, "error [load]: saved composite assigns no service to "),
+         43, "error [replacement]: saved composite assigns no service to "),
+        (lambda tmp: _saved_composite(tmp, _plan_route_twice),
+         10, "error [load]: {tmp}/composite.json names task 'plan_route' more than once\n"),
         (lambda tmp: _saved_composite(tmp, _first_task(lambda t: t.update(final_utility=NAN))),
          12, "error [load]: {tmp}/composite.json: final_utility of task 'book_vehicle' is nan\n"),
         (lambda tmp: fixture_args("compose", registry=_not_utf8(tmp)), 10, NOT_UTF8),
@@ -576,6 +592,7 @@ DEEP_JSON = "error [load]: {tmp}/deep.json nests JSON too deeply to parse\n"
         "generate-too-large", "bench-too-large", "generate-too-many-tasks",
         "composite-not-json", "composite-task-without-service",
         "composite-non-numeric-final-utility", "composite-missing-tasks",
+        "composite-task-twice",
         "composite-nan-final-utility",
         "not-utf8-registry", "not-utf8-plan", "not-utf8-taxonomy", "not-utf8-config",
         "not-utf8-composite", "repeated-attribute-column", "oversized-csv-field",
@@ -769,7 +786,10 @@ def test_replace_refuses_a_saved_composite_the_inputs_cannot_produce(
         "--task", "plan_route", "--service", "pr_city", "--composite", str(saved),
     ]
     assert main(args) == 43
-    assert f"saved composite assigns {service!r} to {task!r}" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        f"error [replacement]: saved composite assigns {service!r} to {task!r}, "
+        "which the current inputs cannot produce\n"
+    )
 
 
 def test_replace_error_codes(capsys):
@@ -872,14 +892,32 @@ def test_run_bench_returns_all_grid_points():
     ]
     for res in results:
         assert len(res.selection_ms) == 2
-        assert cli._summary(res.ranking_ms)[0] >= cli._summary(res.selection_ms)[0]
+        assert statistics.fmean(res.ranking_ms) >= statistics.fmean(res.selection_ms)
 
 
 @pytest.mark.parametrize("repetitions", [4, 5])
-def test_bench_summary_matches_statistics(repetitions):
-    [res] = run_bench([3], [3], attributes=2, repetitions=repetitions, seed=1)
-    for ms in (res.ranking_ms, res.selection_ms, res.alternative_ms):
-        assert cli._summary(ms) == (statistics.fmean(ms), statistics.median(ms), min(ms))
+def test_bench_summary_matches_statistics(monkeypatch, capsys, repetitions):
+    """Each phase's CSV figures are `statistics.fmean`, `statistics.median` and
+    `min` of its timings, at 3 decimals; an even count takes the middle pair's mean."""
+    ranking = [3.25, 1.5, 2.125, 9.0, 4.0625][:repetitions]
+    selection = [0.5, 0.25, 0.75, 2.0, 1.0][:repetitions]
+    alternative = [1.0, 0.0625, 0.3125, 0.5, 7.0][:repetitions]
+    fixed = [
+        cli.BenchResult(2, 3, repetitions, ranking, selection, alternative, 12.5),
+        cli.BenchResult(4, 3, repetitions, ranking[::-1], alternative, selection, 0.75),
+    ]
+    monkeypatch.setattr(cli, "run_bench", lambda *args, **kwargs: fixed)
+    assert main(["bench", "--grid", "2,4x3", "--reps", str(repetitions)]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == len(fixed)
+    for row, res in zip(rows, fixed):
+        assert (int(row["tasks"]), int(row["candidates"])) == (res.tasks, res.candidates)
+        for phase in ("ranking", "selection", "alternative"):
+            ms = getattr(res, f"{phase}_ms")
+            assert row[f"mean_{phase}_ms"] == f"{statistics.fmean(ms):.3f}"
+            assert row[f"median_{phase}_ms"] == f"{statistics.median(ms):.3f}"
+            assert row[f"min_{phase}_ms"] == f"{min(ms):.3f}"
+        assert row["classification_ms"] == f"{res.classification_ms:.3f}"
 
 
 def test_run_bench_requests_what_each_points_registry_holds():

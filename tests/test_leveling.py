@@ -28,8 +28,9 @@ from qoscompose import (
     synthesize_training_set,
     train_classifier,
 )
-from qoscompose import leveling
+from qoscompose import compose_with_graph, leveling
 from qoscompose.cba import discretize, predict
+from qoscompose.data_io import default_config, generate_synthetic
 from qoscompose.leveling import default_scheme
 from qoscompose.errors import (
     DegenerateRequest,
@@ -465,3 +466,54 @@ def test_a_precedence_tie_mislevels_one_row_at_four_attributes():
     for r in (wrong, right):
         assert (r.confidence, r.support, len(r.antecedent)) == (0.75, 3 / 256, 3)
     assert right not in classifier.rules
+
+
+def _picks_under_cba_and_under_the_rule(monkeypatch, bins, n_levels):
+    """(requests whose signature has a mislevelled row, primaries that differ,
+    task picks that differ), composing each request once with CBA's level table
+    and once with the labelling rule's, over 40 generated 15-task chains of 30
+    candidates on 3 attributes, 5 requests each drawn inside the chain's
+    observed values, at threshold 0.25."""
+    config = dataclasses.replace(
+        default_config(), bins=bins, scheme=default_scheme(n_levels), threshold=0.25
+    )
+    cba = leveling._trained
+
+    def rule(signature, mining):
+        return tuple(ref_shortfall_levels(signature))
+
+    mislevelled = primaries = picks = 0
+    for seed in range(40):
+        registry, plan, taxonomy = generate_synthetic(15, 30, 3, seed)
+        rng = random.Random(seed)
+        for _ in range(5):
+            ranges = {}
+            for attr in registry.schema:
+                lo, hi = registry.envelope[attr.name]
+                ranges[attr.name] = tuple(sorted((rng.uniform(lo, hi), rng.uniform(lo, hi))))
+            request = UserRequest(ranges, {name: rank for rank, name in enumerate(ranges, 1)})
+            signature = leveling.request_signature(request, registry, config)
+            mislevelled += cba(signature, config.mining) != rule(signature, config.mining)
+            assignments = []
+            for trained in (cba, rule):
+                monkeypatch.setattr(leveling, "_trained", trained)
+                registry.compose_memo.clear()
+                _, primary, _ = compose_with_graph(request, plan, registry, taxonomy, config)
+                assignments.append(primary.assignment)
+            by_cba, by_rule = assignments
+            primaries += by_cba != by_rule
+            picks += sum(by_cba[task] != by_rule[task] for task in by_cba)
+    return mislevelled, primaries, picks
+
+
+@pytest.mark.parametrize(
+    "bins, n_levels, counts", [(5, 4, (11, 6, 13)), (4, 4, (0, 0, 0))], ids=["b5-l4", "b4-l4"]
+)
+def test_a_mislevelled_row_changes_picks_at_five_bins_and_four_levels(
+    monkeypatch, bins, n_levels, counts
+):
+    """Of 200 requests at 5 bins and 4 levels, 11 have a signature whose CBA
+    table mislevels some row; composing them by the rule instead changes 6
+    primaries, 13 of their 3 000 task picks. At 4 bins no signature drawn
+    mislevels a row, so nothing changes."""
+    assert _picks_under_cba_and_under_the_rule(monkeypatch, bins, n_levels) == counts

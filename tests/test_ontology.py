@@ -84,6 +84,20 @@ def test_subsumed_disjoint_pair_is_inconsistent():
             disjoint=[("Car", "Vehicle")])
 
 
+@pytest.mark.parametrize(
+    "edges, equiv",
+    [([("B", "A")], [("D", "C")]), ([("D", "C")], [("B", "A")])],
+    ids=["least-pair-subsumed", "least-pair-equivalent"],
+)
+def test_an_inconsistent_taxonomy_names_its_least_inconsistent_pair(edges, equiv):
+    """Of two declared pairs that cannot be disjoint, one through `subclass` and
+    one through `equiv`, the refusal names the least in sorted order."""
+    with pytest.raises(InconsistentTaxonomy) as caught:
+        tax(["A", "B", "C", "D"], edges=edges, equiv=equiv,
+            disjoint=[("C", "D"), ("A", "B")])
+    assert str(caught.value) == "'A' and 'B' are declared disjoint but one subsumes the other"
+
+
 def test_equivalence_self_loop_edge_tolerated():
     t = tax(["A", "B"], edges=[("A", "B")], equiv=[("A", "B")])
     assert t.matches["A", "B"] is MatchType.EXACT

@@ -7,8 +7,6 @@ UTF-8 check are two of its uses); these cases pin what each one reports.
 
 import contextlib
 import io
-import pathlib
-import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +23,8 @@ from qoscompose.errors import (
     ParseError, SchemaMismatch, UnknownTask, stage,
 )
 from qoscompose.leveling import default_scheme
+
+from mutations import KINDS, check_outcome, commands, mutate, workloads, write
 
 SCHEMA = [QoSAttribute("a", Polarity.POSITIVE)]
 PLAN = CompositionPlan(frozenset(["t1"]), frozenset())
@@ -214,78 +214,32 @@ def test_config_field_turns_only_value_and_type_errors_into_parse_errors():
         assert info.value is other
 
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-# the four fixture files, then a saved `compose` report on them for `replace --composite`
-INPUTS = {
-    "registry": FIXTURES / "registry.csv",
-    "plan": FIXTURES / "plan.json",
-    "taxonomy": FIXTURES / "taxonomy.txt",
-    "config": FIXTURES / "config.json",
-    "composite": pathlib.Path(__file__).resolve().parent / "data" / "fixture_compose.json",
-}
-NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
-EXTREMES = [b"0", b"-0", b"0.0", b"-0.0", b"5e-324", b"1.7e308", b"-1.7e308", b"NaN", b"1e400"]
-
-
-def _family_codes(cls=EngineError):
-    return {cls.exit_code}.union(*(_family_codes(sub) for sub in cls.__subclasses__()))
-
-
 @st.composite
 def mutations(draw):
-    """One input file with one edit: a flipped byte, a truncation, a dropped or
-    duplicated line, two words swapped, or a number made extreme."""
-    name = draw(st.sampled_from(sorted(INPUTS)))
-    data = INPUTS[name].read_bytes()
-    kind = draw(st.sampled_from(["flip", "truncate", "drop", "duplicate", "swap", "number"]))
-    if kind == "flip":
-        at = draw(st.integers(0, len(data) - 1))
-        data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
-    elif kind == "truncate":
-        data = data[:draw(st.integers(0, len(data) - 1))]
-    elif kind in ("drop", "duplicate"):
-        lines = data.splitlines(keepends=True)
-        at = draw(st.integers(0, len(lines) - 1))
-        lines[at:at + 1] = [] if kind == "drop" else [lines[at]] * 2
-        data = b"".join(lines)
-    elif kind == "swap":
-        spans = [m.span() for m in re.finditer(rb"\w+", data)]
-        (a, b), (c, d) = sorted(draw(st.lists(
-            st.sampled_from(spans), min_size=2, max_size=2, unique=True
-        )))
-        data = data[:a] + data[c:d] + data[b:c] + data[a:b] + data[d:]
-    elif spans := [m.span() for m in NUMBER.finditer(data)]:  # the taxonomy holds none
-        a, b = draw(st.sampled_from(spans))
-        data = data[:a] + draw(st.sampled_from(EXTREMES)) + data[b:]
-    return name, data
+    """A workload, one of its files, and that file with one edit of `mutate`'s."""
+    workload = draw(st.sampled_from(sorted(workloads())))
+    files = workloads()[workload]
+    key = draw(st.sampled_from(sorted(files)))
+    kind = draw(st.sampled_from(KINDS))
+    data = mutate(
+        files[key], kind, lambda lo, hi: draw(st.integers(lo, hi)),
+        lambda seq: draw(st.sampled_from(seq)),
+    )
+    return workload, key, data
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
+@settings(derandomize=True, max_examples=600, deadline=None)
 @given(mutations())
 def test_a_mutated_input_is_read_or_refused_by_one_error_line(tmp_path_factory, mutation):
     """Each command exits 0, or prints one `error [stage]: ...` line and exits
     with its error family's code (`error: ...` and 3 for an OS error); no
-    exception escapes `main`."""
-    name, data = mutation
+    exception escapes `main`. The fixtures are also replaced from a saved
+    report; the generated workload is composed and classified."""
+    workload, key, data = mutation
     folder = tmp_path_factory.mktemp("mutated")
-    paths = {key: str(path) for key, path in INPUTS.items()}
-    paths[name] = str(folder / INPUTS[name].name)
-    pathlib.Path(paths[name]).write_bytes(data)
-    files = [f"--{key}={paths[key]}" for key in ("registry", "plan", "taxonomy", "config")]
-    codes = _family_codes()
-    for argv in (
-        ["compose", *files],
-        ["replace", *files, "--task", "plan_route", "--service", "pr_city",
-         "--composite", paths["composite"]],
-        ["classify", files[0], files[3]],
-    ):
+    write(folder, {**workloads()[workload], key: data})
+    for argv in commands(folder, workloads()[workload]):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        if code == 0:
-            assert err.getvalue() == ""
-        elif code == 3:
-            assert re.fullmatch(r"error: [^\n]+\n", err.getvalue()), err.getvalue()
-        else:
-            assert code in codes, (code, err.getvalue())
-            assert re.fullmatch(r"error \[[a-z]+\]: [^\n]+\n", err.getvalue()), err.getvalue()
+        check_outcome(code, err.getvalue())
