@@ -10,34 +10,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import floor
+from typing import NamedTuple
 
 from .errors import EmptyTrainingSet, InvalidValue, SchemaMismatch, ValueOutOfRange
 
 
-@dataclass(frozen=True, order=True)
-class Item:
-    """One attribute=label pair."""
+class Item(NamedTuple):
+    """One attribute=label pair; it sorts and hashes as the tuple (attribute, value)."""
 
     attribute: str
     value: str
 
 
-@dataclass(frozen=True)
-class TrainingInstance:
+class TrainingInstance(NamedTuple):
     items: frozenset[Item]
     class_label: str
 
 
-@dataclass(frozen=True)
-class ClassAssociationRule:
+class ClassAssociationRule(NamedTuple):
     antecedent: frozenset[Item]
     consequent_class: str
     support: float
     confidence: float
 
 
-@dataclass
-class Classifier:
+class Classifier(NamedTuple):
     rules: list[ClassAssociationRule]
     default_class: str
     attributes: tuple[str, ...]

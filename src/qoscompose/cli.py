@@ -8,7 +8,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import replace as dc_replace
+from typing import NamedTuple
 
 from .cba import train_classifier
 from .composer import (
@@ -41,8 +42,7 @@ from .errors import EngineError, NoAlternative, NotSelectedService, stage
 from .leveling import default_scheme, rank_candidates, synthesize_training_set
 
 
-@dataclass
-class BenchResult:
+class BenchResult(NamedTuple):
     tasks: int
     candidates: int
     repetitions: int

@@ -14,7 +14,7 @@ import heapq
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     CycleDetected,
@@ -79,8 +79,7 @@ class CompositionPlan:
         object.__setattr__(self, "succs", succs)
 
 
-@dataclass(slots=True)
-class QueueEntry:
+class QueueEntry(NamedTuple):
     service_id: str
     utility: float
     final_utility: float
@@ -149,8 +148,7 @@ class SearchGraph:
         return self.by_utility(task)[service_id]
 
 
-@dataclass
-class CompositeService:
+class CompositeService(NamedTuple):
     assignment: dict[str, str]
     final_utilities: dict[str, float]
     link_qualities: dict[str, float]

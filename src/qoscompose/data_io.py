@@ -11,6 +11,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
+from typing import NamedTuple
 
 from .cba import Classifier, MiningConfig, render_items
 from .composer import CompositeService, CompositionPlan
@@ -20,8 +21,7 @@ from .ontology import Memo, Taxonomy
 from .qos import AttributeExtremes, Polarity, QoSAttribute, compute_extremes
 
 
-@dataclass(frozen=True, slots=True)
-class RegistryRecord:
+class RegistryRecord(NamedTuple):
     service_id: str
     task_id: str
     values: dict[str, float]
@@ -144,62 +144,51 @@ def _undecodable(path: str) -> parse_errors:
     return parse_errors(UnicodeDecodeError, f"{path} is not UTF-8 text: ")
 
 
-def _csv_rows(reader):
-    """`reader`'s rows; malformed CSV, such as an oversized field, raises ParseError."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
-
-
 def load_registry(path: str) -> Registry:
+    """The registry in the CSV file at `path`; malformed CSV, such as an oversized
+    field, raises ParseError at the line the reader stopped on."""
     with _undecodable(path), open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        rows = _csv_rows(reader)
-        try:
-            header = next(rows)
-        except StopIteration:
-            raise ParseError("registry file is empty", line=1)
-        schema = _parse_header(header)
         records: list[RegistryRecord] = []
         seen: set[str] = set()
         # services repeat task ids and interfaces; equal ones share one object
         task_ids: dict[str, str] = {}
         interfaces: dict[str, tuple[str, ...]] = {}
-        for row in rows:
-            line = reader.line_num
-            if len(row) != len(schema) + 4:
-                raise ParseError(
-                    f"expected {len(schema) + 4} columns, found {len(row)}", line=line
-                )
-            service_id, task_id = row[0], task_ids.setdefault(row[1], row[1])
-            if not service_id or not task_id:
-                raise ParseError("service_id and task_id must be non-empty", line=line)
-            if service_id in seen:
-                raise ParseError(f"duplicate service_id {service_id!r}", line=line)
-            seen.add(service_id)
-            values: dict[str, float] = {}
-            for attr, token in zip(schema, row[2:-2]):
-                try:
-                    value = float(token)
-                except ValueError:
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ParseError("registry file is empty", line=1)
+            schema = _parse_header(header)
+            for row in reader:
+                line = reader.line_num
+                if len(row) != len(schema) + 4:
                     raise ParseError(
-                        f"bad numeric value {token!r} for {attr.name}", line=line
+                        f"expected {len(schema) + 4} columns, found {len(row)}", line=line
                     )
-                if not math.isfinite(value):
-                    raise NonFiniteValue(
-                        f"line {line}: {attr.name} of {service_id!r} is {token}"
-                    )
-                values[attr.name] = value
-            records.append(
-                RegistryRecord(
-                    service_id,
-                    task_id,
-                    values,
-                    _parse_concepts(row[-2], line, interfaces),
-                    _parse_concepts(row[-1], line, interfaces),
-                )
-            )
+                service_id, task_id = row[0], task_ids.setdefault(row[1], row[1])
+                if not service_id or not task_id:
+                    raise ParseError("service_id and task_id must be non-empty", line=line)
+                if service_id in seen:
+                    raise ParseError(f"duplicate service_id {service_id!r}", line=line)
+                seen.add(service_id)
+                values: dict[str, float] = {}
+                for attr, token in zip(schema, row[2:-2]):
+                    try:
+                        value = float(token)
+                    except ValueError:
+                        raise ParseError(
+                            f"bad numeric value {token!r} for {attr.name}", line=line
+                        )
+                    if not math.isfinite(value):
+                        raise NonFiniteValue(
+                            f"line {line}: {attr.name} of {service_id!r} is {token}"
+                        )
+                    values[attr.name] = value
+                inputs = _parse_concepts(row[-2], line, interfaces)
+                outputs = _parse_concepts(row[-1], line, interfaces)
+                records.append(RegistryRecord(service_id, task_id, values, inputs, outputs))
+        except csv.Error as exc:
+            raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
     if not records:
         raise EmptyRegistry(f"{path} declares a schema but no services")
     return Registry(schema, records)

@@ -12,7 +12,7 @@ import itertools
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cba import (
     Classifier, Item, MiningConfig, TrainingInstance, discretize, predict, train_classifier,
@@ -22,8 +22,8 @@ from .errors import (
     UnknownAttribute, ValueOutOfRange, stage,
 )
 from .qos import (
-    AttributeExtremes, QoSAttribute, QoSVector, check_spread, compute_extremes, scale,
-    scale_values,
+    AttributeExtremes, QoSAttribute, QoSVector, check_spread, compute_extremes,
+    outside_extremes, scale,
 )
 
 if TYPE_CHECKING:
@@ -83,8 +83,7 @@ def default_scheme(n_levels: int = 3) -> LevelScheme:
     return LevelScheme(n_levels, tuple(1.0 - i / n_levels for i in range(n_levels)))
 
 
-@dataclass(frozen=True, slots=True)
-class ScoredService:
+class ScoredService(NamedTuple):
     service_id: str
     level: int
     utility: float
@@ -189,12 +188,13 @@ def level_bases(
     schema: list[QoSAttribute], records: Sequence["RegistryRecord"], bins: int
 ) -> dict[str, Basis]:
     """Each task's basis against its own extremes, in record order, from one walk over
-    its records through `scale_values`. A code reads the labels as a base-`bins`
-    number, first attribute most significant: its row in `_training_rows`' product
-    order. Means add left to right, as in `score_candidates`: sum() compensates rounding
-    from Python 3.12 on. A schema that repeats an attribute is refused first, then a
-    record off the schema; then, per task, `compute_extremes`, and then the first
-    record holding a value outside its extremes, at its first such attribute."""
+    its records. A value is scaled as `scale_values` scales it, without building its
+    dict. A code reads the labels as a base-`bins` number, first attribute most
+    significant: its row in `_training_rows`' product order. Means add left to right,
+    as in `score_candidates`: sum() compensates rounding from Python 3.12 on. A schema
+    that repeats an attribute is refused first, then a record off the schema; then,
+    per task, `compute_extremes`, and then the first record holding a value outside
+    its extremes, at its first such attribute, as `scale_values` refuses it."""
     names = _schema_names(schema)
     by_task: dict[str, list[RegistryRecord]] = {}
     for rec in records:
@@ -204,10 +204,15 @@ def level_bases(
     bases: dict[str, Basis] = {}
     for task, recs in by_task.items():
         extremes = compute_extremes(recs)
+        columns = [(attr.name, *extremes[attr.name], attr.polarity) for attr in schema]
         ids, codes, means = bases[task] = [], [], []
         for rec in recs:
-            code, total = 0, 0.0
-            for value in scale_values(rec, extremes, schema).values():
+            values, code, total = rec.values, 0, 0.0
+            for name, lo, hi, polarity in columns:
+                value = values[name]
+                if not lo <= value <= hi:
+                    raise outside_extremes(name, value, rec.service_id, lo, hi)
+                value = scale(value, lo, hi, polarity)
                 code = code * bins + discretize(value, bins)
                 total += value
             ids.append(rec.service_id)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptyCandidateSet, OutOfRangeValue, SchemaMismatch, stage
 
@@ -22,14 +22,12 @@ class Polarity(enum.Enum):
     NEGATIVE = "-"
 
 
-@dataclass(frozen=True)
-class QoSAttribute:
+class QoSAttribute(NamedTuple):
     name: str
     polarity: Polarity
 
 
-@dataclass
-class QoSVector:
+class QoSVector(NamedTuple):
     """Per-attribute values of one candidate service: raw, or scaled into
     [0, 1] with higher = better."""
 
@@ -96,13 +94,18 @@ def scale(value: float, lo: float, hi: float, polarity: Polarity) -> float:
     return (value - lo) / spread
 
 
+def outside_extremes(
+    name: str, value: float, service_id: str, lo: float, hi: float
+) -> OutOfRangeValue:
+    """The refusal of `service_id`'s `name` value, such as a NaN, outside its (lo, hi)."""
+    return OutOfRangeValue(f"{name}={value!r} of {service_id!r} outside extremes ({lo!r}, {hi!r})")
+
+
 def scale_values(
     candidate: QoSVector, extremes: AttributeExtremes, schema: list[QoSAttribute]
 ) -> dict[str, float]:
-    """Every schema attribute of `candidate` through `scale`, in schema order.
-
-    A value outside its (lo, hi), such as a NaN, raises OutOfRangeValue.
-    """
+    """Every schema attribute of `candidate` through `scale`, in schema order;
+    the first value outside its extremes raises `outside_extremes`."""
     values = candidate.values
     out: dict[str, float] = {}
     for attr in schema:
@@ -110,10 +113,7 @@ def scale_values(
         value = values[name]
         lo, hi = extremes[name]
         if not lo <= value <= hi:
-            raise OutOfRangeValue(
-                f"{name}={value!r} of {candidate.service_id!r} "
-                f"outside extremes ({lo!r}, {hi!r})"
-            )
+            raise outside_extremes(name, value, candidate.service_id, lo, hi)
         out[name] = scale(value, lo, hi, attr.polarity)
     return out
 

@@ -1088,8 +1088,8 @@ def test_registry_validation_reports_the_first_fault_in_record_order():
     assert f"{last}_s01" in str(info.value)
     # record order decides, and a record's task is checked before its concepts
     first, second, third, *rest = registry.records
-    bad_concept = dc_replace(second, outputs=("Nope1",))
-    bad_both = dc_replace(third, task_id="tX", inputs=("Nope2",))
+    bad_concept = second._replace(outputs=("Nope1",))
+    bad_both = third._replace(task_id="tX", inputs=("Nope2",))
     for records, error, name in [
         ([first, bad_concept, bad_both, *rest], UnknownConcept, "Nope1"),
         ([first, bad_both, bad_concept, *rest], UnknownTask, "tX"),
@@ -1153,7 +1153,7 @@ def test_a_registry_fault_is_refused_before_the_requests_own_fault():
     config = default_config()
     bogus = UserRequest({"bogus": (0.0, 1.0)}, {"bogus": 1})
     first, *rest = registry.records
-    stray = Registry(registry.schema, [first, dc_replace(rest[0], task_id="tX"), *rest[1:]])
+    stray = Registry(registry.schema, [first, rest[0]._replace(task_id="tX"), *rest[1:]])
     with pytest.raises(UnknownTask, match="tX") as info:
         compose_with_graph(bogus, plan, stray, taxonomy, config)
     assert info.value.stage == "validation"
@@ -1172,7 +1172,7 @@ def test_replaced_objects_start_with_empty_caches():
     graph, primary, _ = compose_with_graph(requests[0], plan, registry, taxonomy, config)
     assert config.bins in registry._bases
     first, *rest = registry.records
-    changed = dc_replace(registry, records=[dc_replace(first, values={
+    changed = dc_replace(registry, records=[first._replace(values={
         name: value * 2 for name, value in first.values.items()
     })] + rest)
     assert vars(changed).keys() == {"schema", "records"}

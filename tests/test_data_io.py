@@ -6,7 +6,6 @@ import os
 import pathlib
 import re
 import tempfile
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,9 +82,9 @@ def test_a_registry_record_is_slotted_and_otherwise_unchanged(tmp_path):
         vars(record)
     with pytest.raises(AttributeError):
         record.task_id = "t2"
-    moved = replace(record, task_id="t2")
+    moved = record._replace(task_id="t2")
     assert moved == RegistryRecord("svc_a", "t2", record.values, ("In",), ("Out", "Aux"))
-    assert moved != record and replace(moved, task_id="t1") == record
+    assert moved != record and moved._replace(task_id="t1") == record
     assert repr(RECORDS[1]) == (
         "RegistryRecord(service_id='svc_b', task_id='t1', values={'latency': 1e-09, "
         "'uptime': 7.0}, inputs=(), outputs=('Out',))"
@@ -127,12 +126,15 @@ def test_registry_header_errors(tmp_path):
         ("service_id,task_id,latency:-,inputs\na,t,1,X\n", ParseError),
         ("service_id,task_id,latency,inputs,outputs\na,t,1,X,Y\n", UnknownAttribute),
         ("service_id,task_id,latency:*,inputs,outputs\na,t,1,X,Y\n", UnknownAttribute),
+        # a quoted header field over csv's 131 072-character limit
+        ('service_id,task_id,"' + "x" * 131_073 + '",inputs,outputs\na,t,1,X,Y\n', ParseError),
     ]
     for text, exc_type in cases:
         path = tmp_path / "reg.csv"
         path.write_text(text)
-        with pytest.raises(exc_type):
+        with pytest.raises(exc_type) as exc:
             load_registry(str(path))
+    assert exc.value.line == 1 and "malformed CSV" in str(exc.value)
 
 
 def test_plan_round_trip(tmp_path):
@@ -471,18 +473,18 @@ def test_savers_refuse_what_their_loaders_refuse(tmp_path):
     cases = [
         (save_taxonomy, Taxonomy(frozenset({"a b", "c"})), "concept 'a b'"),
         (save_taxonomy, Taxonomy(frozenset({"", "c"})), "concept ''"),
-        (save_registry, Registry(SCHEMA, [replace(record, service_id="")]), "service ''"),
-        (save_registry, Registry(SCHEMA, [replace(record, task_id="")]), "task ''"),
-        (save_registry, Registry(SCHEMA, [replace(record, inputs=("",))]), "concept ''"),
-        (save_registry, Registry(SCHEMA, [replace(record, outputs=("a;b",))]), "'a;b'"),
+        (save_registry, Registry(SCHEMA, [record._replace(service_id="")]), "service ''"),
+        (save_registry, Registry(SCHEMA, [record._replace(task_id="")]), "task ''"),
+        (save_registry, Registry(SCHEMA, [record._replace(inputs=("",))]), "concept ''"),
+        (save_registry, Registry(SCHEMA, [record._replace(outputs=("a;b",))]), "'a;b'"),
         (save_registry, Registry(SCHEMA, [record, record]), "'svc_a' is repeated"),
-        (save_registry, Registry(SCHEMA, [replace(record, service_id="a\rb")]), "'a\\rb'"),
+        (save_registry, Registry(SCHEMA, [record._replace(service_id="a\rb")]), "'a\\rb'"),
         (
             save_registry,
-            Registry(SCHEMA, [replace(record, values={"latency": float("inf"), "uptime": 1.0})]),
+            Registry(SCHEMA, [record._replace(values={"latency": float("inf"), "uptime": 1.0})]),
             "'svc_a'",
         ),
-        (save_registry, Registry([], [replace(record, values={})]), "at least one attribute"),
+        (save_registry, Registry([], [record._replace(values={})]), "at least one attribute"),
         (save_registry, Registry(SCHEMA, []), "and one service"),
     ]
     for save, value, needle in cases:

@@ -270,7 +270,8 @@ def test_classify_memo_equals_per_candidate_predict():
                 predicted_levels(cands, classifier, bins)
             ), (trial, batch)
         # the levels live in each call, not on the classifier
-        assert vars(classifier).keys() == {"rules", "default_class", "attributes"}
+        assert classifier._fields == ("rules", "default_class", "attributes")
+        assert not hasattr(classifier, "__dict__")
         # another attribute set fails the schema check
         extra = random_candidates(rng, attrs + ["zz"], 3, "x")
         with pytest.raises(SchemaMismatch):
@@ -387,7 +388,7 @@ def test_filter_eligible_drops_a_nan_utility():
 def test_scored_service_is_frozen():
     service = scored("a", 0.7)
     for name, value in [("utility", 0.1), ("level", 2), ("service_id", "b")]:
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(service, name, value)
     assert service == scored("a", 0.7)
 
