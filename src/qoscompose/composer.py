@@ -336,13 +336,16 @@ def replace_unavailable(
 def _validate_registry(
     plan: CompositionPlan, registry: "Registry", taxonomy: Taxonomy
 ) -> None:
-    """Every service targets a plan task and names only declared concepts.
+    """Each service has a unique id, targets a plan task and names declared concepts.
 
-    One walk over the records in record order, each record's task before its
-    inputs and then its outputs, raising the first miss.
+    One walk over the records in record order, each record's id before its
+    task, its inputs and then its outputs, raising the first miss.
     """
-    tasks, concepts = plan.tasks, taxonomy.concepts
+    tasks, concepts, seen = plan.tasks, taxonomy.concepts, set()
     for rec in registry.records:
+        if rec.service_id in seen:
+            raise InvalidValue(f"service id {rec.service_id!r} is repeated")
+        seen.add(rec.service_id)
         if rec.task_id not in tasks:
             raise UnknownTask(
                 f"service {rec.service_id!r} targets unknown task {rec.task_id!r}"

@@ -9,6 +9,7 @@ import csv
 import json
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -109,17 +110,47 @@ def _parse_header(columns: list[str]) -> list[QoSAttribute]:
     return schema
 
 
-def _parse_concepts(
-    text: str, line: int, parsed: dict[str, tuple[str, ...]]
-) -> tuple[str, ...]:
-    """The `;`-separated concepts of `text`; equal texts share one tuple, kept in `parsed`."""
-    concepts = parsed.get(text)
-    if concepts is None:
-        concepts = tuple(text.split(";")) if text else ()
-        if "" in concepts:
-            raise ParseError("empty concept in semicolon list", line=line)
-        parsed[text] = concepts
-    return concepts
+def _row_reader(
+    schema: list[QoSAttribute], line: Callable[[], int]
+) -> Callable[[list[str]], RegistryRecord]:
+    """The registry format's rules for one CSV row, as a function from the row to
+    its record; a refusal names the line `line()` gives. Services repeat task ids
+    and interfaces; equal ones share one object."""
+    width, names = len(schema) + 4, [attr.name for attr in schema]
+    seen: set[str] = set()
+    task_ids: dict[str, str] = {}
+    interfaces: dict[str, tuple[str, ...]] = {}
+
+    def concepts(text: str) -> tuple[str, ...]:
+        parsed = interfaces.get(text)
+        if parsed is None:
+            parsed = tuple(text.split(";")) if text else ()
+            if "" in parsed:
+                raise ParseError("empty concept in semicolon list", line=line())
+            interfaces[text] = parsed
+        return parsed
+
+    def read(row: list[str]) -> RegistryRecord:
+        if len(row) != width:
+            raise ParseError(f"expected {width} columns, found {len(row)}", line=line())
+        service_id, task_id = row[0], task_ids.setdefault(row[1], row[1])
+        if not service_id or not task_id:
+            raise ParseError("service_id and task_id must be non-empty", line=line())
+        if service_id in seen:
+            raise ParseError(f"duplicate service_id {service_id!r}", line=line())
+        seen.add(service_id)
+        values: dict[str, float] = {}
+        for name, token in zip(names, row[2:-2]):
+            try:
+                value = float(token)
+            except ValueError:
+                raise ParseError(f"bad numeric value {token!r} for {name}", line=line())
+            if not math.isfinite(value):
+                raise NonFiniteValue(f"line {line()}: {name} of {service_id!r} is {token}")
+            values[name] = value
+        return RegistryRecord(service_id, task_id, values, concepts(row[-2]), concepts(row[-1]))
+
+    return read
 
 
 class parse_errors:
@@ -149,44 +180,12 @@ def load_registry(path: str) -> Registry:
     field, raises ParseError at the line the reader stopped on."""
     with _undecodable(path), open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        records: list[RegistryRecord] = []
-        seen: set[str] = set()
-        # services repeat task ids and interfaces; equal ones share one object
-        task_ids: dict[str, str] = {}
-        interfaces: dict[str, tuple[str, ...]] = {}
         try:
             header = next(reader, None)
             if header is None:
                 raise ParseError("registry file is empty", line=1)
             schema = _parse_header(header)
-            for row in reader:
-                line = reader.line_num
-                if len(row) != len(schema) + 4:
-                    raise ParseError(
-                        f"expected {len(schema) + 4} columns, found {len(row)}", line=line
-                    )
-                service_id, task_id = row[0], task_ids.setdefault(row[1], row[1])
-                if not service_id or not task_id:
-                    raise ParseError("service_id and task_id must be non-empty", line=line)
-                if service_id in seen:
-                    raise ParseError(f"duplicate service_id {service_id!r}", line=line)
-                seen.add(service_id)
-                values: dict[str, float] = {}
-                for attr, token in zip(schema, row[2:-2]):
-                    try:
-                        value = float(token)
-                    except ValueError:
-                        raise ParseError(
-                            f"bad numeric value {token!r} for {attr.name}", line=line
-                        )
-                    if not math.isfinite(value):
-                        raise NonFiniteValue(
-                            f"line {line}: {attr.name} of {service_id!r} is {token}"
-                        )
-                    values[attr.name] = value
-                inputs = _parse_concepts(row[-2], line, interfaces)
-                outputs = _parse_concepts(row[-1], line, interfaces)
-                records.append(RegistryRecord(service_id, task_id, values, inputs, outputs))
+            records = list(map(_row_reader(schema, lambda: reader.line_num), reader))
         except csv.Error as exc:
             raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
     if not records:
@@ -203,62 +202,54 @@ def _utf8(text: str) -> bool:
     return True
 
 
-def _check_field(what: str, text: str) -> None:
-    """Refuse a registry CSV field that `load_registry` would not read back.
+def _row_text(cells: list[str]) -> str:
+    """`cells` joined; InvalidValue for a cell that the CSV file cannot hold as it
+    is: a carriage return, which the writer leaves unquoted, a NUL, which Python
+    3.10's reader refuses, a lone surrogate, or more than the reader's field limit."""
+    text, limit = "".join(cells), csv.field_size_limit()
+    if "\r" in text or "\0" in text or not _utf8(text) or len(text) > limit:
+        for cell in cells:
+            if len(cell) > limit or "\r" in cell or "\0" in cell or not _utf8(cell):
+                raise InvalidValue(f"cell {cell[:40]!r} cannot be stored in the registry file")
+    return text
 
-    The writer leaves a carriage return unquoted, so it would split the row,
-    and Python 3.10's CSV reader refuses a NUL.
-    """
-    if "\r" in text or "\0" in text or not _utf8(text):
-        raise InvalidValue(f"{what} holds a character the registry file cannot store")
 
-
-def _check_registry(registry: Registry) -> None:
-    """Refuse, naming the id, what `load_registry` would refuse or read back changed."""
-    names = [attr.name for attr in registry.schema]
-    if not names or not registry.records:
-        raise InvalidValue("a registry file needs at least one attribute and one service")
-    for name in names:
-        if not name or names.count(name) > 1:
-            raise InvalidValue(f"attribute name {name!r} is empty or repeated")
-        _check_field(f"attribute name {name!r}", name)
-    seen: set[str] = set()
-    for rec in registry.records:
-        sid = rec.service_id
-        if not sid or not rec.task_id:
-            raise InvalidValue(f"service {sid!r} of task {rec.task_id!r} needs non-empty ids")
-        if sid in seen:
-            raise InvalidValue(f"service id {sid!r} is repeated")
-        seen.add(sid)
-        _check_field(f"service id {sid!r}", sid)
-        _check_field(f"task id {rec.task_id!r} of service {sid!r}", rec.task_id)
-        if rec.values.keys() != set(names) or not all(
-            math.isfinite(value) for value in rec.values.values()
-        ):
-            raise InvalidValue(f"service {sid!r} needs a finite value for each attribute")
-        for concept in rec.inputs + rec.outputs:
-            if not concept or ";" in concept:
-                raise InvalidValue(f"service {sid!r} has concept {concept!r}, empty or with ';'")
-            _check_field(f"concept {concept!r} of service {sid!r}", concept)
+def _cells(rec: RegistryRecord, schema: list[QoSAttribute]) -> list[str]:
+    """The CSV cells `save_registry` writes for `rec`."""
+    values = [repr(rec.values.get(attr.name)) for attr in schema]
+    interface = [";".join(rec.inputs), ";".join(rec.outputs)]
+    return [str(rec.service_id), str(rec.task_id), *values, *interface]
 
 
 def save_registry(registry: Registry, path: str) -> None:
-    """Write `registry` as CSV; InvalidValue, before the file is opened, for a
-    registry that `load_registry` would not read back equal."""
-    _check_registry(registry)
+    """Write `registry` as CSV. Before the file is opened, the header goes through
+    `_parse_header` and each row, as written, through `_row_reader`; a row refused
+    or read back unequal to its record raises InvalidValue naming the service."""
+    columns = [f"{attr.name}:{attr.polarity.value}" for attr in registry.schema]
+    header = ["service_id", "task_id", *columns, "inputs", "outputs"]
+    try:
+        line = _row_text(header).count("\n") + 1
+        schema = _parse_header(header)
+    except (ParseError, UnknownAttribute, InvalidValue) as exc:
+        raise InvalidValue(f"the registry header cannot be written: {exc}") from None
+    if schema != list(registry.schema):
+        raise InvalidValue(f"attributes {registry.schema} would read back as {schema}")
+    if not registry.records:
+        raise InvalidValue("a registry file needs at least one service")
+    read = _row_reader(schema, lambda: line)
+    for rec in registry.records:
+        try:
+            cells = _cells(rec, schema)
+            line += _row_text(cells).count("\n") + 1
+            back = read(cells)
+        except (ParseError, NonFiniteValue, TypeError, ValueError) as exc:
+            raise InvalidValue(f"service {rec.service_id!r} cannot be written: {exc}") from None
+        if back != rec:
+            raise InvalidValue(f"service {rec.service_id!r} would read back as {back}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["service_id", "task_id"]
-            + [f"{a.name}:{a.polarity.value}" for a in registry.schema]
-            + ["inputs", "outputs"]
-        )
-        for rec in registry.records:
-            writer.writerow(
-                [rec.service_id, rec.task_id]
-                + [repr(rec.values[a.name]) for a in registry.schema]
-                + [";".join(rec.inputs), ";".join(rec.outputs)]
-            )
+        writer.writerow(header)
+        writer.writerows(_cells(rec, schema) for rec in registry.records)
 
 
 # -------------------------------------------------------------------- plan JSON

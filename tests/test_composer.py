@@ -1086,13 +1086,17 @@ def test_registry_validation_reports_the_first_fault_in_record_order():
         compose_with_graph(request, short, registry, taxonomy, config)
     assert info.value.stage == "validation"
     assert f"{last}_s01" in str(info.value)
-    # record order decides, and a record's task is checked before its concepts
+    # record order decides, a record's id is checked before its task, and its
+    # task before its concepts
     first, second, third, *rest = registry.records
     bad_concept = second._replace(outputs=("Nope1",))
     bad_both = third._replace(task_id="tX", inputs=("Nope2",))
+    repeated = bad_both._replace(service_id=first.service_id)
     for records, error, name in [
         ([first, bad_concept, bad_both, *rest], UnknownConcept, "Nope1"),
         ([first, bad_both, bad_concept, *rest], UnknownTask, "tX"),
+        ([first, repeated, bad_concept, *rest], InvalidValue, f"'{first.service_id}' is repeated"),
+        ([first, bad_concept, repeated, *rest], UnknownConcept, "Nope1"),
     ]:
         faulty = Registry(registry.schema, records)
         for _ in range(2):

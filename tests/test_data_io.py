@@ -1,5 +1,6 @@
 """On-disk formats: round-trips, parse errors, and the synthetic generator."""
 
+import csv
 import hashlib
 import json
 import os
@@ -73,6 +74,22 @@ def test_registry_round_trip(tmp_path):
     assert load_registry(str(path)) == registry
     header = path.read_text().splitlines()[0]
     assert header == "service_id,task_id,latency:-,uptime:+,inputs,outputs"
+
+
+# sha256 of the registry.csv that `generate --tasks 40 --candidates 30
+# --attributes 3 --seed 11` writes, the inputs of the chain goldens
+CHAIN_REGISTRY_DIGEST = "8787dd9aa1d00cd39cfcd1277255d1db330f1e3c3748a5f0fd8edbcc735ff768"
+
+
+def test_a_loaded_registry_saves_back_to_the_same_bytes(tmp_path):
+    chain = tmp_path / "chain.csv"
+    save_registry(generate_synthetic(40, 30, 3, seed=11)[0], str(chain))
+    assert hashlib.sha256(chain.read_bytes()).hexdigest() == CHAIN_REGISTRY_DIGEST
+    fixture = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "registry.csv"
+    for source in (fixture, chain):
+        copy = tmp_path / "copy.csv"
+        save_registry(load_registry(str(source)), str(copy))
+        assert copy.read_bytes() == source.read_bytes()
 
 
 def test_a_registry_record_is_slotted_and_otherwise_unchanged(tmp_path):
@@ -474,18 +491,67 @@ def test_savers_refuse_what_their_loaders_refuse(tmp_path):
         (save_taxonomy, Taxonomy(frozenset({"a b", "c"})), "concept 'a b'"),
         (save_taxonomy, Taxonomy(frozenset({"", "c"})), "concept ''"),
         (save_registry, Registry(SCHEMA, [record._replace(service_id="")]), "service ''"),
-        (save_registry, Registry(SCHEMA, [record._replace(task_id="")]), "task ''"),
-        (save_registry, Registry(SCHEMA, [record._replace(inputs=("",))]), "concept ''"),
-        (save_registry, Registry(SCHEMA, [record._replace(outputs=("a;b",))]), "'a;b'"),
-        (save_registry, Registry(SCHEMA, [record, record]), "'svc_a' is repeated"),
-        (save_registry, Registry(SCHEMA, [record._replace(service_id="a\rb")]), "'a\\rb'"),
+        (
+            save_registry,
+            Registry(SCHEMA, [record._replace(task_id="")]),
+            "service 'svc_a' cannot be written: line 2: service_id and task_id must be non-empty",
+        ),
+        (
+            save_registry,
+            Registry(SCHEMA, [record._replace(inputs=("",))]),
+            "inputs=(), outputs=('Out', 'Aux'))",
+        ),
+        (
+            save_registry,
+            Registry(SCHEMA, [record._replace(outputs=("a;b",))]),
+            "outputs=('a', 'b'))",
+        ),
+        (save_registry, Registry(SCHEMA, [record, record]), "line 3: duplicate service_id 'svc_a'"),
+        (  # the quoted line break puts the second row on line 4
+            save_registry,
+            Registry(SCHEMA, [record._replace(inputs=("a\nb",)), record]),
+            "line 4: duplicate service_id 'svc_a'",
+        ),
+        (save_registry, Registry(SCHEMA, [record._replace(service_id="a\rb")]), "cell 'a\\rb'"),
+        (  # csv's reader refuses a field longer than its limit
+            save_registry,
+            Registry(SCHEMA, [record._replace(inputs=("C" * (csv.field_size_limit() + 1),))]),
+            "'svc_a' cannot be written: cell 'CCC",
+        ),
         (
             save_registry,
             Registry(SCHEMA, [record._replace(values={"latency": float("inf"), "uptime": 1.0})]),
-            "'svc_a'",
+            "line 2: latency of 'svc_a' is inf",
         ),
-        (save_registry, Registry([], [record._replace(values={})]), "at least one attribute"),
-        (save_registry, Registry(SCHEMA, []), "and one service"),
+        (save_registry, Registry([], [record._replace(values={})]), "registry header"),
+        (save_registry, Registry(SCHEMA, []), "at least one service"),
+        # each of these once raised TypeError or wrote a file its loader refused
+        (
+            save_registry,
+            Registry(SCHEMA, [record._replace(values={"latency": True, "uptime": 1.0})]),
+            "'svc_a' cannot be written: line 2: bad numeric value 'True' for latency",
+        ),
+        (
+            save_registry,
+            Registry(SCHEMA, [record._replace(values={"latency": "5", "uptime": 1.0})]),
+            "'svc_a' cannot be written: line 2: bad numeric value \"'5'\" for latency",
+        ),
+        (
+            save_registry,
+            Registry(SCHEMA, [record._replace(values={"latency": None, "uptime": 1.0})]),
+            "'svc_a' cannot be written: line 2: bad numeric value 'None' for latency",
+        ),
+        (
+            save_registry,
+            Registry(SCHEMA, [record._replace(service_id=7)]),
+            "service 7 would read back as RegistryRecord(service_id='7', ",
+        ),
+        (
+            save_registry,
+            Registry([QoSAttribute(5, Polarity.POSITIVE)], [record._replace(values={5: 1.0})]),
+            "QoSAttribute(name=5, polarity=<Polarity.POSITIVE: '+'>)] would read back as "
+            "[QoSAttribute(name='5', ",
+        ),
     ]
     for save, value, needle in cases:
         path = tmp_path / "out"
@@ -510,18 +576,39 @@ IDS = st.lists(
 ).map("".join)
 
 
+def _rarely(draw, usual, odd):
+    """A draw from `usual`, or about one time in eight from `odd`."""
+    return draw(odd if draw(st.integers(0, 7)) == 7 else usual)
+
+
 @st.composite
 def registries(draw):
+    """Registries with adversarial ids and, now and then, a value that is a bool,
+    an int, a str or None, an int id, a list of inputs, or a values dict that
+    lacks an attribute or adds one."""
     names = draw(st.lists(IDS, min_size=1, max_size=2))
     schema = [QoSAttribute(name, draw(st.sampled_from(Polarity))) for name in names]
+    odd_values = st.one_of(st.booleans(), st.integers(), st.text(max_size=2), st.none())
+    ids = st.one_of(IDS, st.integers())
+    concepts = st.lists(IDS, max_size=2)
     records = []
     for _ in range(draw(st.integers(1, 2))):
         values = {
-            name: draw(st.floats(allow_nan=False, allow_infinity=False)) for name in names
+            name: _rarely(draw, st.floats(allow_nan=False, allow_infinity=False), odd_values)
+            for name in names
         }
-        concepts = st.lists(IDS, max_size=2).map(tuple)
+        if _rarely(draw, st.just(False), st.booleans()):
+            del values[draw(st.sampled_from(names))]
+        if _rarely(draw, st.just(False), st.booleans()):
+            values[draw(IDS)] = 1.0
         records.append(
-            RegistryRecord(draw(IDS), draw(IDS), values, draw(concepts), draw(concepts))
+            RegistryRecord(
+                _rarely(draw, IDS, ids),
+                _rarely(draw, IDS, ids),
+                values,
+                _rarely(draw, concepts.map(tuple), concepts),
+                draw(concepts.map(tuple)),
+            )
         )
     return Registry(schema, records)
 
