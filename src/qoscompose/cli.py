@@ -39,7 +39,7 @@ from .data_io import (
     save_taxonomy,
 )
 from .errors import EngineError, NoAlternative, NotSelectedService, stage
-from .leveling import default_scheme, rank_candidates, synthesize_training_set
+from .leveling import check_training_rows, default_scheme, rank_candidates, synthesize_training_set
 
 
 class BenchResult(NamedTuple):
@@ -187,10 +187,14 @@ def run_bench(
     contention spreads over every point rather than one run of them. The
     first repetition fills the taxonomy's match and link memos. Every point's
     workload is kept to the last repetition, so the grid's sizes, one by one
-    and in all, are checked before any point is generated.
+    and in all, the config and the training-row limit are checked before any
+    point is generated.
     """
     sizes = [(tasks, cands) for tasks in task_sizes for cands in candidate_sizes]
     check_generated_sizes(sizes, attributes)
+    config = dc_replace(default_config(), threshold=threshold)
+    with stage("training"):
+        check_training_rows(config.bins, attributes)
     points: list[tuple] = []  # (plan, eligible, taxonomy, registry, result)
     for tasks, cands in sizes:
         point_seed = seed * 1_000_003 + tasks * 1000 + cands
@@ -198,7 +202,6 @@ def run_bench(
         # the better half of what this point's registry holds, which no
         # training refuses as lying outside the observed values
         request = better_half_request(registry.schema, registry.envelope)
-        config = dc_replace(default_config(), threshold=threshold)
         t0 = time.perf_counter()
         eligible = rank_candidates(request, registry, config)
         classification_ms = (time.perf_counter() - t0) * 1000.0

@@ -208,10 +208,15 @@ def build_search_graph(
     Each task keeps its queue's first two entries; the rest is built on first read.
     A NaN utility has no rank, so it is refused with InvalidValue.
     """
-    graph = SearchGraph(plan.order, plan.preds, plan.succs, taxonomy, registry.services,
-                        eligible_per_task.__getitem__, {})
+    return _build(plan, eligible_per_task.get, taxonomy, registry)
+
+
+def _build(plan: CompositionPlan, rank: Callable[[str], list[ScoredService] | None],
+           taxonomy: Taxonomy, registry: "Registry") -> tuple[SearchGraph, CompositeService]:
+    """`build_search_graph`, asking `rank` for a task's eligible list as selection reaches it."""
+    graph = SearchGraph(plan.order, plan.preds, plan.succs, taxonomy, registry.services, rank, {})
     for task in plan.order:
-        candidates = eligible_per_task.get(task, [])
+        candidates = rank(task)
         if not candidates:
             raise NoEligibleCandidate(task)
         nan = [cand.service_id for cand in candidates if cand.utility != cand.utility]
@@ -372,8 +377,8 @@ def compose_with_graph(
     used. An entry is a hit only for the plan and taxonomy objects it was
     built with; any other pair recomputes and overwrites it. Validation (until
     an entry holds the pair) and the signature's checks run first, so a
-    refusal is never stored. The graph is shared by every hit and re-ranks a task
-    on its first read past the heads, keeping no eligible list; composites are new.
+    refusal is never stored. Selection ranks a task when it reaches it; the graph,
+    shared by every hit, re-ranks it on a read past the heads; composites are new.
     """
     # an entry is stored only after its plan and taxonomy passed validation
     # against this registry, so while one is held the triple is valid
@@ -385,11 +390,8 @@ def compose_with_graph(
     entry = memo.get(key)
     if entry is None or entry[0] is not plan or entry[1] is not taxonomy:
         rank = signature_ranker(signature, registry, config)
-        with stage("classification"):
-            eligible = {task: rank(task) for task in registry.level_bases(config.bins)}
         with stage("selection"):
-            graph, primary = build_search_graph(plan, eligible, taxonomy, registry)
-        graph.rank = rank
+            graph, primary = _build(plan, rank, taxonomy, registry)
         with stage("alternative"):
             try:
                 alternative: CompositeService | None = first_alternative(graph, primary)

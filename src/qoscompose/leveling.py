@@ -129,6 +129,16 @@ def _schema_names(schema: list[QoSAttribute]) -> set[str]:
     return names
 
 
+def check_training_rows(bins: int, attributes: int) -> None:
+    """Refuse, with ValueOutOfRange, a training set of more than MAX_TRAINING_ROWS rows."""
+    rows = bins ** attributes
+    if rows > MAX_TRAINING_ROWS:
+        raise ValueOutOfRange(
+            f"{bins} bins over {attributes} attributes synthesize {rows} training "
+            f"rows, more than the limit of {MAX_TRAINING_ROWS}"
+        )
+
+
 def _training_signature(
     request: UserRequest,
     extremes: AttributeExtremes,
@@ -150,12 +160,7 @@ def _training_signature(
         raise SchemaMismatch("request attributes do not match the declared schema")
     if not extremes.keys() >= known:
         raise SchemaMismatch("extremes do not cover the declared schema")
-    rows = bins ** len(names)
-    if rows > MAX_TRAINING_ROWS:
-        raise ValueOutOfRange(
-            f"{bins} bins over {len(names)} attributes synthesize {rows} training "
-            f"rows, more than the limit of {MAX_TRAINING_ROWS}"
-        )
+    check_training_rows(bins, len(names))
     floors = tuple(_demand_floor_label(request, extremes, bins, attr) for attr in schema)
     return tuple(names), floors, bins, scheme.n_levels
 
@@ -342,16 +347,21 @@ def signature_ranker(
     """`rank_candidates` for a request whose `request_signature` is `signature`,
     up to the classification it returns, one task at a time.
 
-    Training and scaling run now. The returned function levels and filters
-    one task's candidates, in record order, equal on every call; it holds the
-    signature's level table and the registry's bases, not the registry.
+    Training and scaling run now. The returned function levels and filters one task's
+    candidates at "classification", in record order (none for a task with no record),
+    equal on every call; it holds the level table, bases and config, not the registry.
     """
     with stage("training"):
         levels = _trained(signature, config.mining)
     with stage("scaling"):
         bases = registry.level_bases(config.bins)
-    scheme, threshold = config.scheme, config.threshold
-    return lambda task: filter_eligible(score_basis(bases[task], levels, scheme), threshold)
+
+    def rank(task: str) -> list[ScoredService]:
+        with stage("classification"):
+            scored = score_basis(bases.get(task, ((), (), ())), levels, config.scheme)
+        return filter_eligible(scored, config.threshold)
+
+    return rank
 
 
 def rank_candidates(
@@ -366,5 +376,4 @@ def rank_candidates(
     warm signature never calls `predict`.
     """
     rank = signature_ranker(request_signature(request, registry, config), registry, config)
-    with stage("classification"):
-        return {task: rank(task) for task in registry.level_bases(config.bins)}
+    return {task: rank(task) for task in registry.level_bases(config.bins)}

@@ -984,6 +984,27 @@ def test_bench_refuses_an_oversized_grid_before_any_point(monkeypatch, capsys):
     assert generated == []
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["--threshold", "2"], 18, "error [load]: eligibility threshold must lie in [0, 1]\n"),
+        (["--attributes", "9"], 23, "error [training]: 4 bins over 9 attributes synthesize "
+                                    "262144 training rows, more than the limit of 65536\n"),
+    ],
+    ids=["threshold", "training-rows"],
+)
+def test_bench_refuses_its_config_and_training_rows_before_any_point(
+    monkeypatch, capsys, argv, code, message
+):
+    """A grid within the generator's limits still generates nothing when the
+    threshold, or the training set the grid's attribute count needs, is refused."""
+    generated = []
+    monkeypatch.setattr(cli, "generate_synthetic", lambda *args: generated.append(args))
+    assert main(["bench", "--grid", "2000x20", "--reps", "1", *argv]) == code
+    assert capsys.readouterr().err == message
+    assert generated == []
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "qoscompose.cli"] + fixture_args("compose"),

@@ -6,6 +6,7 @@ import math
 import pathlib
 import random
 import re
+import tracemalloc
 import weakref
 from dataclasses import FrozenInstanceError, fields, replace as dc_replace
 
@@ -33,11 +34,14 @@ from qoscompose import (
     rank_candidates,
     replace_unavailable,
 )
-from qoscompose import composer, leveling
+from qoscompose import cli, composer, leveling
 from qoscompose.cba import (
     ClassAssociationRule, Classifier, Item, MiningConfig, discretize, predict, train_classifier,
 )
-from qoscompose.data_io import default_config, default_request, generate_synthetic
+from qoscompose.data_io import (
+    default_config, default_request, generate_synthetic, save_config, save_plan, save_registry,
+    save_taxonomy,
+)
 from qoscompose.leveling import (
     _training_rows, filter_eligible, score_candidates, synthesize_training_set,
 )
@@ -1501,3 +1505,92 @@ def test_level_out_of_range_names_the_first_service(monkeypatch):
             rank_candidates(requests[0], registry, config)
         assert str(got.value) == str(want.value)
         assert got.value.stage == "classification"
+
+
+def test_compose_names_the_first_out_of_range_level_of_the_first_plan_task(
+    monkeypatch, tmp_path, capsys
+):
+    """Selection ranks a task when it reaches it, so compose names the first service,
+    in record order, of the first plan-order task that holds an out-of-range level.
+    With the records reversed, that is not the first such service in record order,
+    which `rank_candidates` names. The CLI prints the refusal as one line."""
+    plan, registry, taxonomy, config, requests = synthetic_inputs(6)
+    registry = Registry(registry.schema, registry.records[::-1])
+    attribute = registry.schema[0].name
+    scaled = normalized_tasks(registry)
+    bad = {
+        task: [vector.service_id for vector in vectors
+               if discretize(vector.values[attribute], config.bins) == 1]
+        for task, vectors in scaled.items()
+    }
+    first = next(bad[task][0] for task in plan.order if bad[task])
+    assert first != next(ids[0] for ids in bad.values() if ids)
+    monkeypatch.setattr(
+        leveling, "train_classifier", lambda *_: out_of_range_classifier(registry.schema)
+    )
+    message = f"level 9 outside 1..{config.scheme.n_levels} for {first!r}"
+    with pytest.raises(LevelOutOfRange) as got:
+        compose_with_graph(requests[0], plan, registry, taxonomy, config)
+    assert str(got.value) == message
+    assert got.value.stage == "classification"
+    with pytest.raises(LevelOutOfRange) as got:
+        rank_candidates(requests[0], registry, config)
+    assert str(got.value) != message
+    save_registry(registry, str(tmp_path / "registry.csv"))
+    save_plan(plan, str(tmp_path / "plan.json"))
+    save_taxonomy(taxonomy, str(tmp_path / "taxonomy.txt"))
+    save_config(config, requests[0], str(tmp_path / "config.json"))
+    argv = ["compose", "--registry", str(tmp_path / "registry.csv"),
+            "--plan", str(tmp_path / "plan.json"), "--taxonomy", str(tmp_path / "taxonomy.txt"),
+            "--config", str(tmp_path / "config.json")]
+    assert cli.main(argv) == 25
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error [classification]: {message}\n")
+
+
+def test_selection_ranks_a_task_only_when_it_reaches_it(monkeypatch):
+    """At threshold 1 no task has an eligible candidate: selection refuses the first
+    plan task, and no other task is ranked."""
+    plan, registry, taxonomy, config, requests = synthetic_inputs(6)
+    ranked = []
+
+    def logging_ranker(*args):
+        rank = leveling.signature_ranker(*args)
+
+        def logged(task):
+            ranked.append(task)
+            return rank(task)
+
+        return logged
+
+    monkeypatch.setattr(composer, "signature_ranker", logging_ranker)
+    with pytest.raises(NoEligibleCandidate) as got:
+        compose_with_graph(
+            requests[0], plan, registry, taxonomy, dc_replace(config, threshold=1.0)
+        )
+    assert got.value.task == plan.order[0]
+    assert got.value.stage == "selection"
+    assert ranked == [plan.order[0]]
+
+
+def test_a_compose_miss_never_holds_every_tasks_eligible_list():
+    """At the failover shape with warm training, a compose miss peaks below three
+    quarters of what `rank_candidates`' lists for all 40 tasks take at once."""
+    registry, plan, taxonomy = generate_synthetic(40, 400, 4, 5)
+    request, config = default_request(registry.schema), default_config()
+    compose_with_graph(request, plan, registry, taxonomy, config)
+    registry.compose_memo.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        eligible = rank_candidates(request, registry, config)
+        eligible_size = tracemalloc.get_traced_memory()[0] - start
+        del eligible
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        compose_with_graph(request, plan, registry, taxonomy, config)
+        miss_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert miss_peak < 0.75 * eligible_size, (miss_peak, eligible_size)
